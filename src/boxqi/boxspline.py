@@ -74,6 +74,7 @@ TRANSLATE_OFFSET = np.array([1, 1, 3], dtype=np.int64)
 
 _FULL_MASK = (1 << 7) - 1
 _ORACLE_CHUNK = 8192
+_EVAL_BLOCK = 4096  # points per pass of `BoxSplineTable.eval`
 
 # ---------------------------------------------------------------------------
 # de Boor recurrence oracle
@@ -252,8 +253,6 @@ class BoxSplineTable:
         self.numerators = numerators
         self.denominators = denominators
         self.min_coefficient = float(coeffs.min())
-        # flattened (125*24*35) view used by evaluation gathers
-        self._flat = np.ascontiguousarray(coeffs.reshape(_N_CUBES, 24 * 35))
 
     # -- construction ------------------------------------------------------
 
@@ -419,49 +418,44 @@ class BoxSplineTable:
 
     def eval(self, points):
         """B at arbitrary points (0 outside the support box)."""
-        pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        scalar = np.asarray(points).ndim == 1
-        out = np.zeros(len(pts))
-        inside = np.all((pts >= SUPPORT_LO) & (pts < SUPPORT_HI), axis=1)
-        if inside.any():
-            out[inside] = self._eval_inside(pts[inside])
-        return float(out[0]) if scalar else out
-
-    def _eval_inside(self, pts):
-        cube = np.floor(pts).astype(np.int64)
-        np.clip(cube, SUPPORT_LO, SUPPORT_HI - 1, out=cube)
-        tet, bary = geometry.locate_unit(pts - cube)
-        rel = cube - SUPPORT_LO
-        flat_cube = (rel[:, 0] * 5 + rel[:, 1]) * 5 + rel[:, 2]
-        patches = self.coeffs[flat_cube, tet]
-        return bernstein.eval_bb(patches, bary)
+        return self.eval_derivative(points, (0, 0, 0))
 
     def eval_derivative(self, points, gamma):
-        """Partial derivative D^gamma B, |gamma| <= 3 (one-sided on faces)."""
+        """Partial derivative D^gamma B, |gamma| <= 3 (one-sided on faces).
+
+        Points are processed in blocks of `_EVAL_BLOCK`, so the working set
+        beyond the (n,) result does not grow with n.
+        """
         gamma = tuple(int(g) for g in gamma)
         if len(gamma) != 3 or min(gamma) < 0 or sum(gamma) > 3:
             raise ValueError("gamma must be a 3-multi-index with |gamma| <= 3")
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         scalar = np.asarray(points).ndim == 1
         out = np.zeros(len(pts))
-        inside = np.all((pts >= SUPPORT_LO) & (pts < SUPPORT_HI), axis=1)
-        if inside.any():
-            sub = pts[inside]
-            cube = np.floor(sub).astype(np.int64)
-            np.clip(cube, SUPPORT_LO, SUPPORT_HI - 1, out=cube)
-            tet, bary = geometry.locate_unit(sub - cube)
-            rel = cube - SUPPORT_LO
-            flat_cube = (rel[:, 0] * 5 + rel[:, 1]) * 5 + rel[:, 2]
-            patches = self.coeffs[flat_cube, tet]
-            degree = 4
-            for axis in range(3):
-                direction = geometry.AXIS_DIRECTIONS[tet, axis]
-                for _ in range(gamma[axis]):
-                    patches = bernstein.derivative_reduce(patches, direction,
-                                                          degree)
-                    degree -= 1
-            out[inside] = bernstein.eval_bb(patches, bary, degree)
+        for start in range(0, len(pts), _EVAL_BLOCK):
+            block = pts[start:start + _EVAL_BLOCK]
+            inside = np.all((block >= SUPPORT_LO) & (block < SUPPORT_HI),
+                            axis=1)
+            if inside.any():
+                out[start:start + _EVAL_BLOCK][inside] = self._eval_inside(
+                    block[inside], gamma)
         return float(out[0]) if scalar else out
+
+    def _eval_inside(self, pts, gamma):
+        cube = np.floor(pts).astype(np.int64)
+        np.clip(cube, SUPPORT_LO, SUPPORT_HI - 1, out=cube)
+        tet, bary = geometry.locate_unit(pts - cube)
+        rel = cube - SUPPORT_LO
+        flat_cube = (rel[:, 0] * 5 + rel[:, 1]) * 5 + rel[:, 2]
+        patches = self.coeffs[flat_cube, tet]
+        degree = 4
+        for axis in range(3):
+            direction = geometry.AXIS_DIRECTIONS[tet, axis]
+            for _ in range(gamma[axis]):
+                patches = bernstein.derivative_reduce(patches, direction,
+                                                      degree)
+                degree -= 1
+        return bernstein.eval_bb(patches, bary, degree)
 
 
 def _rationalize(coeffs):

@@ -185,7 +185,9 @@ def _first_containing_tet(hom):
     the best fit if roundoff pushed every candidate slightly negative.
     """
     bary_all = np.einsum('tij,nj->nti', BARYCENTRIC_MATRICES, hom)
-    minc = bary_all.min(axis=2)
+    # pairwise minima: exactly min(axis=2), without a slow short-axis reduce
+    minc = np.minimum(np.minimum(bary_all[..., 0], bary_all[..., 1]),
+                      np.minimum(bary_all[..., 2], bary_all[..., 3]))
     inside = minc >= -_LOCATE_TOL
     tet = np.where(inside.any(axis=1), inside.argmax(axis=1),
                    minc.argmax(axis=1))
@@ -248,8 +250,8 @@ def locate_unit(local):
     edge = _EDGE_OF_SIGNS[2 * (db > dc) + (db > -dc)]
     tet = 4 * face + edge
     bary = np.einsum('nij,nj->ni', BARYCENTRIC_MATRICES[tet], hom)
-    unclear = ~((bary[:, 0] >= -_LOCATE_TOL)
-                & (bary[:, 1:].min(axis=1) > _CLEAR_MARGIN))
+    inner = np.minimum(np.minimum(bary[:, 1], bary[:, 2]), bary[:, 3])
+    unclear = ~((bary[:, 0] >= -_LOCATE_TOL) & (inner > _CLEAR_MARGIN))
     if unclear.any():
         tet[unclear], bary[unclear] = _first_containing_tet(hom[unclear])
     return tet, bary

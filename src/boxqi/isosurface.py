@@ -13,8 +13,8 @@ deterministic for any worker count.  Triangle winding is normalized so that
 normals point toward the above-isovalue side.  An optional bisection pass
 tightens each vertex along its edge until |s(v) - rho| <= 1e-8.
 
-Export formats: ASCII OBJ (v/f records, 1-based indices, 9 significant
-digits) and binary little-endian PLY (float64 coordinates, optional
+Export formats: ASCII OBJ (v/f records, 1-based indices, coordinates in
+shortest round-trip ``repr`` form) and binary little-endian PLY (float64 coordinates, optional
 per-vertex scalar channel, e.g. a reference-error colour).
 """
 

@@ -2,9 +2,17 @@
 
 ``approximate`` turns a complete grid of samples into spline coefficients by
 applying the class stencil of every basis index (vectorized over rectangular
-index regions that share one stencil layout).  ``QISpline`` evaluates the
-spline either directly (summing basis translates) or through per-tetrahedron
-Bernstein patches, which is the fast path for grid-scale workloads.
+index regions that share one stencil layout).  ``QISpline`` evaluates values
+and derivatives straight from the coefficients: on one tetrahedron of the
+type-6 partition only 53 of the 125 translates of a cube's 5x5x5 window are
+nonzero, so each BB patch is a fixed (53, 35) linear map of 53 gathered
+coefficients, and the patches of a derivative or of the gradient are fixed
+maps too (the gradient's three cubic patches: (53, 60)).  Points are
+processed in blocks of ``_EVAL_BLOCK``, located once per block and sorted by
+tetrahedron, so an evaluation's working set does not grow with the call.
+``mode="direct"`` sums the basis translates instead and serves as an
+independent oracle.  ``compile`` exports the per-tetrahedron patches (dense,
+within a memory budget) or a slab plan; evaluation reads neither.
 
 Spline file layout (little-endian, version 1):
 
@@ -25,7 +33,7 @@ import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import prod
 
 import numpy as np
@@ -42,20 +50,16 @@ __all__ = [
     "QISpline",
     "SizeError",
     "approximate",
-    "DIRECT_POINT_LIMIT",
     "DEFAULT_COMPILE_BUDGET",
 ]
 
-# direct (translate-summing) evaluation is the default up to this many
-# points; beyond it the per-tetrahedron patch path wins by a wide margin.
-DIRECT_POINT_LIMIT = 10_000
-
 # default ceiling for materialized per-tetrahedron patches: 1 GiB.  Larger
-# grids compile to a streamed plan that builds patches slab by slab.
+# grids compile to a streamed plan (a slab schedule, no patches).
 DEFAULT_COMPILE_BUDGET = 1 << 30
 
 _PATCH_BYTES_PER_CUBE = 24 * _NC * 8  # 6720
 _GATHER_CHUNK = 4 << 20  # float64 elements per temporary in bulk gathers
+_EVAL_BLOCK = 4096  # points per located, sorted and contracted block
 
 _ENV_THREADS = "BOXQI_THREADS"
 
@@ -73,14 +77,16 @@ class SizeError(MemoryError):
 
 
 def thread_count(requested: int | None = None) -> int:
-    """Worker count: explicit argument, else BOXQI_THREADS, else 1."""
-    if requested is not None:
-        return max(1, int(requested))
-    env = os.environ.get(_ENV_THREADS, "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
+    """Worker count: explicit argument, else BOXQI_THREADS, else 1.
+
+    Clamped to [1, os.cpu_count()].
+    """
+    if requested is None:
+        try:
+            requested = int(os.environ.get(_ENV_THREADS, ""))
+        except ValueError:
+            requested = 1
+    return max(1, min(int(requested), os.cpu_count() or 1))
 
 
 def _run_tasks(tasks, threads: int) -> None:
@@ -88,7 +94,7 @@ def _run_tasks(tasks, threads: int) -> None:
         for task in tasks:
             task()
         return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
         for future in [pool.submit(t) for t in tasks]:
             future.result()
 
@@ -215,6 +221,35 @@ _WINDOW_OFFSETS = (
 )
 
 
+@lru_cache(maxsize=None)
+def _tet_blocks(gammas: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Per-tetrahedron maps from window coefficients to derivative patches.
+
+    ``rows[t]`` lists the 53 window slots whose translates are nonzero on
+    tetrahedron t; ``blocks[t]`` (53, q*d) maps their coefficients to the
+    degree 4-|gamma| BB coefficients (d of them) of D^gamma Qf in grid
+    units, for each of the q multi-indices in ``gammas``, side by side.
+    """
+    matrix = _patch_matrix().reshape(125, 24, _NC)
+    rows = np.array([np.flatnonzero(matrix[:, t].any(axis=1))
+                     for t in range(24)])
+    blocks = []
+    for t in range(24):
+        parts = []
+        for gamma in gammas:
+            coeffs, degree = matrix[rows[t], t], 4
+            for axis in range(3):
+                for _ in range(gamma[axis]):
+                    coeffs = derivative_reduce(
+                        coeffs, AXIS_DIRECTIONS[t, axis], degree)
+                    degree -= 1
+            parts.append(coeffs)
+        blocks.append(np.hstack(parts))
+    blocks = np.array(blocks)
+    blocks.setflags(write=False)  # shared by every caller of the cache
+    return rows, blocks
+
+
 def _windows(coeffs: np.ndarray, cube: np.ndarray) -> np.ndarray:
     """Gather the (n, 125) coefficient windows feeding each cube's patches."""
     return coeffs[cube[:, 0, None] + _WINDOW_OFFSETS[0],
@@ -224,7 +259,8 @@ def _windows(coeffs: np.ndarray, cube: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CompiledPatches:
-    """Per-tetrahedron Bernstein coefficients, dense or built per slab."""
+    """Exported per-tetrahedron Bernstein coefficients (dense) or a slab
+    plan (streamed); evaluation reads neither."""
 
     mode: str                      # "dense" | "streamed"
     budget: int
@@ -254,18 +290,22 @@ class QISpline:
             raise ValueError(
                 f"coefficient array shape {self.coefficients.shape} does "
                 f"not match grid (expected {expected})")
+        # `compile` re-runs this through `replace`; checked once, uncompiled
+        if self.compiled is None and not np.isfinite(self.coefficients).all():
+            raise ValueError("spline coefficients contain non-finite values")
 
     # -- compilation -------------------------------------------------------
 
     def compile(self, mode: str = "auto",
                 budget: int | None = None,
                 threads: int | None = None) -> "QISpline":
-        """Attach per-tetrahedron patches (dense) or a slab plan (streamed).
+        """Attach exported patches (dense) or a slab plan (streamed).
 
-        ``mode="dense"`` materializes 24*35 coefficients per cube
-        (raises :class:`SizeError` above the budget), ``"streamed"`` stores
-        only a slab schedule whose working set stays within the budget, and
-        ``"auto"`` picks dense when it fits.
+        ``mode="dense"`` materializes 24*35 coefficients per cube in
+        ``compiled.patches`` (raises :class:`SizeError` above the budget),
+        ``"streamed"`` stores only a slab schedule within the budget, and
+        ``"auto"`` picks dense when it fits.  Evaluation reads neither: it
+        works from the coefficients in bounded blocks either way.
         """
         budget = DEFAULT_COMPILE_BUDGET if budget is None else int(budget)
         m1, m2, m3 = self.grid.m
@@ -308,19 +348,15 @@ class QISpline:
              threads: int | None = None) -> np.ndarray:
         """Spline values at points inside the closed domain.
 
-        ``mode``: "direct" sums the <=125 basis translates covering each
-        point; "compiled" evaluates one Bernstein patch per point (building
-        patches on the fly when no dense compile is attached); "auto" uses
-        direct up to ``DIRECT_POINT_LIMIT`` points on uncompiled splines.
+        ``mode``: "auto" and "compiled" contract gathered coefficients with
+        per-tetrahedron blocks; "direct" sums the <=125 basis translates
+        covering each point (the independent oracle).
         """
         points, scalar = _as_points(points)
-        if mode == "auto":
-            mode = ("compiled" if self.compiled is not None
-                    or len(points) > DIRECT_POINT_LIMIT else "direct")
         if mode == "direct":
             values = self._eval_direct(points)
-        elif mode == "compiled":
-            values = self._eval_patches(points, None, threads)
+        elif mode in ("auto", "compiled"):
+            values = self._evaluate(points, ((0, 0, 0),), threads)[:, 0]
         else:
             raise ValueError(f"unknown eval mode {mode!r}")
         return values[0] if scalar else values
@@ -332,13 +368,13 @@ class QISpline:
         if len(gamma) != 3 or min(gamma) < 0 or sum(gamma) > 3:
             raise ValueError("gamma must be 3 nonnegative ints, |gamma|<=3")
         points, scalar = _as_points(points)
-        values = self._eval_patches(points, gamma, threads)
+        values = self._evaluate(points, (gamma,), threads)[:, 0]
         return values[0] if scalar else values
 
     def gradient(self, points, threads: int | None = None) -> np.ndarray:
         points, scalar = _as_points(points)
-        out = np.stack([self._eval_patches(points, g, threads)
-                        for g in ((1, 0, 0), (0, 1, 0), (0, 0, 1))], axis=-1)
+        out = self._evaluate(points, ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+                             threads)
         return out[0] if scalar else out
 
     # direct translate summation
@@ -360,70 +396,42 @@ class QISpline:
                     values += coeff * table.eval(local)
         return values
 
-    # patch-based evaluation (dense, streamed, or on-the-fly)
-    def _eval_patches(self, points: np.ndarray, gamma, threads) -> np.ndarray:
-        grid = self.grid
-        cube, tet, bary = locate(points, grid)
-        values = np.empty(len(points))
-        compiled = self.compiled
-        if compiled is not None and compiled.mode == "dense":
-            m1, m2, m3 = grid.m
-            flat = compiled.patches.reshape(m1 * m2 * m3, 24, _NC)
-            lin = (cube[:, 0] * m2 + cube[:, 1]) * m3 + cube[:, 2]
-            tasks = [self._tet_eval_task(values, flat[lin[sel], t], bary[sel],
-                                         t, gamma, sel)
-                     for t, sel in _tet_groups(tet)]
-            _run_tasks(tasks, thread_count(threads))
-            return values
-        # streamed/on-the-fly: build patches per slab of first-axis cube
-        # rows, one patch per *distinct* cube, within the memory budget
-        if compiled is not None:
-            slab_rows = compiled.slab_rows
-        else:
-            per_row = grid.m[1] * grid.m[2] * _PATCH_BYTES_PER_CUBE
-            slab_rows = max(1, min(grid.m[0],
-                                   DEFAULT_COMPILE_BUDGET // max(1, per_row)))
-        m2, m3 = grid.m[1], grid.m[2]
-        lin = (cube[:, 0] * m2 + cube[:, 1]) * m3 + cube[:, 2]
-        slab = cube[:, 0] // slab_rows
-        order = np.argsort(slab, kind="stable")
-        matrix = _patch_matrix()
-        tasks = []
-        for lo, hi in _group_starts(slab[order]):
-            sel = order[lo:hi]
-            uniq, inverse = np.unique(lin[sel], return_inverse=True)
-            cubes_uniq = np.stack(
-                np.unravel_index(uniq, grid.m), axis=1).astype(np.int64)
-            windows = _windows(self.coefficients, cubes_uniq)
-            patches = (windows @ matrix).reshape(len(uniq), 24, _NC)
-            tet_sel = tet[sel]
-            patch_per_point = patches[inverse, tet_sel]
-            bary_sel = bary[sel]
-            for t, tsel in _tet_groups(tet_sel):
-                tasks.append(self._tet_eval_task(
-                    values, patch_per_point[tsel], bary_sel[tsel],
-                    t, gamma, sel[tsel]))
-        _run_tasks(tasks, thread_count(threads))
-        return values
+    def _evaluate(self, points: np.ndarray, gammas: tuple,
+                  threads) -> np.ndarray:
+        """(n, q) values of D^gamma Qf for the q multi-indices ``gammas``,
+        all of one order, block by block of ``_EVAL_BLOCK`` points."""
+        order = sum(gammas[0])
+        degree = 4 - order
+        rows, blocks = _tet_blocks(gammas)
+        flat = np.ravel(self.coefficients)
+        _, m2, m3 = self.coefficients.shape
+        offsets = ((_WINDOW_OFFSETS[0] * m2 + _WINDOW_OFFSETS[1]) * m3
+                   + _WINDOW_OFFSETS[2])[rows]
+        out = np.empty((len(points), len(gammas)))
 
-    def _tet_eval_task(self, values, patch, bary, tet_id, gamma, sel):
-        h = self.grid.h
+        def task(start):
+            cube, tet, bary = locate(points[start:start + _EVAL_BLOCK],
+                                     self.grid)
+            perm = np.argsort(tet.astype(np.uint8), kind="stable")
+            tet, cube = tet[perm], cube[perm]
+            base = (cube[:, 0] * m2 + cube[:, 1]) * m3 + cube[:, 2]
+            basis = bernstein_basis(bary[perm], degree)
+            values = np.empty((len(perm), len(gammas)))
+            edges = np.flatnonzero(np.diff(tet)) + 1
+            for lo, hi in zip([0, *edges], [*edges, len(tet)]):
+                t = tet[lo]
+                patch = flat.take(base[lo:hi, None] + offsets[t]) @ blocks[t]
+                values[lo:hi] = np.einsum(
+                    "iqj,ij->iq", patch.reshape(hi - lo, len(gammas), -1),
+                    basis[lo:hi])
+            if order:
+                values /= self.grid.h ** order
+            out[start:start + _EVAL_BLOCK][perm] = values
 
-        def run():
-            coeffs = patch
-            degree = 4
-            if gamma:
-                for axis in range(3):
-                    direction = AXIS_DIRECTIONS[tet_id, axis]
-                    for _ in range(gamma[axis]):
-                        coeffs = derivative_reduce(coeffs, direction, degree)
-                        degree -= 1
-            basis = bernstein_basis(bary, degree)
-            out = np.einsum("ij,ij->i", coeffs, basis)
-            if gamma and sum(gamma):
-                out = out / h ** sum(gamma)
-            values[sel] = out
-        return run
+        _run_tasks([partial(task, start)
+                    for start in range(0, len(points), _EVAL_BLOCK)],
+                   thread_count(threads))
+        return out
 
     # -- persistence --------------------------------------------------------
 
@@ -469,30 +477,16 @@ class QISpline:
 
 def _as_points(points) -> tuple[np.ndarray, bool]:
     arr = np.asarray(points, dtype=np.float64)
-    if arr.ndim == 1:
-        return arr.reshape(1, 3), True
-    return np.ascontiguousarray(arr), False
+    scalar = arr.ndim == 1
+    arr = arr.reshape(1, -1) if scalar else np.ascontiguousarray(arr)
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ValueError("points must have shape (n, 3) or (3,)")
+    return arr, scalar
 
 
 def _all_cubes(m: tuple[int, int, int]) -> np.ndarray:
     grids = np.meshgrid(*(np.arange(x) for x in m), indexing="ij")
     return np.stack([g.reshape(-1) for g in grids], axis=1)
-
-
-def _tet_groups(tet: np.ndarray):
-    for t in range(24):
-        sel = np.nonzero(tet == t)[0]
-        if len(sel):
-            yield t, sel
-
-
-def _group_starts(sorted_keys: np.ndarray):
-    if len(sorted_keys) == 0:
-        return
-    boundaries = np.nonzero(np.diff(sorted_keys))[0] + 1
-    edges = np.concatenate(([0], boundaries, [len(sorted_keys)]))
-    for a, b in zip(edges[:-1], edges[1:]):
-        yield int(a), int(b)
 
 
 def active_mask(grid: DomainGrid) -> np.ndarray:

@@ -154,3 +154,33 @@ def test_montecarlo_oracle_agrees_roughly(table):
     point = np.array([0.40741, 0.52063, 2.31417])
     mc = bs.eval_oracle_montecarlo(point, samples=400000, seed=4)
     assert abs(mc - table.eval(point[None])[0]) < 5e-3
+
+
+def test_blocked_eval_is_independent_of_blocking(table, rng):
+    """Values and derivatives do not depend on where block edges fall."""
+    n = 2 * bs._EVAL_BLOCK + 37
+    pts = rng.uniform(SUPPORT_LO - 0.5, SUPPORT_HI + 0.5, size=(n, 3))
+    pts[::3, 1] = pts[::3, 0]          # diagonal tie planes
+    pts[1::5] = np.round(pts[1::5])    # lattice points
+    for gamma in [(0, 0, 0), (1, 0, 0), (0, 1, 1), (0, 0, 3)]:
+        whole = table.eval_derivative(pts, gamma)
+        pieces = np.concatenate([table.eval_derivative(pts[a:a + 1000], gamma)
+                                 for a in range(0, n, 1000)])
+        np.testing.assert_array_equal(whole, pieces)
+    np.testing.assert_array_equal(table.eval(pts),
+                                  table.eval_derivative(pts, (0, 0, 0)))
+
+
+def test_eval_memory_does_not_grow_with_n(table, rng):
+    """One call on 10^6 points allocates the result plus a working set
+    bounded by the block size."""
+    import tracemalloc
+
+    pts = rng.uniform(SUPPORT_LO, SUPPORT_HI, size=(1_000_000, 3))
+    tracemalloc.start()
+    try:
+        out = table.eval(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 16 << 20

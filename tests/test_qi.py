@@ -1,10 +1,15 @@
 """Quasi-interpolant construction, evaluation paths, derivatives, and
 spline persistence."""
 
+import os
+import struct
+import tracemalloc
+from itertools import product
+
 import numpy as np
 import pytest
 
-from boxqi import bernstein, domain, geometry, qi, stencils
+from boxqi import bernstein, boxspline, domain, geometry, qi, stencils
 
 
 def _samples_of(fn, grid):
@@ -205,9 +210,163 @@ def test_approximate_input_validation():
 
 
 def test_thread_count_env(monkeypatch):
+    monkeypatch.setattr(qi.os, "cpu_count", lambda: 4)  # above 3: no clamp
     assert qi.thread_count() >= 1
     assert qi.thread_count(3) == 3
     monkeypatch.setenv("BOXQI_THREADS", "2")
     assert qi.thread_count() == 2
     monkeypatch.setenv("BOXQI_THREADS", "not-a-number")
     assert qi.thread_count() == 1  # malformed env falls back to single thread
+
+
+def test_thread_count_clamped_to_cores(monkeypatch):
+    cores = os.cpu_count() or 1
+    assert qi.thread_count(10 ** 6) == cores
+    assert qi.thread_count(0) == 1
+    monkeypatch.setenv("BOXQI_THREADS", str(10 ** 6))
+    assert qi.thread_count() == cores
+
+
+def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
+    started = []
+    real = qi.ThreadPoolExecutor
+
+    def pool(max_workers):
+        started.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(qi, "ThreadPoolExecutor", pool)
+    done = []
+    qi._run_tasks([lambda: done.append(1), lambda: done.append(2)], 64)
+    assert started == [2] and sorted(done) == [1, 2]
+
+
+def test_nonfinite_coefficients_rejected(rng, tmp_path):
+    spline = qi.approximate(rng.normal(size=(13, 13, 13)), h=1.0)
+    for bad in (np.nan, np.inf, -np.inf):
+        coeffs = spline.coefficients.copy()
+        coeffs[5, 6, 7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            qi.QISpline(spline.grid, coeffs)
+    path = tmp_path / "model.qis"
+    spline.save(path)
+    blob = bytearray(path.read_bytes())
+    head = len(qi.QISpline.MAGIC) + struct.calcsize("<IIIId")
+    blob[head + 8 * 100:head + 8 * 101] = struct.pack("<d", np.nan)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="non-finite"):
+        qi.QISpline.load(path)
+
+
+# -- blocked evaluation against the translate sums ---------------------------
+
+GAMMAS = [g for g in product(range(4), repeat=3) if sum(g) <= 3]
+
+
+def _translate_sum(spline, pts, gamma):
+    """D^gamma Qf as the sum of the 125 translates around each point.
+
+    On an upper domain face the translate argument is moved one ulp inward,
+    so the table takes the piece inside the domain, as the spline does
+    (third derivatives jump across cube faces).
+    """
+    table = boxspline.get_table()
+    m = np.array(spline.grid.m)
+    u = pts / spline.grid.h
+    cube = np.clip(np.ceil(u).astype(np.int64) - 1, 0, m - 1)
+    upper = u >= m
+    out = np.zeros(len(pts))
+    for offset in product(range(-1, 4), repeat=3):
+        alpha = cube + offset
+        arg = u - alpha + boxspline.TRANSLATE_OFFSET
+        arg = np.where(upper, np.nextafter(arg, -np.inf), arg)
+        coeff = spline.coefficients[tuple((alpha + 1).T)]
+        out += coeff * table.eval_derivative(arg, gamma)
+    return out / spline.grid.h ** sum(gamma)
+
+
+def _point_sets(rng, grid, n=150):
+    """Random points, points on the diagonal planes x = y and x = -z inside
+    cubes, and points on each of the six domain faces."""
+    m = np.array(grid.m)
+    cube = rng.integers(0, m, size=(n, 3))
+    local = rng.uniform(size=(n, 3))
+    on_xy = local.copy()
+    on_xy[:, 1] = on_xy[:, 0]
+    on_xz = local.copy()
+    on_xz[:, 2] = 1.0 - on_xz[:, 0]
+    sets = {"random": rng.uniform(size=(n, 3)) * m,
+            "x=y": cube + on_xy, "x=-z": cube + on_xz}
+    for axis in range(3):
+        for side in (0, 1):
+            face = rng.uniform(size=(n // 3, 3)) * m
+            face[:, axis] = side * m[axis]
+            sets[f"face {'-+'[side]}{'xyz'[axis]}"] = face
+    return {name: pts * grid.h for name, pts in sets.items()}
+
+
+@pytest.fixture(scope="module")
+def spline_and_points():
+    rng = np.random.default_rng(31)
+    spline = qi.approximate(rng.normal(size=(13, 14, 15)), h=0.5)
+    return spline, _point_sets(rng, spline.grid)
+
+
+def test_blocked_eval_matches_direct(spline_and_points):
+    spline, sets = spline_and_points
+    for name, pts in sets.items():
+        direct = spline.eval(pts, mode="direct")
+        for mode in ("auto", "compiled"):
+            np.testing.assert_allclose(spline.eval(pts, mode=mode), direct,
+                                       rtol=0, atol=1e-11, err_msg=name)
+
+
+@pytest.mark.parametrize("gamma", GAMMAS,
+                         ids=lambda g: "".join(map(str, g)))
+def test_blocked_derivatives_match_translate_sums(spline_and_points, gamma):
+    spline, sets = spline_and_points
+    for name, pts in sets.items():
+        expected = _translate_sum(spline, pts, gamma)
+        np.testing.assert_allclose(spline.eval_derivative(pts, gamma),
+                                   expected, rtol=0, atol=1e-11,
+                                   err_msg=name)
+
+
+def test_blocked_gradient_matches_translate_sums(spline_and_points):
+    spline, sets = spline_and_points
+    for name, pts in sets.items():
+        grad = spline.gradient(pts)
+        for axis, gamma in enumerate([(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
+            np.testing.assert_allclose(grad[:, axis],
+                                       _translate_sum(spline, pts, gamma),
+                                       rtol=0, atol=1e-11, err_msg=name)
+
+
+def test_gradient_locates_each_block_once(rng, monkeypatch):
+    spline = qi.approximate(rng.normal(size=(13, 13, 13)), h=1.0)
+    pts = _probe_points(rng, spline.grid, 3 * qi._EVAL_BLOCK + 5)
+    calls = []
+    real = qi.locate
+
+    def counting(points, grid):
+        calls.append(len(points))
+        return real(points, grid)
+
+    monkeypatch.setattr(qi, "locate", counting)
+    spline.gradient(pts)
+    assert calls == [qi._EVAL_BLOCK] * 3 + [5]
+
+
+def test_eval_memory_does_not_grow_with_n(rng):
+    """A 10^6-point evaluation allocates its result plus a working set
+    bounded by the block size, not by the call."""
+    spline = qi.approximate(rng.normal(size=(34, 34, 34)), h=1 / 32)
+    pts = _probe_points(rng, spline.grid, 1_000_000)
+    spline.eval(pts[:10])  # build the cached blocks outside the trace
+    tracemalloc.start()
+    try:
+        out = spline.eval(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < 16 << 20
