@@ -233,19 +233,17 @@ def _tet_blocks(gammas: tuple) -> tuple[np.ndarray, np.ndarray]:
     matrix = _patch_matrix().reshape(125, 24, _NC)
     rows = np.array([np.flatnonzero(matrix[:, t].any(axis=1))
                      for t in range(24)])
-    blocks = []
-    for t in range(24):
-        parts = []
-        for gamma in gammas:
-            coeffs, degree = matrix[rows[t], t], 4
-            for axis in range(3):
-                for _ in range(gamma[axis]):
-                    coeffs = derivative_reduce(
-                        coeffs, AXIS_DIRECTIONS[t, axis], degree)
-                    degree -= 1
-            parts.append(coeffs)
-        blocks.append(np.hstack(parts))
-    blocks = np.array(blocks)
+    value = matrix[rows, np.arange(24)[:, None]]  # (24, 53, 35)
+    parts = []
+    for gamma in gammas:
+        coeffs, degree = value, 4
+        for axis in range(3):
+            for _ in range(gamma[axis]):
+                coeffs = derivative_reduce(
+                    coeffs, AXIS_DIRECTIONS[:, None, axis], degree)
+                degree -= 1
+        parts.append(coeffs)
+    blocks = np.concatenate(parts, axis=-1)
     blocks.setflags(write=False)  # shared by every caller of the cache
     return rows, blocks
 
