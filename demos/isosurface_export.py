@@ -31,7 +31,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
 
     samples, grid, fn = volume.sample_test_function(args.fn, args.m)
-    spline = qi.approximate(samples, grid).compile()
+    spline = qi.approximate(samples, grid)
     request = isosurface.IsoRequest(args.isovalue, args.resolution,
                                     refine=args.refine, reference=fn)
     mesh = isosurface.extract(spline, request)

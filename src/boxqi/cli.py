@@ -12,9 +12,8 @@ Subcommands
 * ``convergence`` -- error/order table for a benchmark (CSV)
 * ``isosurface``  -- marching-tetrahedra mesh export (OBJ/PLY)
 
-All outputs are deterministic for fixed flags: CSV columns are fixed,
-floats print in shortest round-trip form, and worker count (``--threads``
-or the ``BOXQI_THREADS`` environment variable) never changes output bytes.
+All outputs are deterministic for fixed flags: CSV columns are fixed and
+floats print in shortest round-trip form.
 Errors exit nonzero with a one-line diagnostic on stderr.
 """
 
@@ -125,8 +124,9 @@ def cmd_info(args) -> int:
           f"{(m1 + 2) * (m2 + 2) * (m3 + 2)}")
     print(f"coefficients: |A| = {active} active of {slots} slots")
     print(f"operator norm bound: {_printed_norm(bound)} ({bound})")
-    print(f"memory: coefficients {_human_bytes(coeff_bytes)}, "
-          f"dense compilation {_human_bytes(dense_bytes)}")
+    print(f"memory: coefficients {_human_bytes(coeff_bytes)} "
+          f"(read by evaluation), optional dense patch export "
+          f"{_human_bytes(dense_bytes)}")
     return 0
 
 
@@ -232,7 +232,7 @@ def cmd_approximate(args) -> int:
             grid = DomainGrid(*(d - 2 for d in samples.shape), h=args.h)
         else:
             samples, grid, _ = volume.load_volume(path, args.header)
-    spline = qi.approximate(samples, grid, threads=args.threads)
+    spline = qi.approximate(samples, grid)
     spline.save(args.out)
     m1, m2, m3 = grid.m
     print(f"wrote {args.out} (m = {m1} x {m2} x {m3}, h = {_fmt(grid.h)})")
@@ -240,9 +240,9 @@ def cmd_approximate(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    spline = qi.QISpline.load(getattr(args, "in")).compile(mode="auto")
+    spline = qi.QISpline.load(getattr(args, "in"))
     points = convergence.evaluation_grid(spline.grid, args.grid)
-    values = spline.eval(points, threads=args.threads)
+    values = spline.eval(points)
     header = ["points", "minimum", "maximum"]
     row = [str(len(points)), _fmt(values.min()), _fmt(values.max())]
     if args.fn is not None:
@@ -257,8 +257,7 @@ def cmd_eval(args) -> int:
 
 def cmd_convergence(args) -> int:
     rows = convergence.convergence_table(args.fn, _parse_m_list(args.m),
-                                         eval_points=args.grid,
-                                         threads=args.threads)
+                                         eval_points=args.grid)
     table = [(row.fn, str(row.m), _fmt(row.h), _fmt(row.error),
               "" if row.rf is None else _fmt(row.rf)) for row in rows]
     _write_rows(table, ("fn", "m", "h", "max_error", "rf"), args.out)
@@ -266,7 +265,7 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_isosurface(args) -> int:
-    spline = qi.QISpline.load(getattr(args, "in")).compile(mode="auto")
+    spline = qi.QISpline.load(getattr(args, "in"))
     reference = None
     if args.fn is not None:
         fn = volume.TEST_FUNCTIONS.get(args.fn)
@@ -275,7 +274,7 @@ def cmd_isosurface(args) -> int:
         reference = fn.on_omega
     request = isosurface.IsoRequest(isovalue=args.iso, resolution=args.res,
                                     refine=args.refine, reference=reference)
-    mesh = isosurface.extract(spline, request, threads=args.threads)
+    mesh = isosurface.extract(spline, request)
     isosurface.write_mesh(mesh, args.out, args.format)
     print(f"wrote {args.out} ({len(mesh.vertices)} vertices, "
           f"{len(mesh.triangles)} triangles, "
@@ -344,14 +343,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=1.0,
                    help="cell width for .npy input")
     p.add_argument("--out", required=True, help="spline file to write")
-    p.add_argument("--threads", type=int)
 
     p = add("eval", cmd_eval, "evaluate a saved spline over a uniform grid")
     p.add_argument("--in", required=True, help="spline file")
     p.add_argument("--grid", type=int, default=139,
                    help="points per axis, endpoints included")
     p.add_argument("--fn", help="benchmark id for max-error reporting")
-    p.add_argument("--threads", type=int)
     p.add_argument("--out")
 
     p = add("convergence", cmd_convergence,
@@ -359,7 +356,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fn", required=True)
     p.add_argument("--m", default="16,32,64", help="comma list of m values")
     p.add_argument("--grid", type=int, default=139)
-    p.add_argument("--threads", type=int)
     p.add_argument("--out")
 
     p = add("isosurface", cmd_isosurface,
@@ -373,7 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="mesh file (.obj or .ply)")
     p.add_argument("--format", choices=("obj", "ply"),
                    help="override the suffix-derived format")
-    p.add_argument("--threads", type=int)
     return parser
 
 
@@ -381,7 +376,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, OSError, qi.SizeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

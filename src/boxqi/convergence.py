@@ -37,17 +37,17 @@ def evaluation_grid(grid, n: int = DEFAULT_EVAL_POINTS) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 
 
-def convergence_table(fn_id: str, m_values, eval_points: int | None = None,
-                      threads: int | None = None) -> list[ConvergenceRow]:
+def convergence_table(fn_id: str, m_values, eval_points: int | None = None
+                      ) -> list[ConvergenceRow]:
     """Error rows for one benchmark over increasing m (sorted ascending)."""
     n = DEFAULT_EVAL_POINTS if eval_points is None else int(eval_points)
     rows = []
     previous = {}
     for m in sorted(int(m) for m in m_values):
         samples, grid, fn = volume.sample_test_function(fn_id, m)
-        spline = qi.approximate(samples, grid, threads=threads)
+        spline = qi.approximate(samples, grid)
         points = evaluation_grid(grid, n)
-        error = float(np.abs(spline.eval(points, threads=threads)
+        error = float(np.abs(spline.eval(points)
                              - fn.on_omega(points)).max())
         rf = (log2(previous[m // 2] / error)
               if m % 2 == 0 and m // 2 in previous else None)
@@ -56,14 +56,14 @@ def convergence_table(fn_id: str, m_values, eval_points: int | None = None,
     return rows
 
 
-def gradient_error(fn_id: str, m: int, eval_points: int | None = None,
-                   threads: int | None = None) -> float:
+def gradient_error(fn_id: str, m: int, eval_points: int | None = None
+                   ) -> float:
     """max over the evaluation grid of max-component gradient error."""
     n = DEFAULT_EVAL_POINTS if eval_points is None else int(eval_points)
     samples, grid, fn = volume.sample_test_function(fn_id, m)
-    spline = qi.approximate(samples, grid, threads=threads).compile()
+    spline = qi.approximate(samples, grid)
     points = evaluation_grid(grid, n)
-    gradient = spline.gradient(points, threads=threads)
+    gradient = spline.gradient(points)
     step = 1e-5
     reference = np.stack(
         [(fn.on_omega(points + step * np.eye(3)[a])

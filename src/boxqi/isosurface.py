@@ -9,9 +9,9 @@ neighbouring cells are triangulated compatibly and shared surface edges are
 used by at most two triangles.
 
 Vertices are merged by their undirected sample-edge key, so the mesh is
-deterministic for any worker count.  Triangle winding is normalized so that
-normals point toward the above-isovalue side.  An optional bisection pass
-tightens each vertex along its edge until |s(v) - rho| <= 1e-8.
+deterministic.  Triangle winding is normalized so that normals point toward
+the above-isovalue side.  An optional bisection pass tightens each vertex
+along its edge until |s(v) - rho| <= 1e-8.
 
 Export formats: ASCII OBJ (v/f records, 1-based indices, coordinates in
 shortest round-trip ``repr`` form) and binary little-endian PLY (float64 coordinates, optional
@@ -142,14 +142,13 @@ def _sample_lattice(grid, resolution):
     return axes, points.reshape(-1, 3)
 
 
-def extract(spline, request: IsoRequest, threads: int | None = None
-            ) -> TriangleMesh:
+def extract(spline, request: IsoRequest) -> TriangleMesh:
     """March the sampled spline and return the (possibly empty) mesh."""
     rho = float(request.isovalue)
     res = request.resolution
     grid = spline.grid
     axes, points = _sample_lattice(grid, res)
-    values = spline.eval(points, threads=threads).reshape([res + 1] * 3)
+    values = spline.eval(points).reshape([res + 1] * 3)
     cell = np.array([ax[1] - ax[0] for ax in axes])
     area_cut = _AREA_FACTOR * cell.max() ** 2
 
@@ -196,7 +195,7 @@ def extract(spline, request: IsoRequest, threads: int | None = None
     verts = pa + np.clip(t, 0.0, 1.0)[:, None] * (pb - pa)
 
     if request.refine:
-        verts = _refine_vertices(spline, verts, pa, pb, va, vb, rho, threads)
+        verts = _refine_vertices(spline, verts, pa, pb, va, vb, rho)
 
     # drop degenerate triangles, normalize winding toward the above side
     v0, v1, v2 = (verts[triangles[:, i]] for i in range(3))
@@ -216,7 +215,7 @@ def extract(spline, request: IsoRequest, threads: int | None = None
     verts = verts[used]
     triangles = remap[triangles]
 
-    svals = spline.eval(verts, threads=threads) if len(verts) else verts[:, 0]
+    svals = spline.eval(verts) if len(verts) else verts[:, 0]
     residual = float(np.abs(svals - rho).max()) if len(verts) else 0.0
     scalars = None
     if request.reference is not None and len(verts):
@@ -225,7 +224,7 @@ def extract(spline, request: IsoRequest, threads: int | None = None
     return TriangleMesh(verts, triangles, scalars=scalars, residual=residual)
 
 
-def _refine_vertices(spline, verts, pa, pb, va, vb, rho, threads):
+def _refine_vertices(spline, verts, pa, pb, va, vb, rho):
     """Bisect each vertex along its sample edge to |s(v) - rho| <= 1e-8."""
     lo = np.zeros(len(verts))
     hi = np.ones(len(verts))
@@ -237,7 +236,7 @@ def _refine_vertices(spline, verts, pa, pb, va, vb, rho, threads):
     for _ in range(60):
         mid = 0.5 * (lo + hi)
         pts = pa + mid[:, None] * (pb - pa)
-        f = spline.eval(pts, threads=threads) - rho
+        f = spline.eval(pts) - rho
         done = np.abs(f) <= REFINE_TOLERANCE
         t = np.where(done, mid, t)
         go_hi = (f < 0.0) ^ swap

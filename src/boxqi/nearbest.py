@@ -247,7 +247,7 @@ def norm_table(classes, n_values, grid=None, tie_symmetry=True):
     """Optimal norms over a grid of (class, n) cells.
 
     Returns a list of dicts {"key", "n", "status", "norm"} in input order;
-    `norm` is a float (None when infeasible).
+    `norm` is the exact optimal norm as a Fraction (None when infeasible).
     """
     grid = grid or canonical_grid()
     out = []
@@ -256,5 +256,5 @@ def norm_table(classes, n_values, grid=None, tie_symmetry=True):
             sol = minimize_l1(constraint_system(tuple(key), n, grid,
                                                 tie_symmetry=tie_symmetry))
             out.append({"key": tuple(key), "n": n, "status": sol.status,
-                        "norm": sol.norm_float})
+                        "norm": sol.norm})
     return out

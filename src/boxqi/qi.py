@@ -11,8 +11,10 @@ maps too (the gradient's three cubic patches: (53, 60)).  Points are
 processed in blocks of ``_EVAL_BLOCK``, located once per block and sorted by
 tetrahedron, so an evaluation's working set does not grow with the call.
 ``mode="direct"`` sums the basis translates instead and serves as an
-independent oracle.  ``compile`` exports the per-tetrahedron patches (dense,
-within a memory budget) or a slab plan; evaluation reads neither.
+independent oracle.  ``compile`` is an optional export of the
+per-tetrahedron patches (dense, within a memory budget) or a slab plan;
+evaluation reads neither.  Assembly, export and evaluation run their blocks
+one after another on the calling thread.
 
 Spline file layout (little-endian, version 1):
 
@@ -29,11 +31,10 @@ translates vanish on the domain).
 
 from __future__ import annotations
 
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
+from itertools import product
 from math import prod
 
 import numpy as np
@@ -61,8 +62,6 @@ _PATCH_BYTES_PER_CUBE = 24 * _NC * 8  # 6720
 _GATHER_CHUNK = 4 << 20  # float64 elements per temporary in bulk gathers
 _EVAL_BLOCK = 4096  # points per located, sorted and contracted block
 
-_ENV_THREADS = "BOXQI_THREADS"
-
 
 class SizeError(MemoryError):
     """Raised when a dense compile would exceed its memory budget."""
@@ -74,29 +73,6 @@ class SizeError(MemoryError):
             f"dense patch table needs {required} bytes "
             f"(budget {budget}); compile with mode='streamed' or raise "
             f"the budget")
-
-
-def thread_count(requested: int | None = None) -> int:
-    """Worker count: explicit argument, else BOXQI_THREADS, else 1.
-
-    Clamped to [1, os.cpu_count()].
-    """
-    if requested is None:
-        try:
-            requested = int(os.environ.get(_ENV_THREADS, ""))
-        except ValueError:
-            requested = 1
-    return max(1, min(int(requested), os.cpu_count() or 1))
-
-
-def _run_tasks(tasks, threads: int) -> None:
-    if threads <= 1 or len(tasks) <= 1:
-        for task in tasks:
-            task()
-        return
-    with ThreadPoolExecutor(max_workers=min(threads, len(tasks))) as pool:
-        for future in [pool.submit(t) for t in tasks]:
-            future.result()
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +100,7 @@ def _axis_labels(m: int) -> list[tuple[int, int, bool]]:
 
 
 def approximate(samples: np.ndarray, grid: DomainGrid | None = None, *,
-                h: float = 1.0, threads: int | None = None) -> "QISpline":
+                h: float = 1.0) -> "QISpline":
     """Build the quasi-interpolant from a complete sample grid.
 
     ``samples`` has shape (m1+2, m2+2, m3+2): one value per data point,
@@ -150,43 +126,29 @@ def approximate(samples: np.ndarray, grid: DomainGrid | None = None, *,
     lib = stencils.library()
     axis_labels = [_axis_labels(m) for m in grid.m]
 
-    tasks = []
-    for lo1, hi1, ex1 in axis_labels[0]:
-        for lo2, hi2, ex2 in axis_labels[1]:
-            for lo3, hi3, ex3 in axis_labels[2]:
-                if ex1 + ex2 + ex3 >= 2:
-                    continue  # inactive corner region: coefficients stay 0
-                rep = (lo1, lo2, lo3)
-                mapped, w = stencils.functional(rep, grid, lib)
-                delta = mapped - np.array(rep)
-                tasks.append(_region_task(
-                    samples, coeffs, ((lo1, hi1), (lo2, hi2), (lo3, hi3)),
-                    delta, w))
-    _run_tasks(tasks, thread_count(threads))
-    coeffs.setflags(write=False)
-    return QISpline(grid=grid, coefficients=coeffs)
-
-
-def _region_task(samples, coeffs, ranges, delta, weights):
-    (lo1, hi1), (lo2, hi2), (lo3, hi3) = ranges
-    a2 = np.arange(lo2, hi2 + 1)
-    a3 = np.arange(lo3, hi3 + 1)
-    n2, n3, k = len(a2), len(a3), len(weights)
-    idx2 = (a2[:, None] + delta[:, 1])[None, :, None, :]
-    idx3 = (a3[:, None] + delta[:, 2])[None, None, :, :]
-    rows = max(1, _GATHER_CHUNK // max(1, n2 * n3 * k))
-
-    def run():
+    for (lo1, hi1, ex1), (lo2, hi2, ex2), (lo3, hi3, ex3) in product(
+            *axis_labels):
+        if ex1 + ex2 + ex3 >= 2:
+            continue  # inactive corner region: coefficients stay 0
+        rep = (lo1, lo2, lo3)
+        mapped, w = stencils.functional(rep, grid, lib)
+        delta = mapped - np.array(rep)
+        a2 = np.arange(lo2, hi2 + 1)
+        a3 = np.arange(lo3, hi3 + 1)
+        n2, n3, k = len(a2), len(a3), len(w)
+        idx2 = (a2[:, None] + delta[:, 1])[None, :, None, :]
+        idx3 = (a3[:, None] + delta[:, 2])[None, None, :, :]
+        rows = max(1, _GATHER_CHUNK // max(1, n2 * n3 * k))
         for start in range(lo1, hi1 + 1, rows):
             stop = min(start + rows, hi1 + 1)
             a1 = np.arange(start, stop)
             idx1 = (a1[:, None] + delta[:, 0])[:, None, None, :]
             gathered = samples[idx1, idx2, idx3]
-            block = gathered @ weights
+            block = gathered @ w
             coeffs[start + 1:stop + 1,
                    lo2 + 1:hi2 + 2, lo3 + 1:hi3 + 2] = block
-
-    return run
+    coeffs.setflags(write=False)
+    return QISpline(grid=grid, coefficients=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +257,7 @@ class QISpline:
     # -- compilation -------------------------------------------------------
 
     def compile(self, mode: str = "auto",
-                budget: int | None = None,
-                threads: int | None = None) -> "QISpline":
+                budget: int | None = None) -> "QISpline":
         """Attach exported patches (dense) or a slab plan (streamed).
 
         ``mode="dense"`` materializes 24*35 coefficients per cube in
@@ -318,12 +279,9 @@ class QISpline:
             cubes = _all_cubes(self.grid.m)
             matrix = _patch_matrix()
             rows = max(1, _GATHER_CHUNK // (24 * _NC))
-            tasks = []
             for start in range(0, len(cubes), rows):
-                stop = min(start + rows, len(cubes))
-                tasks.append(self._dense_slab_task(
-                    flat, cubes, matrix, start, stop))
-            _run_tasks(tasks, thread_count(threads))
+                flat[start:start + rows] = _windows(
+                    self.coefficients, cubes[start:start + rows]) @ matrix
             patches.setflags(write=False)
             compiled = CompiledPatches("dense", budget, patches, m1)
         elif mode == "streamed":
@@ -334,16 +292,9 @@ class QISpline:
             raise ValueError(f"unknown compile mode {mode!r}")
         return replace(self, compiled=compiled)
 
-    def _dense_slab_task(self, flat, cubes, matrix, start, stop):
-        def run():
-            flat[start:stop] = _windows(
-                self.coefficients, cubes[start:stop]) @ matrix
-        return run
-
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, points, mode: str = "auto",
-             threads: int | None = None) -> np.ndarray:
+    def eval(self, points, mode: str = "auto") -> np.ndarray:
         """Spline values at points inside the closed domain.
 
         ``mode``: "auto" and "compiled" contract gathered coefficients with
@@ -354,25 +305,23 @@ class QISpline:
         if mode == "direct":
             values = self._eval_direct(points)
         elif mode in ("auto", "compiled"):
-            values = self._evaluate(points, ((0, 0, 0),), threads)[:, 0]
+            values = self._evaluate(points, ((0, 0, 0),))[:, 0]
         else:
             raise ValueError(f"unknown eval mode {mode!r}")
         return values[0] if scalar else values
 
-    def eval_derivative(self, points, gamma,
-                        threads: int | None = None) -> np.ndarray:
+    def eval_derivative(self, points, gamma) -> np.ndarray:
         """Partial derivative D^gamma(Qf), |gamma| <= 3 (exact per patch)."""
         gamma = tuple(int(g) for g in gamma)
         if len(gamma) != 3 or min(gamma) < 0 or sum(gamma) > 3:
             raise ValueError("gamma must be 3 nonnegative ints, |gamma|<=3")
         points, scalar = _as_points(points)
-        values = self._evaluate(points, (gamma,), threads)[:, 0]
+        values = self._evaluate(points, (gamma,))[:, 0]
         return values[0] if scalar else values
 
-    def gradient(self, points, threads: int | None = None) -> np.ndarray:
+    def gradient(self, points) -> np.ndarray:
         points, scalar = _as_points(points)
-        out = self._evaluate(points, ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
-                             threads)
+        out = self._evaluate(points, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         return out[0] if scalar else out
 
     # direct translate summation
@@ -394,8 +343,7 @@ class QISpline:
                     values += coeff * table.eval(local)
         return values
 
-    def _evaluate(self, points: np.ndarray, gammas: tuple,
-                  threads) -> np.ndarray:
+    def _evaluate(self, points: np.ndarray, gammas: tuple) -> np.ndarray:
         """(n, q) values of D^gamma Qf for the q multi-indices ``gammas``,
         all of one order, block by block of ``_EVAL_BLOCK`` points."""
         order = sum(gammas[0])
@@ -406,8 +354,7 @@ class QISpline:
         offsets = ((_WINDOW_OFFSETS[0] * m2 + _WINDOW_OFFSETS[1]) * m3
                    + _WINDOW_OFFSETS[2])[rows]
         out = np.empty((len(points), len(gammas)))
-
-        def task(start):
+        for start in range(0, len(points), _EVAL_BLOCK):
             cube, tet, bary = locate(points[start:start + _EVAL_BLOCK],
                                      self.grid)
             perm = np.argsort(tet.astype(np.uint8), kind="stable")
@@ -425,10 +372,6 @@ class QISpline:
             if order:
                 values /= self.grid.h ** order
             out[start:start + _EVAL_BLOCK][perm] = values
-
-        _run_tasks([partial(task, start)
-                    for start in range(0, len(points), _EVAL_BLOCK)],
-                   thread_count(threads))
         return out
 
     # -- persistence --------------------------------------------------------

@@ -3,11 +3,12 @@
 import csv
 import io
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from boxqi import cli, isosurface, qi
+from boxqi import cli, convergence, isosurface, nearbest, qi
 
 
 def run(capsys, *argv):
@@ -22,6 +23,8 @@ def test_info(capsys):
     assert "coefficients: |A| = 3211 active of 3375 slots" in out
     assert "operator norm bound: 9.945 (179/18)" in out
     assert "data points: 13 x 13 x 13 = 2197" in out
+    assert ("memory: coefficients 26.4 KiB (read by evaluation), "
+            "optional dense patch export 8.5 MiB") in out
 
 
 def test_derive_json(capsys):
@@ -52,6 +55,18 @@ def test_norm_table_csv(capsys):
     assert [r["status"] for r in rows] == ["infeasible"] * 3 + ["optimal"]
     assert rows[3]["norm_4sf"] == "127.1"
     assert rows[3]["class"] == "0,0,-1"
+
+
+def test_norm_table_rounds_the_exact_norm(capsys, monkeypatch):
+    # an exact 1/10 must print as 0.1; its float rounds up to 0.1001
+    def tenth(system):
+        return nearbest.L1Solution("optimal", system, [], Fraction(1, 10))
+
+    monkeypatch.setattr(nearbest, "minimize_l1", tenth)
+    code, out, _ = run(capsys, "norm-table", "--class", "3,3,3", "--n", "2")
+    assert code == 0
+    row = list(csv.DictReader(io.StringIO(out)))[0]
+    assert row["norm"] == "0.1" and row["norm_4sf"] == "0.1"
 
 
 def test_stencils_csv_and_json(capsys):
@@ -116,6 +131,25 @@ def test_pipeline_approximate_eval_isosurface(capsys, tmp_path):
     assert code == 0
     with_err = isosurface.read_ply(ply_path.read_bytes())
     assert with_err.scalars is not None
+
+
+def test_eval_paths_do_not_compile(capsys, tmp_path, monkeypatch):
+    spline_path = tmp_path / "f2.qis"
+    run(capsys, "approximate", "--fn", "f2", "--m", "11",
+        "--out", str(spline_path))
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("compile called on an evaluation path")
+
+    monkeypatch.setattr(qi.QISpline, "compile", refuse)
+    code, _, err = run(capsys, "eval", "--in", str(spline_path),
+                       "--grid", "5", "--fn", "f2")
+    assert code == 0 and err == ""
+    code, _, err = run(capsys, "isosurface", "--in", str(spline_path),
+                       "--iso", "0.3", "--res", "6",
+                       "--out", str(tmp_path / "f2.obj"))
+    assert code == 0 and err == ""
+    assert convergence.gradient_error("f2", 11, eval_points=5) > 0.0
 
 
 def test_approximate_from_raw_volume(capsys, tmp_path, rng):

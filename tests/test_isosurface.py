@@ -112,7 +112,7 @@ def test_empty_level_set(bump_setup):
 def test_extraction_is_deterministic(bump_setup):
     spline, _ = bump_setup
     a = iso.extract(spline, iso.IsoRequest(0.3, resolution=10))
-    b = iso.extract(spline, iso.IsoRequest(0.3, resolution=10), threads=4)
+    b = iso.extract(spline, iso.IsoRequest(0.3, resolution=10))
     np.testing.assert_array_equal(a.vertices, b.vertices)
     np.testing.assert_array_equal(a.triangles, b.triangles)
 

@@ -88,6 +88,16 @@ def test_norm_table_rows(grid11):
     assert rows[0]["key"] == (3, 3, 3)
 
 
+def test_norm_table_rows_hold_exact_norms(grid11):
+    rows = nearbest.norm_table([(0, 0, -1), (2, 3, 3)], [3, 4], grid11)
+    assert [r["status"] for r in rows] == ["infeasible"] + ["optimal"] * 3
+    assert rows[0]["norm"] is None
+    for row in rows[1:]:
+        sol = nearbest.minimize_l1(
+            nearbest.constraint_system(row["key"], row["n"], grid11))
+        assert type(row["norm"]) is F and row["norm"] == sol.norm
+
+
 def test_canonical_grid():
     g = nearbest.canonical_grid()
     assert g.m == (11, 11, 11)

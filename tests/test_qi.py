@@ -1,7 +1,6 @@
 """Quasi-interpolant construction, evaluation paths, derivatives, and
 spline persistence."""
 
-import os
 import struct
 import tracemalloc
 from itertools import product
@@ -207,38 +206,6 @@ def test_approximate_input_validation():
     with pytest.raises(ValueError):
         grid = geometry.DomainGrid(11, 11, 11, 1.0)
         qi.approximate(np.zeros((14, 13, 13)), grid)  # shape/grid mismatch
-
-
-def test_thread_count_env(monkeypatch):
-    monkeypatch.setattr(qi.os, "cpu_count", lambda: 4)  # above 3: no clamp
-    assert qi.thread_count() >= 1
-    assert qi.thread_count(3) == 3
-    monkeypatch.setenv("BOXQI_THREADS", "2")
-    assert qi.thread_count() == 2
-    monkeypatch.setenv("BOXQI_THREADS", "not-a-number")
-    assert qi.thread_count() == 1  # malformed env falls back to single thread
-
-
-def test_thread_count_clamped_to_cores(monkeypatch):
-    cores = os.cpu_count() or 1
-    assert qi.thread_count(10 ** 6) == cores
-    assert qi.thread_count(0) == 1
-    monkeypatch.setenv("BOXQI_THREADS", str(10 ** 6))
-    assert qi.thread_count() == cores
-
-
-def test_run_tasks_starts_no_more_workers_than_tasks(monkeypatch):
-    started = []
-    real = qi.ThreadPoolExecutor
-
-    def pool(max_workers):
-        started.append(max_workers)
-        return real(max_workers=max_workers)
-
-    monkeypatch.setattr(qi, "ThreadPoolExecutor", pool)
-    done = []
-    qi._run_tasks([lambda: done.append(1), lambda: done.append(2)], 64)
-    assert started == [2] and sorted(done) == [1, 2]
 
 
 def test_nonfinite_coefficients_rejected(rng, tmp_path):
