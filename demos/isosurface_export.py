@@ -33,7 +33,8 @@ def main(argv=None):
     samples, grid, fn = volume.sample_test_function(args.fn, args.m)
     spline = qi.approximate(samples, grid)
     request = isosurface.IsoRequest(args.isovalue, args.resolution,
-                                    refine=args.refine, reference=fn)
+                                    refine=args.refine,
+                                    reference=fn.on_omega)
     mesh = isosurface.extract(spline, request)
     if len(mesh.vertices) == 0:
         print(f"level set {args.isovalue} is empty for {args.fn}")

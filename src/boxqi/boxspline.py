@@ -18,8 +18,9 @@ Two independent evaluation routes are provided:
   sampling the oracle at 35 unisolvent points per tetrahedron (domain points
   shrunk toward the centroid so no sample hits a knot plane) and solving the
   Bernstein interpolation system once.  The coefficients snap to exact
-  rationals and are then verified exactly: partition of unity, linear
-  precision, and (optionally) all C^0/C^1/C^2 face conditions.
+  rationals and are then verified exactly: partition of unity and linear
+  precision on every build, all C^0/C^1/C^2 face conditions on request
+  (`BoxSplineTable.verify_smoothness_exact`).
 
 Scaled translates on a grid follow  B_a(x, y, z) =
 B(x/h - i + 1, y/h - j + 1, z/h - k + 3)  for a = (i, j, k), with support
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import bernstein, geometry
 from .bernstein import MULTI_INDICES_4
-from .geometry import TET_VERTICES_UNIT_2X
+from .geometry import BARYCENTRIC_MATRICES_EXACT, TET_VERTICES_UNIT_2X
 
 __all__ = [
     "DIRECTIONS", "SUPPORT_LO", "SUPPORT_HI", "SUPPORT_CENTER",
@@ -257,16 +258,12 @@ class BoxSplineTable:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def build(cls, verify="fast"):
+    def build(cls):
         """Build the table from the recurrence oracle.
 
-        Parameters
-        ----------
-        verify : {"fast", "full", "none"}
-            "fast" runs the exact partition-of-unity and linear-precision
-            checks (integer arithmetic, milliseconds); "full" additionally
-            verifies every C^0/C^1/C^2 smoothness condition across all
-            faces of the support in exact arithmetic (roughly ten seconds).
+        The exact partition-of-unity and linear-precision checks run on the
+        result (integer arithmetic, milliseconds); the C^0/C^1/C^2 face
+        conditions are `verify_smoothness_exact`.
 
         Sampling the oracle dominates; a build takes several seconds, which
         is why `get_table` loads the packaged table instead.
@@ -296,11 +293,8 @@ class BoxSplineTable:
                 f"(max deviation {snap_err:.3e})")
         coeffs = num / den
         table = cls(coeffs, num, den)
-        if verify != "none":
-            table.verify_partition_of_unity_exact()
-            table.verify_linear_precision_exact()
-        if verify == "full":
-            table.verify_smoothness_exact()
+        table.verify_partition_of_unity_exact()
+        table.verify_linear_precision_exact()
         return table
 
     # -- persistence ---------------------------------------------------------
@@ -525,10 +519,9 @@ def _check_face_smoothness(cube_a, tet_a, patch_a, cube_b, tet_b, patch_b):
     slot_in_a = {i: verts_a.index(v) for i, v in enumerate(verts_b)
                  if i != apex_b}
     # barycentric coordinates mu of B's apex with respect to A's tetrahedron
-    mat = [[Fraction(verts_a[j][i]) for j in range(4)] for i in range(3)]
-    mat.append([Fraction(1)] * 4)
-    rhs = [Fraction(verts_b[apex_b][i]) for i in range(3)] + [Fraction(1)]
-    mu = _solve_exact_4(mat, rhs)
+    local = [v - 2 * c for v, c in zip(verts_b[apex_b], cube_a)] + [1]
+    mu = [sum(w * x for w, x in zip(row, local))
+          for row in BARYCENTRIC_MATRICES_EXACT[tet_a]]
 
     pos4 = {nu: i for i, nu in enumerate(MULTI_INDICES_4)}
     for r in range(3):
@@ -560,22 +553,6 @@ def _compositions(r):
     return [nu for nu in bernstein.multi_indices(r)] if r > 0 else [(0, 0, 0, 0)]
 
 
-def _solve_exact_4(mat, rhs):
-    """Solve a 4x4 Fraction system by Gaussian elimination."""
-    n = 4
-    aug = [row[:] + [rhs[i]] for i, row in enumerate(mat)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [v * inv_p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
-
-
 # ---------------------------------------------------------------------------
 # process-wide table instance
 # ---------------------------------------------------------------------------
@@ -598,12 +575,3 @@ def translate_arguments(points, alpha, grid):
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     a = np.asarray(alpha, dtype=np.float64)
     return pts / grid.h - a + TRANSLATE_OFFSET
-
-
-def eval_translate(alpha, grid, points):
-    """B_alpha at physical points (vectorized)."""
-    args = translate_arguments(points, alpha, grid)
-    vals = get_table().eval(args)
-    if np.asarray(points).ndim == 1:
-        return float(np.asarray(vals).reshape(-1)[0])
-    return vals

@@ -24,6 +24,8 @@ Classification
 --------------
 Every alpha in A reduces, by axis reflections and permutations, to one of
 22 canonical boundary classes keyed by a sorted triple; see `classify`.
+`class_runs` lists the index runs along one axis that share a stencil
+layout.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ __all__ = [
     "index_set", "IndexSetA", "centers", "center_exact",
     "data_points", "data_coordinate", "data_coordinate_exact",
     "project_index", "octahedron_offsets", "octahedron",
-    "SymmetryTransform", "classify", "CLASS_KEYS",
+    "SymmetryTransform", "classify", "class_runs", "CLASS_KEYS",
 ]
 
 
@@ -263,13 +265,42 @@ def _clamp_key(c):
     return (p, q, r)
 
 
+def _axis_class(a, m):
+    """Per-axis class of basis index a on an axis of m cells, and whether
+    the axis is reflected: a itself up to ceil((m+1)/2), else m + 1 - a
+    (equidistant middles stay unreflected)."""
+    if a <= -(-(m + 1) // 2):
+        return a, False
+    return m + 1 - a, True
+
+
+def class_runs(m):
+    """Maximal runs of basis indices -1..m+2 on an axis of m cells that share
+    one stencil layout.
+
+    Returns (lo, hi, c, flip) per run: over lo..hi the per-axis class capped
+    at 5, c, and the reflection flag stay constant.  `_clamp_key` treats
+    every class >= 5 alike, so along a run the coefficient functional only
+    translates with the index.  c = -1 marks the two outermost indices,
+    whose runs combine into the inactive corners of A.
+    """
+    runs = []
+    for a in range(-1, m + 3):
+        c, flip = _axis_class(a, m)
+        label = (min(c, 5), flip)
+        if runs and runs[-1][2:] == label:
+            runs[-1] = (runs[-1][0], a, *label)
+        else:
+            runs.append((a, a, *label))
+    return runs
+
+
 def classify(alpha, grid):
     """Reduce alpha to a canonical class key plus the symmetry transform.
 
-    Per-axis class c_a = alpha_a when alpha_a <= ceil((m_a+1)/2), else
-    m_a + 1 - alpha_a with the reflection flag set (equidistant middles stay
-    unreflected).  Classes are sorted descending (stable: lower axis first
-    on ties), then clamped onto the canonical key set family by family.
+    Each axis gets its class and reflection flag from `_axis_class`.
+    Classes are sorted descending (stable: lower axis first on ties), then
+    clamped onto the canonical key set family by family.
 
     Returns
     -------
@@ -278,18 +309,9 @@ def classify(alpha, grid):
     grid.require_quasi_interpolation()
     if alpha not in index_set(grid):
         raise ValueError(f"alpha {alpha} not in the index set A")
-    cls = []
-    flips = []
-    for a in range(3):
-        half = -(-(grid.m[a] + 1) // 2)  # ceil((m+1)/2)
-        if alpha[a] <= half:
-            cls.append(alpha[a])
-            flips.append(False)
-        else:
-            cls.append(grid.m[a] + 1 - alpha[a])
-            flips.append(True)
+    cls, flips = zip(*(_axis_class(alpha[a], grid.m[a]) for a in range(3)))
     perm = tuple(sorted(range(3), key=lambda a: (-cls[a], a)))
     sorted_c = tuple(cls[a] for a in perm)
     key = _clamp_key(sorted_c)
     shifts = tuple(sorted_c[p] - key[p] for p in range(3))
-    return key, SymmetryTransform(perm=perm, flips=tuple(flips), shifts=shifts)
+    return key, SymmetryTransform(perm=perm, flips=flips, shifts=shifts)

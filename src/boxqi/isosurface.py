@@ -64,10 +64,6 @@ class TriangleMesh:
                                  "vertex count")
             object.__setattr__(self, "scalars", s)
 
-    @property
-    def is_empty(self) -> bool:
-        return len(self.triangles) == 0
-
 
 @dataclass(frozen=True)
 class IsoRequest:
@@ -192,10 +188,10 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
     pa, pb = points[ia], points[ib]
     va, vb = flat[ia], flat[ib]
     t = np.where(vb == va, 0.5, (rho - va) / np.where(vb == va, 1.0, vb - va))
-    verts = pa + np.clip(t, 0.0, 1.0)[:, None] * (pb - pa)
-
+    t = np.clip(t, 0.0, 1.0)
     if request.refine:
-        verts = _refine_vertices(spline, verts, pa, pb, va, vb, rho)
+        _refine_vertices(spline, t, pa, pb, va > rho, rho)
+    verts = pa + t[:, None] * (pb - pa)
 
     # drop degenerate triangles, normalize winding toward the above side
     v0, v1, v2 = (verts[triangles[:, i]] for i in range(3))
@@ -224,27 +220,27 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
     return TriangleMesh(verts, triangles, scalars=scalars, residual=residual)
 
 
-def _refine_vertices(spline, verts, pa, pb, va, vb, rho):
-    """Bisect each vertex along its sample edge to |s(v) - rho| <= 1e-8."""
-    lo = np.zeros(len(verts))
-    hi = np.ones(len(verts))
-    flo = va - rho
-    # orient so the sign change is lo -> hi; edges without one stay linear
-    swap = flo > 0.0
-    t = np.where(vb == va, 0.5, (rho - va) / np.where(vb == va, 1.0, vb - va))
-    t = np.clip(t, 0.0, 1.0)
+def _refine_vertices(spline, t, pa, pb, swap, rho):
+    """Bisect the edge parameters ``t`` in place until |s(v) - rho| <= 1e-8.
+
+    Each step evaluates only the vertices not yet within tolerance.  ``swap``
+    marks edges whose start lies above rho, orienting every sign change
+    lo -> hi; vertices that never reach the tolerance keep their linear t.
+    """
+    todo = np.arange(len(t))
+    lo = np.zeros(len(t))
+    hi = np.ones(len(t))
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        pts = pa + mid[:, None] * (pb - pa)
-        f = spline.eval(pts) - rho
+        f = spline.eval(pa + mid[:, None] * (pb - pa)) - rho
         done = np.abs(f) <= REFINE_TOLERANCE
-        t = np.where(done, mid, t)
+        t[todo[done]] = mid[done]
         go_hi = (f < 0.0) ^ swap
-        lo = np.where(go_hi & ~done, mid, lo)
-        hi = np.where(~go_hi & ~done, mid, hi)
-        if done.all():
+        lo = np.where(go_hi, mid, lo)[~done]
+        hi = np.where(go_hi, hi, mid)[~done]
+        todo, pa, pb, swap = todo[~done], pa[~done], pb[~done], swap[~done]
+        if not len(todo):
             break
-    return pa + t[:, None] * (pb - pa)
 
 
 def edge_use_counts(mesh: TriangleMesh) -> np.ndarray:

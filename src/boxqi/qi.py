@@ -1,13 +1,14 @@
 """Assembly and evaluation of the quasi-interpolating spline Qf.
 
 ``approximate`` turns a complete grid of samples into spline coefficients by
-applying the class stencil of every basis index (vectorized over rectangular
-index regions that share one stencil layout).  ``QISpline`` evaluates values
-and derivatives straight from the coefficients: on one tetrahedron of the
-type-6 partition only 53 of the 125 translates of a cube's 5x5x5 window are
-nonzero, so each BB patch is a fixed (53, 35) linear map of 53 gathered
-coefficients, and the patches of a derivative or of the gradient are fixed
-maps too (the gradient's three cubic patches: (53, 60)).  Points are
+applying the class stencil of every basis index (vectorized over the
+products of ``domain.class_runs``, index regions that share one stencil
+layout).  ``QISpline`` evaluates values and derivatives straight from the
+coefficients: on one tetrahedron of the type-6 partition only 53 of the 125
+translates of a cube's 5x5x5 window are nonzero, so each BB patch is a fixed
+(53, 35) linear map of 53 gathered coefficients, and the patches of a
+derivative or of the gradient are fixed maps too (the gradient's three cubic
+patches: (53, 60)).  Points are
 processed in blocks of ``_EVAL_BLOCK``, located once per block and sorted by
 tetrahedron, so an evaluation's working set does not grow with the call.
 ``mode="direct"`` sums the basis translates instead and serves as an
@@ -44,7 +45,7 @@ from .bernstein import DIMENSION, bernstein_basis, derivative_reduce
 
 _NC = DIMENSION[4]  # 35 quartic Bernstein coefficients per tetrahedron
 from .boxspline import TRANSLATE_OFFSET, get_table
-from .domain import index_set
+from .domain import class_runs, index_set
 from .geometry import AXIS_DIRECTIONS, DomainGrid, locate
 
 __all__ = [
@@ -79,26 +80,6 @@ class SizeError(MemoryError):
 # coefficient assembly
 # ---------------------------------------------------------------------------
 
-def _axis_labels(m: int) -> list[tuple[int, int, bool]]:
-    """Index ranges [lo, hi] sharing one stencil layout along one axis.
-
-    Returns (lo, hi, extreme) with extreme=True for the two outermost
-    singleton labels (basis index -1 and m+2); those combine into the
-    inactive corner set when two or three axes are extreme at once.
-    """
-    half = (m + 2) // 2  # ceil((m+1)/2): last unreflected index
-    labels: list[tuple[int, int, bool]] = []
-    for a in range(-1, 5):
-        labels.append((a, a, a == -1))
-    if 5 <= half:
-        labels.append((5, half, False))
-    if half + 1 <= m - 4:
-        labels.append((half + 1, m - 4, False))
-    for a in range(m - 3, m + 3):
-        labels.append((a, a, a == m + 2))
-    return labels
-
-
 def approximate(samples: np.ndarray, grid: DomainGrid | None = None, *,
                 h: float = 1.0) -> "QISpline":
     """Build the quasi-interpolant from a complete sample grid.
@@ -123,15 +104,12 @@ def approximate(samples: np.ndarray, grid: DomainGrid | None = None, *,
         raise ValueError("samples contain non-finite values")
 
     coeffs = np.zeros(tuple(m + 4 for m in grid.m))
-    lib = stencils.library()
-    axis_labels = [_axis_labels(m) for m in grid.m]
-
-    for (lo1, hi1, ex1), (lo2, hi2, ex2), (lo3, hi3, ex3) in product(
-            *axis_labels):
-        if ex1 + ex2 + ex3 >= 2:
+    for (lo1, hi1, c1, _), (lo2, hi2, c2, _), (lo3, hi3, c3, _) in product(
+            *(class_runs(m) for m in grid.m)):
+        if (c1, c2, c3).count(-1) >= 2:
             continue  # inactive corner region: coefficients stay 0
         rep = (lo1, lo2, lo3)
-        mapped, w = stencils.functional(rep, grid, lib)
+        mapped, w = stencils.functional(rep, grid)
         delta = mapped - np.array(rep)
         a2 = np.arange(lo2, hi2 + 1)
         a3 = np.arange(lo3, hi3 + 1)

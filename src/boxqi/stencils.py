@@ -24,8 +24,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Mapping
+from functools import cached_property, lru_cache
+from typing import Mapping
 
 import numpy as np
 
@@ -52,8 +52,6 @@ __all__ = [
 # sharing that weight).  Indices are absolute data indices for the canonical
 # class representative alpha = key on any grid with m >= 11.
 # ---------------------------------------------------------------------------
-
-_B = tuple  # brevity in the literal below
 
 _SPECS: dict[tuple[int, int, int],
              tuple[int, str, tuple[tuple[str, tuple], ...]]] = {
@@ -333,8 +331,9 @@ _SPECS: dict[tuple[int, int, int],
 }
 
 # classes whose two leading per-axis values are equal *and* reachable from a
-# pair of interior band axes; the vectorized evaluator in boxqi.qi relies on
-# these stencils being symmetric under swapping the first two axes.
+# pair of interior band axes; the index runs of `boxqi.qi.approximate`, which
+# apply one region's functional to every index in it, rely on these stencils
+# being symmetric under swapping the first two axes.
 _SWAP_SYMMETRIC_KEYS = (
     (2, 2, -1), (3, 3, 0), (2, 2, 1), (2, 2, 2), (3, 3, 3))
 
@@ -358,10 +357,14 @@ class Stencil:
     def weight_map(self) -> dict[tuple[int, int, int], Fraction]:
         return dict(zip(self.indices, self.weights))
 
+    @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Indices as an (k, 3) int array and weights as float64."""
+        """Indices as a (k, 3) int array and weights as float64, built once
+        and read-only."""
         idx = np.array(self.indices, dtype=np.int64)
         w = np.array([float(v) for v in self.weights])
+        idx.setflags(write=False)
+        w.setflags(write=False)
         return idx, w
 
 
@@ -420,42 +423,34 @@ def rounded_up(value: Fraction, significant: int = 4) -> Fraction:
 # instantiation at arbitrary indices
 # ---------------------------------------------------------------------------
 
-def functional(alpha, grid: DomainGrid,
-               lib: Mapping | None = None) -> tuple[np.ndarray, np.ndarray]:
+def functional(alpha, grid: DomainGrid) -> tuple[np.ndarray, np.ndarray]:
     """Weights for the coefficient at ``alpha`` as (indices, weights) arrays.
 
     ``indices`` is (k, 3) int64 of data indices in [0, m_a + 1]; ``weights``
-    float64.  The rule is the class stencil mapped through the symmetry
-    transform returned by :func:`boxqi.domain.classify`.
+    is the class stencil's read-only float64 array.  The rule is the class
+    stencil mapped through the symmetry transform returned by
+    :func:`boxqi.domain.classify`.
     """
-    if lib is None:
-        lib = library()
     key, transform = classify(alpha, grid)
-    stencil = lib[key]
-    idx, w = stencil.arrays()
-    mapped = transform.apply_data_index(idx, grid)
-    return mapped, w
+    idx, w = library()[key].arrays
+    return transform.apply_data_index(idx, grid), w
 
 
-def coefficient(alpha, grid: DomainGrid, data: np.ndarray,
-                lib: Mapping | None = None) -> float:
+def coefficient(alpha, grid: DomainGrid, data: np.ndarray) -> float:
     """Apply the class rule for ``alpha`` to a (m1+2, m2+2, m3+2) data grid."""
-    idx, w = functional(alpha, grid, lib)
+    idx, w = functional(alpha, grid)
     return float(np.dot(data[idx[:, 0], idx[:, 1], idx[:, 2]], w))
 
 
-def norm_bound(lib: Mapping | None = None) -> float:
+def norm_bound() -> float:
     """max_alpha ||sigma_alpha||_1 over the library; together with the
     interior rule's smaller norm this bounds the operator sup norm."""
-    if lib is None:
-        lib = library()
-    return float(max(s.norm for s in lib.values()))
+    return float(max(s.norm for s in library().values()))
 
 
-def stencil_table(lib: Mapping | None = None) -> list[dict]:
+def stencil_table() -> list[dict]:
     """Rows describing every stencil (for reporting/CLI dumps)."""
-    if lib is None:
-        lib = library()
+    lib = library()
     rows = []
     for key in CLASS_KEYS:
         s = lib[key]
@@ -473,11 +468,11 @@ def stencil_table(lib: Mapping | None = None) -> list[dict]:
 # validation
 # ---------------------------------------------------------------------------
 
-def validate_library(grid: DomainGrid | None = None,
-                     lib: Mapping | None = None) -> list[dict]:
+def validate_library() -> list[dict]:
     """Exact-rational validation of every embedded stencil.
 
-    For each class this checks, all in rational arithmetic:
+    For each class this checks, on the canonical 11^3 grid and all in
+    rational arithmetic:
 
     * every data index lies inside the clamped octahedron of radius ``n``;
     * the weights satisfy the cubic-reproduction constraint system exactly;
@@ -486,10 +481,8 @@ def validate_library(grid: DomainGrid | None = None,
 
     Returns one report dict per class; raises AssertionError on any failure.
     """
-    if grid is None:
-        grid = nearbest.canonical_grid()
-    if lib is None:
-        lib = library()
+    grid = nearbest.canonical_grid()
+    lib = library()
     reports = []
     for key in CLASS_KEYS:
         stencil = lib[key]

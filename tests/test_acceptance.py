@@ -223,7 +223,7 @@ def test_criterion_04_stencil_library_validates():
         if s.n != n or s.norm_4sf != printed or \
                 stencils.rounded_up(s.norm) != F(printed):
             mismatches.append(key)
-    bound = stencils.norm_bound(lib)
+    bound = stencils.norm_bound()
     ok = (len(boundary) == 22 and all(r["exact"] for r in report)
           and not mismatches and abs(bound - 9.945) <= 1e-3)
     _report("04", "stencil library exactness and norms", ok,

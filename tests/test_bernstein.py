@@ -1,4 +1,5 @@
-"""Quartic Bernstein basis, de Casteljau evaluation, derivative reduction."""
+"""Quartic Bernstein basis, BB evaluation as a basis dot product, derivative
+reduction."""
 
 import math
 from fractions import Fraction

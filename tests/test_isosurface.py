@@ -1,5 +1,8 @@
 """Tetrahedral isosurface extraction and OBJ/PLY serialization."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -91,6 +94,27 @@ def test_refinement_pins_vertices_to_the_level_set(bump_setup):
     assert mesh.residual <= 1e-7
 
 
+def test_refinement_evaluates_only_unfinished_vertices(bump_setup):
+    spline, _ = bump_setup
+    sizes = []
+
+    class Recording:
+        grid = spline.grid
+
+        def eval(self, points):
+            sizes.append(len(points))
+            return spline.eval(points)
+
+    mesh = iso.extract(Recording(), iso.IsoRequest(0.3, resolution=8,
+                                                   refine=True))
+    # calls: the sample lattice, the bisection steps, the final residual
+    steps = sizes[1:-1]
+    assert len(steps) >= 2
+    assert all(b <= a for a, b in zip(steps, steps[1:]))
+    assert steps[-1] < steps[0]
+    assert mesh.residual <= 1e-7
+
+
 def test_reference_scalars_channel(bump_setup):
     spline, fn = bump_setup
     req = iso.IsoRequest(0.3, resolution=10, reference=fn.on_omega)
@@ -99,6 +123,25 @@ def test_reference_scalars_channel(bump_setup):
         len(mesh.vertices),)
     expected = np.abs(fn.on_omega(mesh.vertices)
                       - spline.eval(mesh.vertices))
+    np.testing.assert_allclose(mesh.scalars, expected, rtol=0, atol=1e-15)
+
+
+def test_demo_error_channel_compares_on_omega(tmp_path, capsys):
+    """The export demo's PLY scalar is |f(v) - s(v)| with f read on Omega,
+    which f3 (native domain [-1/2, 1/2]^3) tells apart from f(v)."""
+    path = Path(__file__).parents[1] / "demos" / "isosurface_export.py"
+    spec = importlib.util.spec_from_file_location("isosurface_export", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    out = tmp_path / "f3.ply"
+    demo.main(["--fn", "f3", "--m", "16", "--isovalue", "0",
+               "--resolution", "24", "--out", str(out)])
+    mesh = iso.read_ply(out.read_bytes())
+    samples, grid, fn = volume.sample_test_function("f3", 16)
+    spline = qi.approximate(samples, grid)
+    expected = np.abs(fn.on_omega(mesh.vertices)
+                      - spline.eval(mesh.vertices))
+    assert len(mesh.vertices) > 0
     np.testing.assert_allclose(mesh.scalars, expected, rtol=0, atol=1e-15)
 
 

@@ -49,6 +49,28 @@ def test_coefficients_match_per_class_stencils(rng):
             stencils.coefficient(alpha, grid, data), rtol=1e-12)
 
 
+@pytest.mark.parametrize("m", [11, 12])
+def test_functional_is_invariant_along_class_runs(m):
+    """`approximate` applies the functional of each region's first index to
+    the whole region (a product of `domain.class_runs`); every active index
+    must have the same (data offset, weight) pairs as that first index."""
+    grid = geometry.DomainGrid(m, m, m, 1.0)
+    first = {a: lo for lo, hi, _, _ in domain.class_runs(m)
+             for a in range(lo, hi + 1)}
+
+    def pairs(alpha):
+        idx, w = stencils.functional(alpha, grid)
+        return sorted(zip(map(tuple, (idx - alpha).tolist()), w.tolist()))
+
+    checked = 0
+    for alpha in domain.index_set(grid):
+        rep = tuple(first[a] for a in alpha)
+        if rep != alpha:
+            assert pairs(alpha) == pairs(rep), (alpha, rep)
+            checked += 1
+    assert checked
+
+
 def test_cubic_reproduction(rng):
     grid = geometry.DomainGrid(12, 12, 12, 1 / 12)
 

@@ -88,14 +88,14 @@ def test_rounded_up_convention():
 
 
 def test_norm_bound(lib):
-    bound = stencils.norm_bound(lib)
+    bound = stencils.norm_bound()
     assert bound == float(F(179, 18))
     assert stencils.rounded_up(F(179, 18)) == F("9.945")
     assert max(s.norm for s in lib.values()) == F(179, 18)
 
 
 def test_validate_library_all_ok(grid11):
-    report = stencils.validate_library(grid11)
+    report = stencils.validate_library()
     assert len(report) == 23
     assert all(entry["exact"] for entry in report)
     assert all(entry["swap_symmetric"] for entry in report)
@@ -109,6 +109,16 @@ def test_functional_interior_and_boundary(grid11, lib):
     assert len(pts) == len(lib[(0, 0, -1)].indices)
     assert (pts >= 0).all() and (pts <= 12).all()
     np.testing.assert_allclose(np.abs(wts).sum(), 8.7735, atol=5e-4)
+
+
+def test_functional_shares_one_read_only_weight_array(grid11):
+    # (6, 6, 6) and (5, 7, 6) both fall in the interior class (3, 3, 3)
+    _, first = stencils.functional((6, 6, 6), grid11)
+    _, again = stencils.functional((5, 7, 6), grid11)
+    assert again is first
+    assert not first.flags.writeable
+    with pytest.raises(ValueError):
+        first[0] = 0.0
 
 
 def test_coefficient_is_weight_dot_data(grid11, rng):
@@ -159,7 +169,7 @@ def test_functionals_hit_differential_target_on_cubics(grid11, rng):
 
 
 def test_stencil_table_shape(lib):
-    rows = stencils.stencil_table(lib)
+    rows = stencils.stencil_table()
     assert len(rows) == 23
     sample = rows[0]
     assert {"class", "n", "entries", "l1", "l1_4sf"} <= set(sample)
