@@ -229,6 +229,9 @@ def cmd_approximate(args) -> int:
         path = Path(getattr(args, "in"))
         if path.suffix == ".npy":
             samples = np.load(path)
+            if samples.ndim != 3:
+                raise ValueError(f"{path}: expected a 3D array of samples, "
+                                 f"got shape {samples.shape}")
             grid = DomainGrid(*(d - 2 for d in samples.shape), h=args.h)
         else:
             samples, grid, _ = volume.load_volume(path, args.header)

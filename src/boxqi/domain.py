@@ -279,15 +279,17 @@ def class_runs(m):
     one stencil layout.
 
     Returns (lo, hi, c, flip) per run: over lo..hi the per-axis class capped
-    at 5, c, and the reflection flag stay constant.  `_clamp_key` treats
-    every class >= 5 alike, so along a run the coefficient functional only
-    translates with the index.  c = -1 marks the two outermost indices,
-    whose runs combine into the inactive corners of A.
+    at 4, c, and the reflection flag stay constant.  `_clamp_key` treats
+    every class >= 4 alike and those stencils are symmetric under
+    reflection along the axis, so the capped run carries no flag and along
+    any run the coefficient functional only translates with the index.
+    c = -1 marks the two outermost indices, whose runs combine into the
+    inactive corners of A.
     """
     runs = []
     for a in range(-1, m + 3):
         c, flip = _axis_class(a, m)
-        label = (min(c, 5), flip)
+        label = (4, False) if c >= 4 else (c, flip)
         if runs and runs[-1][2:] == label:
             runs[-1] = (runs[-1][0], a, *label)
         else:

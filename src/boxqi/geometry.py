@@ -20,6 +20,18 @@ in this package index against this order.
 Internally coordinates are kept in grid units u = x/h; cube vertices then
 have half-integer coordinates, which this module doubles to integers where
 exactness matters.
+
+Point location
+--------------
+A point of a cube belongs to the first tetrahedron in canonical order whose
+barycentric coordinates are all >= -1e-12 (tol).  Each of the 96 barycentric
+rows is a cube-face row, which every point of the cube passes, or s * P_k
+with s in {+-1, +-1/2} and P_k one of the six diagonal-plane functions
+d_a -+ d_b, d = 2u - 1.  Scaling by a power of two is exact, so the band of
+each P_k, cut at +-tol and +-2 tol, decides every row's test bit for bit,
+and a table of the 5**6 band patterns, built at import, holds the
+tetrahedron.  Points outside the cube beyond tolerance may lie in no
+tetrahedron; they alone test all 24 candidates for the best fit.
 """
 
 from __future__ import annotations
@@ -151,6 +163,43 @@ AXIS_DIRECTIONS = 2.0 * BARYCENTRIC_MATRICES[:, :, :3].transpose(0, 2, 1)
 _LOCATE_TOL = 1e-12
 
 
+#: (6, 4) rows on (2u, 1) of the six diagonal planes d_a - d_b and
+#: d_a + d_b, d = 2u - 1, for the axis pairs (x, y), (x, z), (y, z)
+_PLANE_ROWS = np.array([[1, -1, 0, 0], [1, 1, 0, -2], [1, 0, -1, 0],
+                        [1, 0, 1, -2], [0, 1, -1, 0], [0, 1, 1, -2]], float)
+
+
+def _plane_values(hom):
+    """(6, n) values of `_PLANE_ROWS` at homogeneous doubled coordinates,
+    summed in the pairing (p0 + p2) + (p1 + p3) that np.einsum uses for a
+    barycentric row, so each barycentric plane row gives exactly s * P_k."""
+    x, y, z = hom[:, 0], hom[:, 1], hom[:, 2]
+    y2 = y - 2.0
+    with np.errstate(invalid="ignore"):  # inf - inf for non-finite points
+        return np.stack([x - y, x + y2, x - z, (x + z) - 2.0, y - z, z + y2])
+
+
+def _band_containment():
+    """(5**6, 24) bool: the tetrahedra passing the tie test in the cube, per
+    band pattern sum_k band_k * 5**(5 - k) (see the module notes)."""
+    inside = np.array([-3.0, -1.5, 0.0, 1.5, 3.0])  # one value per band / tol
+    contains = np.ones((24,) + (5,) * 6, dtype=bool)
+    for r, row in enumerate(BARYCENTRIC_MATRICES.reshape(96, 4)):
+        axes = np.flatnonzero(row[:3])
+        if len(axes) == 2:  # else a face row, passed everywhere in the cube
+            s = row[axes[0]]
+            k = np.flatnonzero((row == s * _PLANE_ROWS).all(axis=1))[0]
+            shape = [1] * 6
+            shape[k] = 5
+            contains[r // 4] &= (s * inside >= -1.0).reshape(shape)
+    return contains.reshape(24, -1).T
+
+
+#: first containing tetrahedron of each band pattern
+_TET_OF_BANDS = _band_containment().argmax(axis=1)
+_BAND_WEIGHTS = 5 ** np.arange(5, -1, -1)
+
+
 def tetrahedra_of_cube(cube, grid):
     """Vertex coordinates of the 24 tetrahedra of one cube.
 
@@ -194,33 +243,14 @@ def _first_containing_tet(hom):
     return tet, bary_all[np.arange(len(hom)), tet]
 
 
-#: remaining two axes (increasing) for each face axis
-_OTHER_AXES = np.array([[1, 2], [0, 2], [0, 1]])
-
-#: edge of a face from the comparisons (d_b > d_c, d_b > -d_c), packed as
-#: 2 * first + second: d_b dominant and positive -> edge 1, d_c dominant
-#: and positive -> edge 2, d_c dominant and negative -> edge 0, d_b
-#: dominant and negative -> edge 3
-_EDGE_OF_SIGNS = np.array([3, 2, 0, 1])
-
-#: a point whose barycentrics in its candidate tetrahedron exceed this on
-#: the three faces inside the cube lies more than 11e-12 (doubled units)
-#: from them, while the tolerance widens any other tetrahedron by less than
-#: 5e-12, so no other tetrahedron of the cube can contain it within
-#: tolerance.  The fourth face (opposite the cube center) lies on the cube
-#: boundary, so there only the tolerance itself matters.
-_CLEAR_MARGIN = 16 * _LOCATE_TOL
-
-
 def locate_unit(local):
     """Locate points of the closed unit cube in the 24-tetrahedron split.
 
-    The face pyramid follows from the dominant axis of u - 1/2 and its
-    sign, the edge within that face from two signed comparisons of the
-    remaining coordinates; one 4x4 matrix then gives the barycentric
-    coordinates.  Points near a face shared with another tetrahedron of the
-    cube, outside the cube beyond tolerance, or non-finite are resolved by
-    testing all 24 candidates, so ties follow the documented rule exactly.
+    One rule serves the whole cube, within tolerance: the bands of the six
+    plane values index the table of first containing tetrahedra, and one
+    4x4 matrix gives the barycentric coordinates (see the module notes).
+    Points outside the cube beyond tolerance, and non-finite points, may lie
+    in no tetrahedron; only they test all 24 candidates, for the best fit.
 
     Parameters
     ----------
@@ -236,24 +266,23 @@ def locate_unit(local):
         Barycentric coordinates with respect to that tetrahedron.
     """
     local = np.asarray(local, dtype=np.float64)
-    n = local.shape[0]
-    hom = np.empty((n, 4))
+    hom = np.empty((local.shape[0], 4))
     hom[:, :3] = 2.0 * local
     hom[:, 3] = 1.0
-    rows = np.arange(n)
-    d = hom[:, :3] - 1.0  # doubled offset from the cube center
-    axis = np.abs(d).argmax(axis=1)
-    face = 2 * axis + (d[rows, axis] > 0)
-    others = _OTHER_AXES[axis]
-    db = d[rows, others[:, 0]]
-    dc = d[rows, others[:, 1]]
-    edge = _EDGE_OF_SIGNS[2 * (db > dc) + (db > -dc)]
-    tet = 4 * face + edge
+    planes = _plane_values(hom)
+    # bands: P < -2 tol, P < -tol, |P| <= tol, P <= 2 tol, P > 2 tol
+    band = ((planes >= -2 * _LOCATE_TOL).view(np.int8)
+            + (planes >= -_LOCATE_TOL).view(np.int8)
+            + (planes > _LOCATE_TOL).view(np.int8)
+            + (planes > 2 * _LOCATE_TOL).view(np.int8))
+    tet = _TET_OF_BANDS[_BAND_WEIGHTS @ band]
     bary = np.einsum('nij,nj->ni', BARYCENTRIC_MATRICES[tet], hom)
-    inner = np.minimum(np.minimum(bary[:, 1], bary[:, 2]), bary[:, 3])
-    unclear = ~((bary[:, 0] >= -_LOCATE_TOL) & (inner > _CLEAR_MARGIN))
-    if unclear.any():
-        tet[unclear], bary[unclear] = _first_containing_tet(hom[unclear])
+    # the cube-face rows are 2u_a and 2 - 2u_a; NaN fails both tests
+    x, y, z = hom[:, 0], hom[:, 1], hom[:, 2]
+    outside = ~((np.minimum(np.minimum(x, y), z) >= -_LOCATE_TOL)
+                & (2.0 - np.maximum(np.maximum(x, y), z) >= -_LOCATE_TOL))
+    if outside.any():
+        tet[outside], bary[outside] = _first_containing_tet(hom[outside])
     return tet, bary
 
 

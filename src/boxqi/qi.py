@@ -373,6 +373,9 @@ class QISpline:
         head = len(cls.MAGIC) + struct.calcsize("<IIIId")
         if blob[:len(cls.MAGIC)] != cls.MAGIC:
             raise ValueError("not a spline file (bad magic)")
+        if len(blob) < head:
+            raise ValueError(f"spline file truncated: {len(blob)} bytes, "
+                             f"header alone is {head}")
         version, m1, m2, m3, h = struct.unpack(
             "<IIIId", blob[len(cls.MAGIC):head])
         if version != cls.VERSION:

@@ -57,20 +57,21 @@ class VolumeHeader:
     spacing: tuple[float, float, float] | None = None
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
-        if len(dims) != 3 or any(n < MIN_DIM for n in dims):
+        dims = _triple(self.dims, int)
+        if dims is None or any(n < MIN_DIM for n in dims):
             raise ValueError(
                 f"dims must be three integers >= {MIN_DIM}, got {self.dims}")
         object.__setattr__(self, "dims", dims)
-        if self.dtype not in _DTYPES:
+        if not isinstance(self.dtype, str) or self.dtype not in _DTYPES:
             raise ValueError(f"dtype must be one of {sorted(_DTYPES)}, "
                              f"got {self.dtype!r}")
-        if self.endianness not in _ENDIAN:
+        if (not isinstance(self.endianness, str)
+                or self.endianness not in _ENDIAN):
             raise ValueError(f"endianness must be one of {sorted(_ENDIAN)}, "
                              f"got {self.endianness!r}")
         if self.spacing is not None:
-            spacing = tuple(float(s) for s in self.spacing)
-            if len(spacing) != 3 or any(s <= 0 for s in spacing):
+            spacing = _triple(self.spacing, float)
+            if spacing is None or any(s <= 0 for s in spacing):
                 raise ValueError(f"spacing must be three positive reals, "
                                  f"got {self.spacing}")
             object.__setattr__(self, "spacing", spacing)
@@ -100,11 +101,9 @@ class VolumeHeader:
         extra = set(raw) - known
         if extra:
             raise ValueError(f"unknown header fields: {sorted(extra)}")
-        return cls(dims=tuple(raw["dims"]),
-                   dtype=raw.get("dtype", "u8"),
+        return cls(dims=raw["dims"], dtype=raw.get("dtype", "u8"),
                    endianness=raw.get("endianness", "little"),
-                   spacing=(tuple(raw["spacing"])
-                            if raw.get("spacing") is not None else None))
+                   spacing=raw.get("spacing"))
 
     def to_json(self) -> str:
         fields = {"dims": list(self.dims), "dtype": self.dtype,
@@ -112,6 +111,15 @@ class VolumeHeader:
         if self.spacing is not None:
             fields["spacing"] = list(self.spacing)
         return json.dumps(fields, indent=2) + "\n"
+
+
+def _triple(values, kind):
+    """Three values converted by `kind`, or None if they are not three."""
+    try:
+        out = tuple(kind(v) for v in values)
+    except (TypeError, ValueError):
+        return None
+    return out if len(out) == 3 else None
 
 
 def read_raw(header: VolumeHeader, data: bytes):

@@ -175,6 +175,44 @@ def test_approximate_from_npy(capsys, tmp_path, rng):
     assert qi.QISpline.load(out_path).grid.h == 0.5
 
 
+def test_truncated_spline_header_is_one_error(capsys, tmp_path):
+    path = tmp_path / "short.qis"
+    path.write_bytes(qi.QISpline.MAGIC + b"\x01\x00\x00")
+    for argv in (["eval", "--in", str(path), "--grid", "5"],
+                 ["isosurface", "--in", str(path), "--iso", "0.3",
+                  "--out", str(tmp_path / "x.obj")]):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: spline file truncated")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("sidecar", [
+    '{"dims": 13}',
+    '{"dims": [13, 13, 13], "spacing": 1.0}',
+    '{"dims": [[13], 13, 13]}',
+    '{"dims": [13, 13, 13], "dtype": ["u8"]}',
+])
+def test_approximate_rejects_malformed_sidecar(capsys, tmp_path, sidecar):
+    raw = tmp_path / "scan.raw"
+    raw.write_bytes(bytes(13 ** 3))
+    (tmp_path / "scan.raw.json").write_text(sidecar)
+    code, _, err = run(capsys, "approximate", "--in", str(raw),
+                       "--out", str(tmp_path / "scan.qis"))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_approximate_rejects_npy_that_is_not_3d(capsys, tmp_path):
+    npy = tmp_path / "flat.npy"
+    np.save(npy, np.zeros((13, 13)))
+    code, _, err = run(capsys, "approximate", "--in", str(npy),
+                       "--out", str(tmp_path / "flat.qis"))
+    assert code == 1
+    assert err.startswith("error: ") and "3D" in err
+    assert err.count("\n") == 1
+
+
 def test_convergence_csv(capsys):
     code, out, _ = run(capsys, "convergence", "--fn", "f3", "--m", "16",
                        "--grid", "21")

@@ -1,6 +1,8 @@
 """Type-6 tetrahedral partition: cube splitting, point location,
 barycentric bookkeeping."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -191,13 +193,38 @@ def test_locate_unit_hand_checked_ties():
                                rtol=0, atol=1e-15)
 
 
-def test_locate_unit_tie_rule_on_lattice():
-    # k/8 lattice: corners, edge and face midpoints, the center, and many
-    # points on several diagonal planes at once
+def _lattice():
+    """k/8 lattice: corners, edge and face midpoints, the center, and many
+    points on several diagonal planes at once."""
     k = np.arange(9) / 8.0
-    lattice = np.stack(np.meshgrid(k, k, k, indexing="ij"),
-                       axis=-1).reshape(-1, 3)
-    _assert_tie_rule(lattice)
+    return np.stack(np.meshgrid(k, k, k, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+
+
+def _lattice_offsets():
+    """The k/8 lattice with each axis offset independently, so that several
+    plane values sit in the tolerance bands at once."""
+    off = np.array([0.0, 1.1e-13, -1.1e-13, 2.9e-13, -2.9e-13, 6.7e-13,
+                    -6.7e-13])
+    shifts = np.stack(np.meshgrid(off, off, off, indexing="ij"),
+                      axis=-1).reshape(-1, 3)
+    return (_lattice()[:, None, :] + shifts[None, :, :]).reshape(-1, 3)
+
+
+def test_locate_unit_tie_rule_on_lattice():
+    _assert_tie_rule(_lattice())
+    offset = _lattice_offsets()
+    d = 2.0 * offset - 1.0
+    planes = np.concatenate([d[:, [0, 0, 1]] - d[:, [1, 2, 2]],
+                             d[:, [0, 0, 1]] + d[:, [1, 2, 2]]], axis=1)
+    # no plane value within 1e-14 of +-1e-12 or +-2e-12, the tolerances a
+    # barycentric coordinate d_a +- d_b or (d_a +- d_b) / 2 is tested at,
+    # where roundoff could decide
+    edges = np.array([1e-12, 2e-12])[:, None, None]
+    assert np.abs(np.abs(planes) - edges).min() > 1e-14
+    near = (np.abs(planes) <= 3e-12).sum(axis=1)
+    assert (near >= 2).sum() > 1000  # several planes near zero at once
+    _assert_tie_rule(offset)
 
 
 def test_locate_unit_tie_rule_on_planes_faces_edges(rng):
@@ -216,6 +243,60 @@ def test_locate_unit_tie_rule_near_planes(rng):
                 p[:, axis] += sign * eps
                 shifted.append(p)
     _assert_tie_rule(np.concatenate(shifted))
+
+
+def _hom(local):
+    return np.concatenate([2.0 * local, np.ones((len(local), 1))], axis=1)
+
+
+def test_plane_values_are_exact_multiples_of_barycentric_rows(rng):
+    points = np.concatenate([_lattice_offsets(), _plane_points(rng, 2000),
+                             rng.uniform(0.0, 1.0, size=(2000, 3))])
+    rows = geo.BARYCENTRIC_MATRICES.reshape(96, 4)
+    on_plane = np.count_nonzero(rows[:, :3], axis=1) == 2
+    assert on_plane.sum() == 72
+    for n in (1, 3, 64, len(points)):
+        hom = _hom(points[:n])
+        bary = np.einsum('tij,nj->nti', geo.BARYCENTRIC_MATRICES,
+                         hom).reshape(n, 96)
+        planes = geo._plane_values(hom)
+        for r in np.flatnonzero(on_plane):
+            matches = [(k, s) for k in range(6) for s in (1, -1, 0.5, -0.5)
+                       if np.array_equal(rows[r], s * geo._PLANE_ROWS[k])]
+            assert len(matches) == 1
+            k, s = matches[0]
+            assert np.array_equal(bary[:, r], s * planes[k]), (n, r)
+
+
+def test_every_band_pattern_has_a_containing_tet():
+    contains = geo._band_containment()
+    assert contains.shape == (5 ** 6, 24)
+    assert contains.any(axis=1).all()
+
+
+def test_only_points_outside_the_cube_test_every_candidate(rng, monkeypatch):
+    literal = geo._first_containing_tet
+
+    def outside_only(hom):
+        h = hom[:, :3]
+        inside = (h.min(axis=1) >= -_TIE_TOL) & (2.0 - h.max(axis=1)
+                                                 >= -_TIE_TOL)
+        assert not inside.any(), hom[inside][0]
+        return literal(hom)
+
+    monkeypatch.setattr(geo, "_first_containing_tet", outside_only)
+    for local in (_lattice(), _lattice_offsets(), _plane_points(rng, 2000),
+                  _boundary_points(rng, 2000)):
+        geo.locate_unit(local)
+    # beyond tolerance and non-finite points still take the best fit
+    odd = np.array([[1.0 + 3e-12, 0.5, 0.5], [-3e-12, 0.2, 0.2],
+                    [np.nan, 0.5, 0.5], [np.inf, np.inf, 0.5]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        tet, bary = geo.locate_unit(odd)
+    ref_tet, ref_bary = _first_containing(odd)
+    np.testing.assert_array_equal(tet, ref_tet)
+    np.testing.assert_array_equal(bary, ref_bary)
 
 
 def test_locate_unit_matches_rule_on_random_points(rng):

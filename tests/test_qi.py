@@ -71,6 +71,27 @@ def test_functional_is_invariant_along_class_runs(m):
     assert checked
 
 
+@pytest.mark.parametrize("m", [11, 12])
+def test_adjacent_class_runs_cannot_merge(m):
+    """Every pair of adjacent runs along an axis differs in the (data offset,
+    weight) pairs of its first indices in some region, so no coarser runs
+    would serve `approximate`."""
+    grid = geometry.DomainGrid(m, m, m, 1.0)
+    runs = domain.class_runs(m)
+    index_set = domain.index_set(grid)
+
+    def pairs(alpha):
+        idx, w = stencils.functional(alpha, grid)
+        return sorted(zip(map(tuple, (idx - alpha).tolist()), w.tolist()))
+
+    for left, right in zip(runs, runs[1:]):
+        assert any(
+            pairs((left[0], b, c)) != pairs((right[0], b, c))
+            for (b, _, _, _), (c, _, _, _) in product(runs, runs)
+            if (left[0], b, c) in index_set and (right[0], b, c) in index_set
+        ), (left, right)
+
+
 def test_cubic_reproduction(rng):
     grid = geometry.DomainGrid(12, 12, 12, 1 / 12)
 
@@ -191,6 +212,9 @@ def test_load_rejects_corrupt_files(rng, tmp_path):
     (tmp_path / "magic.qis").write_bytes(b"XXXX" + blob[4:])
     with pytest.raises(ValueError):
         qi.QISpline.load(tmp_path / "magic.qis")
+    (tmp_path / "header.qis").write_bytes(blob[:7])  # magic, partial header
+    with pytest.raises(ValueError, match="truncated"):
+        qi.QISpline.load(tmp_path / "header.qis")
 
 
 def test_compile_budget_and_size_error(rng):
