@@ -104,6 +104,17 @@ def _centered_points_exact(points, alpha, grid):
     return out
 
 
+def _centered_points_doubled(points, alpha, grid):
+    """Twice the centered data points, as exact integers.
+
+    At h = 1 every center coordinate is (2a - 1)/2 and every data coordinate
+    is 0, m or (2i - 1)/2, so doubling makes each centered coordinate an
+    integer and keeps the point set's symmetries.
+    """
+    return [tuple(int(2 * v) for v in p)
+            for p in _centered_points_exact(points, alpha, grid)]
+
+
 def _stabilizer(centered):
     """Signed permutations mapping the centered point set onto itself."""
     pset = set(centered)
@@ -140,9 +151,9 @@ def constraint_system(alpha, n, grid, tie_symmetry=True):
     the 20 conditions survive.
     """
     octa = domain.octahedron(alpha, n, grid)
-    centered = _centered_points_exact(octa.points, alpha, grid)
-    group = _stabilizer(centered) if tie_symmetry else (_SIGNED_PERMS[0],)
-    orbits = _point_orbits(centered, group)
+    doubled = _centered_points_doubled(octa.points, alpha, grid)
+    group = _stabilizer(doubled) if tie_symmetry else (_SIGNED_PERMS[0],)
+    orbits = _point_orbits(doubled, group)
 
     rows = []
     V = []
@@ -151,11 +162,11 @@ def constraint_system(alpha, n, grid, tie_symmetry=True):
     for nu in MONOMIALS:
         row = []
         for orbit in orbits:
-            total = Fraction(0)
+            total = 0
             for i in orbit:
-                x, y, z = centered[i]
+                x, y, z = doubled[i]
                 total += x ** nu[0] * y ** nu[1] * z ** nu[2]
-            row.append(total)
+            row.append(Fraction(total, 2 ** sum(nu)))
         rhs = constraint_rhs(nu)
         lead = next((v for v in row if v != 0), None)
         if lead is None:

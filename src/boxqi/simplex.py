@@ -1,15 +1,36 @@
-"""Exact two-phase simplex over the rationals.
+"""Exact two-phase simplex over the rationals, pivoted in integers.
 
-Solves  min c.x  subject to  A x = b, x >= 0  with every entry a
-`fractions.Fraction`.  Bland's smallest-index rule guarantees termination
-without perturbation; infeasibility detection is exact (positive phase-one
-optimum).  Dense tableau - intended for the small systems of the near-best
-derivation (tens of rows, up to a few thousand columns).
+Solves  min c.x  subject to  A x = b, x >= 0  exactly.  Inputs and results
+are `fractions.Fraction`s; the tableau itself holds Python `int`s.  Bland's
+smallest-index rule guarantees termination without perturbation;
+infeasibility detection is exact (nonzero phase-one optimum).  Dense
+tableau - intended for the small systems of the near-best derivation (tens
+of rows, up to a few thousand columns).
+
+Integer-preserving pivots (Edmonds 1967, Bareiss 1968)
+------------------------------------------------------
+Let L be the lcm of every denominator in A, b and c.  The starting tableau
+has rows ``[L A_i | e_i | L b_i]`` and cost rows ``L c`` and the phase-one
+row, all integers, with ``det = 1``.  A pivot on entry p = M[r][q] replaces
+every other row by ``(p M[i] - M[i][q] M[r]) // det``, keeps row r as it is
+and sets ``det = p``.  The division is exact by Sylvester's identity: every
+entry is a minor of the starting tableau.  So no entry ever needs a gcd.
+
+At every step ``M = det * S``, where S is the rational Gauss-Jordan tableau
+of the same pivot sequence.  S differs from the tableau of the unscaled
+problem only by positive factors: L on the structural and right-hand-side
+columns, and a per-row factor.  Bland's rule reads signs of the cost row and
+ratios ``rhs / a`` within one column, and positive factors change neither,
+as long as det > 0.  A pivot is negative only when a leftover artificial is
+driven out of the basis after phase one; then every row and det are negated.
+Hence the pivot sequence is that of the rational tableau, and the optimum is
+the same vertex, read as ``x_j = M[r][-1] / M[r][j]`` for basic j.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 __all__ = ["LPResult", "solve_lp", "minimize_l1_exact"]
 
@@ -39,38 +60,53 @@ class LPResult:
         return f"LPResult(status={self.status!r}, objective={self.objective!r})"
 
 
-def _pivot(T, basis, row, col):
-    piv = T[row][col]
-    if piv != _ONE:
-        inv = 1 / piv
-        T[row] = [v * inv for v in T[row]]
-    prow = T[row]
-    for r, tr in enumerate(T):
-        if r != row and tr[col] != 0:
-            f = tr[col]
-            T[r] = [a - f * b for a, b in zip(tr, prow)]
+def _pivot(M, basis, det, row, col):
+    """Integer-preserving pivot on M[row][col]; returns the new det > 0."""
+    p = M[row][col]
+    prow = M[row]
+    for i, mi in enumerate(M):
+        if i == row:
+            continue
+        f = mi[col]
+        if f:
+            M[i] = [(p * a - f * b) // det for a, b in zip(mi, prow)]
+        elif p != det:
+            M[i] = [p * a // det for a in mi]
     basis[row] = col
+    if p < 0:
+        for i, mi in enumerate(M):
+            M[i] = [-a for a in mi]
+        p = -p
+    return p
 
 
-def _bland(T, basis, cost_row, ncols):
-    """Run simplex with Bland's rule; cost_row is the index of the z-row."""
+def _bland(M, basis, det, cost_row, ncols):
+    """Run simplex with Bland's rule; cost_row is the index of the z-row.
+
+    Returns (status, det).
+    """
     m = len(basis)
     while True:
-        z = T[cost_row]
+        z = M[cost_row]
         col = next((j for j in range(ncols) if z[j] < 0), None)
         if col is None:
-            return "optimal"
+            return "optimal", det
         best = None
         for r in range(m):
-            a = T[r][col]
-            if a > 0:
-                ratio = T[r][-1] / a
-                cand = (ratio, basis[r])
-                if best is None or cand < best[0:2]:
-                    best = (ratio, basis[r], r)
+            a = M[r][col]
+            if a <= 0:
+                continue
+            rhs = M[r][-1]
+            if best is not None:
+                # rhs / a against rhs_best / a_best; ties go to the smaller
+                # basis index
+                diff = rhs * a_best - rhs_best * a
+                if diff > 0 or (diff == 0 and basis[r] > basis[best]):
+                    continue
+            best, a_best, rhs_best = r, a, rhs
         if best is None:
-            return "unbounded"
-        _pivot(T, basis, best[2], col)
+            return "unbounded", det
+        det = _pivot(M, basis, det, best, col)
 
 
 def solve_lp(A, b, c):
@@ -95,49 +131,51 @@ def solve_lp(A, b, c):
         if b[i] < 0:
             A[i] = [-v for v in A[i]]
             b[i] = -b[i]
+    L = lcm(*(v.denominator for row in (*A, b, c) for v in row))
+
+    def scaled(values):
+        return [v.numerator * (L // v.denominator) for v in values]
 
     # tableau columns: n structural + m artificial + rhs;
     # rows: m constraints + phase-two z-row + phase-one z-row
-    width = n + m + 1
-    T = []
+    rhs = scaled(b)
+    M = []
     for i in range(m):
-        row = A[i] + [_ZERO] * m + [b[i]]
-        row[n + i] = _ONE
-        T.append(row)
-    zrow = [ci for ci in c] + [_ZERO] * (m + 1)
-    art = [_ZERO] * width
-    for i in range(m):
-        art = [a - v for a, v in zip(art, T[i])]
-    art = [(_ZERO if j >= n and j < n + m else v) for j, v in enumerate(art)]
-    T.append(zrow)
-    T.append(art)
+        row = scaled(A[i]) + [0] * m + [rhs[i]]
+        row[n + i] = 1
+        M.append(row)
+    zrow = scaled(c) + [0] * (m + 1)
+    art = [-sum(row[j] for row in M) for j in range(n + m + 1)]
+    art[n:n + m] = [0] * m
+    M.append(zrow)
+    M.append(art)
     basis = list(range(n, n + m))
 
-    status = _bland(T, basis, cost_row=m + 1, ncols=n + m)
+    status, det = _bland(M, basis, 1, cost_row=m + 1, ncols=n + m)
     if status != "optimal":  # pragma: no cover - phase one cannot be unbounded
         return LPResult(status)
-    if -T[m + 1][-1] != 0:  # phase-one optimum is -z entry
+    if M[m + 1][-1] != 0:  # phase-one optimum is -z entry
         return LPResult("infeasible")
 
     # drive leftover artificial variables out of the basis
     for r in range(m):
         if basis[r] >= n:
-            col = next((j for j in range(n) if T[r][j] != 0), None)
+            col = next((j for j in range(n) if M[r][j] != 0), None)
             if col is not None:
-                _pivot(T, basis, r, col)
+                det = _pivot(M, basis, det, r, col)
     # drop redundant all-zero rows still pinned to artificials
     keep = [r for r in range(m) if basis[r] < n]
-    T = [T[r] for r in keep] + [T[m]]
+    M = [M[r] for r in keep] + [M[m]]
     basis = [basis[r] for r in keep]
     # forbid artificial columns in phase two by truncating them
-    T = [row[:n] + [row[-1]] for row in T]
+    M = [row[:n] + [row[-1]] for row in M]
 
-    status = _bland(T, basis, cost_row=len(basis), ncols=n)
+    status, det = _bland(M, basis, det, cost_row=len(basis), ncols=n)
     if status != "optimal":
         return LPResult(status)
     x = [_ZERO] * n
     for r, j in enumerate(basis):
-        x[j] = T[r][-1]
+        x[j] = Fraction(M[r][-1], M[r][j])
     objective = sum((ci * xi for ci, xi in zip(c, x)), _ZERO)
     return LPResult("optimal", x=x, objective=objective)
 

@@ -24,6 +24,8 @@ Omega = [0, m h]^3 with h = side/m before sampling:
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -71,9 +73,9 @@ class VolumeHeader:
                              f"got {self.endianness!r}")
         if self.spacing is not None:
             spacing = _triple(self.spacing, float)
-            if spacing is None or any(s <= 0 for s in spacing):
-                raise ValueError(f"spacing must be three positive reals, "
-                                 f"got {self.spacing}")
+            if spacing is None or not all(0 < s < math.inf for s in spacing):
+                raise ValueError(f"spacing must be three finite positive "
+                                 f"reals, got {self.spacing}")
             object.__setattr__(self, "spacing", spacing)
 
     @property
@@ -114,12 +116,20 @@ class VolumeHeader:
 
 
 def _triple(values, kind):
-    """Three values converted by `kind`, or None if they are not three."""
+    """Three numbers converted by `kind` (int or float), or None.
+
+    For int only integers count; for float any real number does.  A bool is
+    never a number here, and nothing is parsed from a string.
+    """
+    abstract = numbers.Integral if kind is int else numbers.Real
     try:
-        out = tuple(kind(v) for v in values)
-    except (TypeError, ValueError):
-        return None
-    return out if len(out) == 3 else None
+        out = tuple(values)
+        if len(out) == 3 and all(isinstance(v, abstract)
+                                 and not isinstance(v, bool) for v in out):
+            return tuple(kind(v) for v in out)
+    except (TypeError, OverflowError):
+        pass
+    return None
 
 
 def read_raw(header: VolumeHeader, data: bytes):

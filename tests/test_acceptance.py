@@ -276,7 +276,7 @@ def test_criterion_05_near_best_norm_reproduction(grid11):
     assert elapsed < 300.0
 
 
-# extended sweep over the reference norm table (slow): more radii per class
+# extended sweep over the reference norm table: more radii per class
 _TABLE_CELLS_EXTENDED = [
     ((0, 0, -1), 9, "12.37"), ((0, 0, -1), 10, "10.25"),
     ((0, 0, -1), 11, "8.774"),
@@ -299,13 +299,12 @@ _TABLE_CELLS_EXTENDED = [
 ]
 
 
-@pytest.mark.slow
 def test_criterion_05_norm_table_extended(grid11):
     t0 = time.perf_counter()
     bad = _solve_cells(_TABLE_CELLS_EXTENDED, grid11)
     elapsed = time.perf_counter() - t0
     ok = not bad
-    _report("05", "norm table extended sweep (slow)", ok,
+    _report("05", "norm table extended sweep", ok,
             f"{len(_TABLE_CELLS_EXTENDED)} cells, {elapsed:.0f} s"
             + ("" if ok else "; " + "; ".join(bad)))
     assert not bad, "; ".join(bad)

@@ -192,6 +192,12 @@ def test_truncated_spline_header_is_one_error(capsys, tmp_path):
     '{"dims": [13, 13, 13], "spacing": 1.0}',
     '{"dims": [[13], 13, 13]}',
     '{"dims": [13, 13, 13], "dtype": ["u8"]}',
+    '{"dims": [13.9, 13, 13]}',
+    '{"dims": ["13", 13, 13]}',
+    '{"dims": [13, 13, 13], "spacing": [1, 1, true]}',
+    '{"dims": [13, 13, 13], "spacing": [1, 1, NaN]}',
+    '{"dims": [13, 13, 13], "spacing": [1, 1, Infinity]}',
+    '{"dims": [13, 13, 13], "spacing": [1, 1, "1"]}',
 ])
 def test_approximate_rejects_malformed_sidecar(capsys, tmp_path, sidecar):
     raw = tmp_path / "scan.raw"

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boxqi import nearbest, stencils
+from boxqi import domain, nearbest, stencils
 
 
 F = Fraction
@@ -102,3 +102,27 @@ def test_canonical_grid():
     g = nearbest.canonical_grid()
     assert g.m == (11, 11, 11)
     assert g.h == 1.0
+
+
+@pytest.mark.parametrize("alpha, n, tie", [
+    ((0, 0, -1), 4, True), ((0, 0, -1), 4, False), ((3, 0, 0), 3, True),
+    ((1, 1, 1), 2, True), ((2, 1, 0), 4, True), ((3, 3, 3), 2, False),
+])
+def test_constraint_system_matches_fraction_sums(grid11, alpha, n, tie):
+    # the system is built on doubled integer coordinates; recompute every
+    # entry from the exact rational coordinates
+    sys_ = nearbest.constraint_system(alpha, n, grid11, tie_symmetry=tie)
+    c = domain.center_exact(alpha)
+    centered = [tuple(domain.data_coordinate_exact(int(beta[a]), grid11.m[a])
+                      - c[a] for a in range(3)) for beta in sys_.points]
+    if tie:
+        assert sys_.group == nearbest._stabilizer(centered)
+    assert sys_.orbits == nearbest._point_orbits(centered, sys_.group)
+    for nu, row, rhs in zip(sys_.rows, sys_.V, sys_.b):
+        want = [sum((centered[i][0] ** nu[0] * centered[i][1] ** nu[1]
+                     * centered[i][2] ** nu[2] for i in orbit), F(0))
+                for orbit in sys_.orbits]
+        sign = -1 if next((v for v in want if v != 0), 0) < 0 else 1
+        assert row == [sign * v for v in want]
+        assert all(isinstance(v, Fraction) for v in row)
+        assert rhs == sign * nearbest.constraint_rhs(nu)

@@ -1,9 +1,13 @@
 """Exact rational simplex: standard-form LPs and the weighted l1
-minimization wrapper."""
+minimization wrapper, checked against a Fraction-tableau oracle."""
 
+import random
+import sys
 from fractions import Fraction
 
-from boxqi import simplex
+import pytest
+
+from boxqi import nearbest, simplex
 
 
 F = Fraction
@@ -81,3 +85,157 @@ def test_minimize_l1_infeasible():
     status, s, norm = simplex.minimize_l1_exact([[F(0), F(0)]], [F(1)])
     assert status == "infeasible"
     assert s is None and norm is None
+
+
+# --------------------------------------------------------------------------
+# oracle: the same two-phase Bland simplex on a Fraction tableau
+# --------------------------------------------------------------------------
+
+def _ref_pivot(T, basis, row, col):
+    piv = T[row][col]
+    if piv != 1:
+        inv = 1 / piv
+        T[row] = [v * inv for v in T[row]]
+    prow = T[row]
+    for r, tr in enumerate(T):
+        if r != row and tr[col] != 0:
+            f = tr[col]
+            T[r] = [a - f * b for a, b in zip(tr, prow)]
+    basis[row] = col
+
+
+def _ref_bland(T, basis, cost_row, ncols):
+    m = len(basis)
+    while True:
+        z = T[cost_row]
+        col = next((j for j in range(ncols) if z[j] < 0), None)
+        if col is None:
+            return "optimal"
+        best = None
+        for r in range(m):
+            a = T[r][col]
+            if a > 0:
+                ratio = T[r][-1] / a
+                cand = (ratio, basis[r])
+                if best is None or cand < best[0:2]:
+                    best = (ratio, basis[r], r)
+        if best is None:
+            return "unbounded"
+        _ref_pivot(T, basis, best[2], col)
+
+
+def _ref_solve_lp(A, b, c):
+    m = len(A)
+    n = len(c)
+    A = [[F(v) for v in row] for row in A]
+    b = [F(v) for v in b]
+    c = [F(v) for v in c]
+    for i in range(m):
+        if b[i] < 0:
+            A[i] = [-v for v in A[i]]
+            b[i] = -b[i]
+    width = n + m + 1
+    T = []
+    for i in range(m):
+        row = A[i] + [F(0)] * m + [b[i]]
+        row[n + i] = F(1)
+        T.append(row)
+    zrow = list(c) + [F(0)] * (m + 1)
+    art = [F(0)] * width
+    for i in range(m):
+        art = [a - v for a, v in zip(art, T[i])]
+    art = [(F(0) if n <= j < n + m else v) for j, v in enumerate(art)]
+    T.append(zrow)
+    T.append(art)
+    basis = list(range(n, n + m))
+    _ref_bland(T, basis, cost_row=m + 1, ncols=n + m)
+    if T[m + 1][-1] != 0:
+        return simplex.LPResult("infeasible")
+    for r in range(m):
+        if basis[r] >= n:
+            col = next((j for j in range(n) if T[r][j] != 0), None)
+            if col is not None:
+                _ref_pivot(T, basis, r, col)
+    keep = [r for r in range(m) if basis[r] < n]
+    T = [T[r] for r in keep] + [T[m]]
+    basis = [basis[r] for r in keep]
+    T = [row[:n] + [row[-1]] for row in T]
+    status = _ref_bland(T, basis, cost_row=len(basis), ncols=n)
+    if status != "optimal":
+        return simplex.LPResult(status)
+    x = [F(0)] * n
+    for r, j in enumerate(basis):
+        x[j] = T[r][-1]
+    objective = sum((ci * xi for ci, xi in zip(c, x)), F(0))
+    return simplex.LPResult("optimal", x=x, objective=objective)
+
+
+def _record_pivots(monkeypatch, module, name, log):
+    """Wrap module.<name> so every call appends its pivot entry to log."""
+    pivot = getattr(module, name)
+
+    def counted(T, basis, *rest):
+        row, col = rest[-2:]
+        log.append((T[row][col], T[row][-1]))
+        return pivot(T, basis, *rest)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def _random_lp(rng):
+    m, n = rng.randint(1, 5), rng.randint(1, 8)
+
+    def entry():
+        return F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6)))
+
+    A = [[entry() if rng.random() < 0.7 else F(0) for _ in range(n)]
+         for _ in range(m)]
+    if m > 1 and rng.random() < 0.3:
+        # a redundant row leaves an artificial in the basis after phase one
+        k = rng.randrange(m - 1)
+        A[-1] = [2 * u - v for u, v in zip(A[k], A[0])]
+    if rng.random() < 0.2:
+        b = [entry() for _ in range(m)]      # often infeasible
+    else:
+        # feasible by construction, with many zero coordinates: degenerate
+        x = [F(rng.randint(0, 2)) if rng.random() < 0.5 else F(0)
+             for _ in range(n)]
+        b = [sum(a * xi for a, xi in zip(row, x)) for row in A]
+    return A, b, [entry() for _ in range(n)]
+
+
+def test_solve_lp_matches_fraction_oracle(monkeypatch):
+    ours, ref = [], []
+    _record_pivots(monkeypatch, simplex, "_pivot", ours)
+    _record_pivots(monkeypatch, sys.modules[__name__], "_ref_pivot", ref)
+    rng = random.Random(2024)
+    statuses = set()
+    negative = degenerate = 0
+    for _ in range(1500):
+        A, b, c = _random_lp(rng)
+        del ours[:], ref[:]
+        got = simplex.solve_lp(A, b, c)
+        want = _ref_solve_lp(A, b, c)
+        assert (got.status, got.x, got.objective) == \
+            (want.status, want.x, want.objective), (A, b, c)
+        assert len(ours) == len(ref)
+        # the integer tableau pivots on the same entries up to positive
+        # scale, so signs agree and degenerate pivots stay degenerate
+        for (p, rhs), (q, rhs_ref) in zip(ours, ref):
+            assert (p > 0) == (q > 0) and (rhs == 0) == (rhs_ref == 0)
+        statuses.add(got.status)
+        negative += sum(p < 0 for p, _ in ours)
+        degenerate += sum(rhs == 0 for _, rhs in ours)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert negative > 0 and degenerate > 0
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_minimize_l1_matches_fraction_oracle(monkeypatch, grid11, n):
+    system = nearbest.constraint_system((0, 0, -1), n, grid11)
+    got = nearbest.minimize_l1(system)
+    monkeypatch.setattr(simplex, "solve_lp", _ref_solve_lp)
+    want = nearbest.minimize_l1(system)
+    assert got.status == want.status == "optimal"
+    assert got.weights == want.weights
+    assert got.norm == want.norm
