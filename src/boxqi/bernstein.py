@@ -68,11 +68,6 @@ def multinomial(nu):
     return out
 
 
-#: Rows per pass of `bernstein_basis`: small enough that the strided column
-#: writes of one block stay in cache, which large inputs otherwise thrash.
-_BASIS_BLOCK = 4096
-
-
 def bernstein_basis(bary, degree=4):
     """Evaluate all Bernstein basis polynomials at barycentric points.
 
@@ -90,24 +85,17 @@ def bernstein_basis(bary, degree=4):
     """
     bary = np.asarray(bary, dtype=np.float64)
     rows = bary.reshape(-1, 4)
-    out = np.empty((len(rows), DIMENSION[degree]), dtype=np.float64)
-    for start in range(0, len(rows), _BASIS_BLOCK):
-        stop = start + _BASIS_BLOCK
-        _basis_block(rows[start:stop], degree, out[start:stop])
-    return out.reshape(bary.shape[:-1] + (DIMENSION[degree],))
-
-
-def _basis_block(bary, degree, out):
-    """Fill `out` (n, n_degree) with the basis at the rows of `bary`."""
-    # powers[a][p] = bary[:, a] ** p for p = 0..degree
-    powers = [np.stack([bary[:, a] ** p for p in range(degree + 1)], axis=-1)
+    # powers[a][p] = rows[:, a] ** p for p = 0..degree
+    powers = [np.stack([rows[:, a] ** p for p in range(degree + 1)], axis=-1)
               for a in range(4)]
+    out = np.empty((len(rows), DIMENSION[degree]), dtype=np.float64)
     for col, nu in enumerate(multi_indices(degree)):
         out[:, col] = (multinomial(nu)
                        * powers[0][:, nu[0]]
                        * powers[1][:, nu[1]]
                        * powers[2][:, nu[2]]
                        * powers[3][:, nu[3]])
+    return out.reshape(bary.shape[:-1] + (DIMENSION[degree],))
 
 
 def bernstein_basis_exact(bary):

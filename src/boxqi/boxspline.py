@@ -18,18 +18,19 @@ Two independent evaluation routes are provided:
   sampling the oracle at 35 unisolvent points per tetrahedron (domain points
   shrunk toward the centroid so no sample hits a knot plane) and solving the
   Bernstein interpolation system once.  The coefficients snap to exact
-  rationals and are then verified exactly: partition of unity and linear
-  precision on every build, all C^0/C^1/C^2 face conditions on request
+  rationals, kept as int64 numerators over one common denominator (1536),
+  and are then verified exactly: partition of unity and linear precision on
+  every build and load, all C^0/C^1/C^2 face conditions on request
   (`BoxSplineTable.verify_smoothness_exact`).
 
 Scaled translates on a grid follow  B_a(x, y, z) =
 B(x/h - i + 1, y/h - j + 1, z/h - k + 3)  for a = (i, j, k), with support
 center C_a = ((i - 1/2) h, (j - 1/2) h, (k - 1/2) h).
 
-The exact table ships with the package (``boxspline_table.npz``, integer
-numerators over the common denominator 1536) and `get_table` loads it,
-re-verifying partition of unity and linear precision in integer arithmetic.
-Regenerate it from the oracle (several seconds) with::
+The exact table ships with the package (``boxspline_table.npz``, the same
+numerators and denominator) and `get_table` loads it, re-verifying partition
+of unity and linear precision in integer arithmetic.  Regenerate it from the
+oracle (several seconds) with::
 
     from boxqi.boxspline import BoxSplineTable
     BoxSplineTable.build().save("src/boxqi/boxspline_table.npz")
@@ -239,21 +240,28 @@ class BoxSplineTable:
 
     Attributes
     ----------
+    numerators : (125, 24, 35) int64
+        The exact coefficients times `denominator`; cube offsets ordered by
+        `support_cubes()`, tetrahedra by the canonical order of `geometry`,
+        multi-indices by `bernstein.MULTI_INDICES_4`.
+    denominator : int
+        The common denominator of all coefficients (1536).
     coeffs : (125, 24, 35) float64
-        BB coefficients; cube offsets ordered by `support_cubes()`,
-        tetrahedra by the canonical order of `geometry`, multi-indices by
-        `bernstein.MULTI_INDICES_4`.
-    numerators, denominators : (125, 24, 35) int64
-        The exact rational table (coeffs = numerators / denominators).
+        ``numerators / denominator``, the BB coefficients in floating point.
     min_coefficient : float
         Smallest BB coefficient (box-spline nonnegativity watch).
     """
 
-    def __init__(self, coeffs, numerators, denominators):
-        self.coeffs = coeffs
+    def __init__(self, numerators, denominator):
+        # below 2**31 the exact checks' int64 sums cannot overflow
+        if not (0 < denominator < 2 ** 31 and -2 ** 31 < numerators.min()
+                and numerators.max() < 2 ** 31):
+            raise ArithmeticError(
+                "table entries out of range for exact int64 checks")
         self.numerators = numerators
-        self.denominators = denominators
-        self.min_coefficient = float(coeffs.min())
+        self.denominator = denominator
+        self.coeffs = numerators / denominator
+        self.min_coefficient = float(self.coeffs.min())
 
     # -- construction ------------------------------------------------------
 
@@ -291,8 +299,8 @@ class BoxSplineTable:
             raise ArithmeticError(
                 f"BB coefficients failed to snap to rationals "
                 f"(max deviation {snap_err:.3e})")
-        coeffs = num / den
-        table = cls(coeffs, num, den)
+        common = int(np.lcm.reduce(np.unique(den)))
+        table = cls(num * (common // den), common)
         table.verify_partition_of_unity_exact()
         table.verify_linear_precision_exact()
         return table
@@ -300,11 +308,10 @@ class BoxSplineTable:
     # -- persistence ---------------------------------------------------------
 
     def save(self, path):
-        """Write the exact table as integer numerators over their common
-        denominator; `load` restores it bit for bit."""
-        scaled, den = self._common_denominator()
-        np.savez_compressed(path, version=TABLE_VERSION, denominator=den,
-                            numerators=scaled)
+        """Write the exact table; `load` restores it bit for bit."""
+        np.savez_compressed(path, version=TABLE_VERSION,
+                            denominator=self.denominator,
+                            numerators=self.numerators)
 
     @classmethod
     def load(cls, path):
@@ -313,19 +320,19 @@ class BoxSplineTable:
         Raises
         ------
         ValueError
-            If the file has another version or shape, or fails the exact
+            If the file has another version or shape, holds entries out of
+            range for the integer checks, or fails the exact
             partition-of-unity or linear-precision check.
         """
         with np.load(path) as data:
             if int(data["version"]) != TABLE_VERSION:
                 raise ValueError(f"unsupported table version in {path}")
             den = int(data["denominator"])
-            scaled = data["numerators"].astype(np.int64)
-        if scaled.shape != (_N_CUBES, 24, 35) or den < 1:
+            numerators = data["numerators"].astype(np.int64)
+        if numerators.shape != (_N_CUBES, 24, 35):
             raise ValueError(f"malformed box-spline table in {path}")
-        g = np.gcd(scaled, den)
-        table = cls(scaled / den, scaled // g, den // g)
         try:
+            table = cls(numerators, den)
             table.verify_partition_of_unity_exact()
             table.verify_linear_precision_exact()
         except (AssertionError, ArithmeticError) as exc:
@@ -335,25 +342,13 @@ class BoxSplineTable:
 
     # -- exact verification --------------------------------------------------
 
-    def _frac(self, n, t, p):
-        return Fraction(int(self.numerators[n, t, p]),
-                        int(self.denominators[n, t, p]))
-
-    def _common_denominator(self):
-        """(scaled numerators, common denominator) as int64, exactly."""
-        den = int(np.lcm.reduce(np.unique(self.denominators)))
-        if not 0 < den < 2 ** 31 or np.abs(self.numerators).max() >= 2 ** 31:
-            raise ArithmeticError("table entries too large for int64 checks")
-        return self.numerators * (den // self.denominators), den
-
     def verify_partition_of_unity_exact(self):
         """sum over the 125 cube offsets of each patch coefficient == 1.
 
         Equivalent to sum_{a in Z^3} B(x - a) = 1 by linear independence of
         the Bernstein basis.  Exact: integers over the common denominator.
         """
-        scaled, den = self._common_denominator()
-        bad = np.argwhere(scaled.sum(axis=0) != den)
+        bad = np.argwhere(self.numerators.sum(axis=0) != self.denominator)
         if len(bad):
             t, p = bad[0]
             raise AssertionError(
@@ -366,14 +361,13 @@ class BoxSplineTable:
         sum over cube offsets o of table[o] * p(-o + center) must equal
         p(domain point), the degree-4 BB coefficient of the linear p.
         Scaled by 8 times the common denominator, both sides are integers:
-        4 * sum_o scaled[o] * (2 center - 2 o) == den * sum_v nu_v w_v with
-        w the doubled vertices.
+        4 * sum_o numerators[o] * (2 center - 2 o) == denominator *
+        sum_v nu_v w_v with w the doubled vertices.
         """
-        scaled, den = self._common_denominator()
         offsets2 = np.array([1, 1, 5]) - 2 * np.array(support_cubes())
-        lhs = 4 * np.einsum('ntp,na->tpa', scaled, offsets2)
-        rhs = den * np.einsum('pv,tva->tpa', np.array(MULTI_INDICES_4),
-                              TET_VERTICES_UNIT_2X)
+        lhs = 4 * np.einsum('ntp,na->tpa', self.numerators, offsets2)
+        rhs = self.denominator * np.einsum(
+            'pv,tva->tpa', np.array(MULTI_INDICES_4), TET_VERTICES_UNIT_2X)
         bad = np.argwhere((lhs != rhs).any(axis=2))
         if len(bad):
             t, p = bad[0]
@@ -388,8 +382,8 @@ class BoxSplineTable:
         the zero patch (B joins the zero function with C^2 smoothness).
         """
         faces = _face_adjacency()
-        rational = [[[self._frac(n, t, p) for p in range(35)]
-                     for t in range(24)] for n in range(_N_CUBES)]
+        rational = [[[Fraction(v, self.denominator) for v in patch]
+                     for patch in cube] for cube in self.numerators.tolist()]
         zero = [Fraction(0)] * 35
         for face_key, incidences in faces.items():
             if len(incidences) > 2:

@@ -85,14 +85,17 @@ def _parse_m_list(text: str):
     return values
 
 
-def _grid_from_flags(args) -> DomainGrid:
-    m = _parse_triple(args.m, int, "--m")
-    return DomainGrid(*m, h=args.h)
+def _grid_from_flags(args, h=1.0) -> DomainGrid:
+    return DomainGrid(*_parse_triple(args.m, int, "--m"), h=h)
 
 
-def _write_rows(rows, header, out=None):
-    text = "\n".join([",".join(header)]
+def _csv(rows, header) -> str:
+    return "\n".join([",".join(header)]
                      + [",".join(row) for row in rows]) + "\n"
+
+
+def _write(text: str, out=None):
+    """Write a command's output to the ``--out`` file, else to stdout."""
     if out:
         Path(out).write_text(text)
     else:
@@ -108,7 +111,7 @@ def _printed_norm(norm_fraction) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_info(args) -> int:
-    grid = _grid_from_flags(args)
+    grid = _grid_from_flags(args, args.h)
     grid.require_quasi_interpolation()
     m1, m2, m3 = grid.m
     active = int(qi.active_mask(grid).sum())
@@ -132,10 +135,8 @@ def cmd_info(args) -> int:
 
 def cmd_derive(args) -> int:
     key = _parse_class(getattr(args, "class"))
-    grid = _grid_from_flags(args)
     solution = nearbest.minimize_l1(
-        nearbest.constraint_system(key, args.n, grid,
-                                   tie_symmetry=args.tie))
+        nearbest.constraint_system(key, args.n, _grid_from_flags(args)))
     if args.format == "json":
         doc = {"class": list(key), "n": args.n, "status": solution.status}
         if solution.status == "optimal":
@@ -146,14 +147,14 @@ def cmd_derive(args) -> int:
                 {"index": [int(i) for i in point], "weight": str(w)}
                 for point, w in zip(solution.system.points, solution.weights)
                 if w != 0]
-        print(json.dumps(doc, indent=2))
+        _write(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         rows = []
         if solution.status == "optimal":
             rows = [(str(p[0]), str(p[1]), str(p[2]), str(w))
                     for p, w in zip(solution.system.points, solution.weights)
                     if w != 0]
-        _write_rows(rows, ("i", "j", "k", "weight"), args.out)
+        _write(_csv(rows, ("i", "j", "k", "weight")), args.out)
         if solution.status != "optimal":
             print(f"status: {solution.status}", file=sys.stderr)
     return 0
@@ -161,9 +162,8 @@ def cmd_derive(args) -> int:
 
 def cmd_norm_table(args) -> int:
     key = _parse_class(getattr(args, "class"))
-    grid = _grid_from_flags(args)
-    cells = nearbest.norm_table([key], _parse_n_values(args.n), grid=grid,
-                                tie_symmetry=args.tie)
+    cells = nearbest.norm_table([key], _parse_n_values(args.n),
+                                grid=_grid_from_flags(args))
     rows = []
     for cell in cells:
         optimal = cell["status"] == "optimal"
@@ -171,7 +171,8 @@ def cmd_norm_table(args) -> int:
         rows.append((label, str(cell["n"]), cell["status"],
                      _fmt(cell["norm"]) if optimal else "",
                      _printed_norm(cell["norm"]) if optimal else ""))
-    _write_rows(rows, ("class", "n", "status", "norm", "norm_4sf"), args.out)
+    _write(_csv(rows, ("class", "n", "status", "norm", "norm_4sf")),
+           args.out)
     return 0
 
 
@@ -192,13 +193,13 @@ def cmd_stencils(args) -> int:
                 "l1": str(s.norm), "l1_4sf": s.norm_4sf,
                 "weights": [{"index": list(map(int, i)), "weight": str(w)}
                             for i, w in zip(s.indices, s.weights)]})
-        print(json.dumps(doc, indent=2))
+        _write(json.dumps(doc, indent=2) + "\n", args.out)
     else:
         rows = [('"' + ",".join(str(c) for c in key) + '"', str(lib[key].n),
                  str(len(lib[key].weights)), _fmt(lib[key].norm),
                  lib[key].norm_4sf) for key in keys]
-        _write_rows(rows, ("class", "n", "entries", "l1", "l1_4sf"),
-                    args.out)
+        _write(_csv(rows, ("class", "n", "entries", "l1", "l1_4sf")),
+               args.out)
     return 0
 
 
@@ -254,7 +255,7 @@ def cmd_eval(args) -> int:
             raise ValueError(f"unknown test function {args.fn!r}")
         header.append("max_error")
         row.append(_fmt(np.abs(values - fn.on_omega(points)).max()))
-    _write_rows([tuple(row)], tuple(header), args.out)
+    _write(_csv([row], header), args.out)
     return 0
 
 
@@ -263,7 +264,7 @@ def cmd_convergence(args) -> int:
                                          eval_points=args.grid)
     table = [(row.fn, str(row.m), _fmt(row.h), _fmt(row.error),
               "" if row.rf is None else _fmt(row.rf)) for row in rows]
-    _write_rows(table, ("fn", "m", "h", "max_error", "rf"), args.out)
+    _write(_csv(table, ("fn", "m", "h", "max_error", "rf")), args.out)
     return 0
 
 
@@ -296,7 +297,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
+        # no prefix matching: a dropped flag such as --h must not turn
+        # into --help
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.set_defaults(handler=fn)
         return p
 
@@ -309,21 +312,15 @@ def _build_parser() -> argparse.ArgumentParser:
             "exact l1 minimization for one (class, n) cell")
     p.add_argument("--class", required=True, help="boundary class i,j,k")
     p.add_argument("--n", type=int, required=True, help="octahedron radius")
-    p.add_argument("--tie", action=argparse.BooleanOptionalAction,
-                   default=True, help="tie symmetric orbits (default on)")
     p.add_argument("--m", default="11,11,11", help="grid cells per axis")
-    p.add_argument("--h", type=float, default=1.0)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", help="write CSV here instead of stdout")
+    p.add_argument("--out", help="write here instead of stdout")
 
     p = add("norm-table", cmd_norm_table,
             "optimal-norm sweep over n for one class (CSV)")
     p.add_argument("--class", required=True, help="boundary class i,j,k")
     p.add_argument("--n", required=True, help="radii: lo..hi or list")
-    p.add_argument("--tie", action=argparse.BooleanOptionalAction,
-                   default=True)
     p.add_argument("--m", default="11,11,11")
-    p.add_argument("--h", type=float, default=1.0)
     p.add_argument("--out")
 
     p = add("stencils", cmd_stencils,

@@ -33,6 +33,9 @@ class ConvergenceRow:
 
 def evaluation_grid(grid, n: int = DEFAULT_EVAL_POINTS) -> np.ndarray:
     """The n^3 uniform evaluation points over Omega, endpoints included."""
+    if n < 1:
+        raise ValueError(f"evaluation grid needs n >= 1 points per axis, "
+                         f"got {n}")
     axes = [np.linspace(0.0, m * grid.h, n) for m in grid.m]
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
 

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -56,9 +57,9 @@ class DomainGrid:
     Parameters
     ----------
     m1, m2, m3 : int
-        Number of cubes per axis (positive).
+        Number of cubes per axis (positive integers, not bool).
     h : float
-        Cube side length (positive).
+        Cube side length (positive and finite).
     """
     m1: int
     m2: int
@@ -66,10 +67,14 @@ class DomainGrid:
     h: float = 1.0
 
     def __post_init__(self):
-        if min(self.m1, self.m2, self.m3) < 1:
-            raise ValueError("m1, m2, m3 must be positive")
-        if not self.h > 0:
-            raise ValueError("h must be positive")
+        if not all(isinstance(m, Integral) and not isinstance(m, bool)
+                   and m >= 1 for m in self.m):
+            raise ValueError(
+                f"m1, m2, m3 must be positive integers, got {self.m!r}")
+        if not (isinstance(self.h, Real) and not isinstance(self.h, bool)
+                and 0 < self.h < float("inf")):
+            raise ValueError(
+                f"h must be a positive finite number, got {self.h!r}")
 
     @property
     def m(self):

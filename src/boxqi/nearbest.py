@@ -254,7 +254,7 @@ def canonical_grid():
     return DomainGrid(11, 11, 11, 1.0)
 
 
-def norm_table(classes, n_values, grid=None, tie_symmetry=True):
+def norm_table(classes, n_values, grid=None):
     """Optimal norms over a grid of (class, n) cells.
 
     Returns a list of dicts {"key", "n", "status", "norm"} in input order;
@@ -264,8 +264,7 @@ def norm_table(classes, n_values, grid=None, tie_symmetry=True):
     out = []
     for key in classes:
         for n in n_values:
-            sol = minimize_l1(constraint_system(tuple(key), n, grid,
-                                                tie_symmetry=tie_symmetry))
+            sol = minimize_l1(constraint_system(tuple(key), n, grid))
             out.append({"key": tuple(key), "n": n, "status": sol.status,
                         "norm": sol.norm})
     return out

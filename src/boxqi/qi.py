@@ -139,19 +139,11 @@ def _patch_matrix() -> np.ndarray:
 
     Window slot w in [0,5)^3 holds the coefficient of translate
     alpha = cube + w - 1; its contribution to the cube's patches is the
-    basis table entry for local support cube (2, 2, 4) - w.
+    basis table entry for local support cube (2, 2, 4) - w.  The table
+    orders cubes lexicographically (`boxspline.support_cubes`), so that is
+    row 124 - (25 w_x + 5 w_y + w_z): the table read backwards.
     """
-    from .boxspline import _CUBE_INDEX
-    table = get_table()
-    matrix = np.empty((125, 24 * _NC))
-    slot = 0
-    for wx in range(5):
-        for wy in range(5):
-            for wz in range(5):
-                row = _CUBE_INDEX[(2 - wx, 2 - wy, 4 - wz)]
-                matrix[slot] = table.coeffs[row].reshape(-1)
-                slot += 1
-    return matrix
+    return np.ascontiguousarray(get_table().coeffs[::-1]).reshape(125, -1)
 
 
 _WINDOW_OFFSETS = (

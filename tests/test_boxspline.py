@@ -39,12 +39,14 @@ def test_table_matches_recurrence_oracle(rng):
 
 def test_table_shape_and_rationals(table):
     assert table.coeffs.shape == (125, 24, 35)
-    denoms = np.asarray(table.denominators)
-    assert (1536 % denoms == 0).all()
+    assert table.numerators.shape == (125, 24, 35)
+    assert table.numerators.dtype == np.int64
+    assert table.denominator == 1536
+    # 1536 is the least common denominator, not merely a common one
+    assert np.gcd.reduce(table.numerators.ravel(), initial=1536) == 1
     assert table.min_coefficient >= 0  # B is nonnegative everywhere
     np.testing.assert_allclose(
-        table.coeffs, np.asarray(table.numerators, float) / denoms,
-        rtol=0, atol=0)
+        table.coeffs, table.numerators / table.denominator, rtol=0, atol=0)
 
 
 def test_value_at_center(table):
@@ -115,8 +117,8 @@ def test_save_load_round_trip(table, tmp_path):
     table.save(path)
     loaded = bs.BoxSplineTable.load(path)
     np.testing.assert_array_equal(loaded.coeffs, table.coeffs)
-    np.testing.assert_array_equal(np.asarray(loaded.numerators),
-                                  np.asarray(table.numerators))
+    np.testing.assert_array_equal(loaded.numerators, table.numerators)
+    assert loaded.denominator == table.denominator
 
 
 def test_load_rejects_corrupted_table(tmp_path):
@@ -130,11 +132,29 @@ def test_load_rejects_corrupted_table(tmp_path):
         bs.BoxSplineTable.load(path)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("numerators", 2 ** 40), ("numerators", -2 ** 63),
+    ("denominator", 2 ** 31), ("denominator", 0)])
+def test_load_rejects_entries_out_of_int64_check_range(tmp_path, field,
+                                                       value):
+    packaged = resources.files("boxqi").joinpath(bs.PACKAGED_TABLE)
+    with packaged.open("rb") as fh, np.load(fh) as data:
+        fields = {k: data[k] for k in data.files}
+    if field == "numerators":
+        fields[field][60, 5, 12] = value
+    else:
+        fields[field] = np.int64(value)
+    path = tmp_path / "oversized.npz"
+    np.savez_compressed(path, **fields)
+    with pytest.raises(ValueError, match="out of range"):
+        bs.BoxSplineTable.load(path)
+
+
 @pytest.mark.slow
 def test_packaged_table_equals_oracle_build(table):
     built = bs.BoxSplineTable.build()
     np.testing.assert_array_equal(built.numerators, table.numerators)
-    np.testing.assert_array_equal(built.denominators, table.denominators)
+    assert built.denominator == table.denominator
     np.testing.assert_array_equal(built.coeffs, table.coeffs)
 
 

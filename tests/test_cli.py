@@ -243,6 +243,43 @@ def test_error_paths(capsys, tmp_path):
         cli.main(["unknown-subcommand"])
 
 
+@pytest.mark.parametrize("argv", [
+    ("derive", "--class", "3,3,3", "--n", "2"),
+    ("derive", "--class", "3,3,3", "--n", "2", "--format", "csv"),
+    ("stencils", "--class", "3,3,3", "--format", "json"),
+    ("stencils", "--format", "csv"),
+])
+def test_out_file_holds_what_stdout_would(capsys, tmp_path, argv):
+    _, printed, _ = run(capsys, *argv)
+    out_path = tmp_path / "result"
+    code, out, err = run(capsys, *argv, "--out", str(out_path))
+    assert code == 0 and out == "" and err == ""
+    assert out_path.read_text() == printed
+
+
+@pytest.mark.parametrize("argv", [
+    ("derive", "--class", "3,3,3", "--n", "2", "--h", "0.5"),
+    ("derive", "--class", "3,3,3", "--n", "2", "--no-tie"),
+    ("norm-table", "--class", "3,3,3", "--n", "2", "--h", "0.5"),
+    ("norm-table", "--class", "3,3,3", "--n", "2", "--tie"),
+])
+def test_derivations_take_no_cell_width_or_tie_option(capsys, argv):
+    with pytest.raises(SystemExit):
+        cli.main(list(argv))
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_eval_rejects_empty_grid(capsys, tmp_path):
+    spline_path = tmp_path / "f2.qis"
+    run(capsys, "approximate", "--fn", "f2", "--m", "11",
+        "--out", str(spline_path))
+    code, out, err = run(capsys, "eval", "--in", str(spline_path),
+                         "--grid", "0")
+    assert code == 1 and out == ""
+    assert err == "error: evaluation grid needs n >= 1 points per axis, " \
+                  "got 0\n"
+
+
 def test_csv_out_files_match_stdout(capsys, tmp_path):
     out_path = tmp_path / "table.csv"
     code, out, _ = run(capsys, "norm-table", "--class", "3,3,3",

@@ -20,6 +20,13 @@ def test_evaluation_grid_inclusive():
     assert convergence.DEFAULT_EVAL_POINTS == 139
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_evaluation_grid_rejects_empty_grid(n):
+    g = geometry.DomainGrid(16, 16, 16, 1 / 16)
+    with pytest.raises(ValueError, match="n >= 1"):
+        convergence.evaluation_grid(g, n=n)
+
+
 def test_table_row_regression():
     rows = convergence.convergence_table("f3", [16, 32], eval_points=61)
     assert [r.m for r in rows] == [16, 32]

@@ -25,6 +25,23 @@ def test_grid_validation_and_properties():
     with pytest.raises(ValueError):
         geo.DomainGrid(10, 11, 11, 1.0).require_quasi_interpolation()
     geo.DomainGrid(11, 11, 11, 1.0).require_quasi_interpolation()
+    # numpy scalars are integers and reals like any other
+    geo.DomainGrid(np.int64(11), 11, 11, np.float64(0.5))
+
+
+@pytest.mark.parametrize("args, message", [
+    ((11, 11, 11, float("inf")), "h must be a positive finite number"),
+    ((11, 11, 11, float("nan")), "h must be a positive finite number"),
+    ((11, 11, 11, True), "h must be a positive finite number"),
+    ((11, 11, 11, "1"), "h must be a positive finite number"),
+    ((11.0, 11, 11, 1.0), "must be positive integers"),
+    ((11, 11.5, 11, 1.0), "must be positive integers"),
+    ((11, 11, True, 1.0), "must be positive integers"),
+    ((11, "11", 11, 1.0), "must be positive integers"),
+])
+def test_grid_rejects_bad_sizes_with_one_error(args, message):
+    with pytest.raises(ValueError, match=message):
+        geo.DomainGrid(*args)
 
 
 def test_cube_splits_into_24_tets_filling_the_cube():

@@ -217,6 +217,55 @@ def test_load_rejects_corrupt_files(rng, tmp_path):
         qi.QISpline.load(tmp_path / "header.qis")
 
 
+@pytest.mark.parametrize("h", [float("inf"), float("nan"), 0.0])
+def test_load_rejects_bad_cell_width(rng, tmp_path, h):
+    spline = qi.approximate(rng.normal(size=(13, 13, 13)), h=1.0)
+    path = tmp_path / "model.qis"
+    spline.save(path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<d", blob, 20, h)  # after magic, version, m1..m3
+    path.write_bytes(bytes(blob))
+    with pytest.raises(ValueError, match="h must be a positive finite"):
+        qi.QISpline.load(path)
+
+
+def _patch_matrix_by_cube_index():
+    """The window-to-patch map built slot by slot through the support-cube
+    index, as an independent reference for `qi._patch_matrix`."""
+    coeffs = boxspline.get_table().coeffs
+    matrix = np.empty((125, 24 * 35))
+    for slot, (wx, wy, wz) in enumerate(product(range(5), repeat=3)):
+        row = boxspline._CUBE_INDEX[(2 - wx, 2 - wy, 4 - wz)]
+        matrix[slot] = coeffs[row].reshape(-1)
+    return matrix
+
+
+def test_patch_matrix_rows_follow_the_support_cube_index():
+    matrix = qi._patch_matrix()
+    reference = _patch_matrix_by_cube_index()
+    assert matrix.shape == reference.shape == (125, 24 * 35)
+    assert matrix.flags.c_contiguous
+    for slot in range(125):
+        np.testing.assert_array_equal(matrix[slot], reference[slot])
+
+
+def test_dense_compile_equals_window_products_at_m32():
+    """Dense patches of f2 at m = 32 are bit for bit the window products
+    with the reference map, in the chunks `compile` uses."""
+    from boxqi import volume
+    samples, grid, _ = volume.sample_test_function("f2", 32)
+    spline = qi.approximate(samples, grid)
+    patches = spline.compile("dense").compiled.patches
+    flat = patches.reshape(-1, 24 * 35)
+    reference = _patch_matrix_by_cube_index()
+    cubes = qi._all_cubes(grid.m)
+    rows = qi._GATHER_CHUNK // (24 * 35)
+    for start in range(0, len(cubes), rows):
+        expected = qi._windows(spline.coefficients,
+                               cubes[start:start + rows]) @ reference
+        np.testing.assert_array_equal(flat[start:start + rows], expected)
+
+
 def test_compile_budget_and_size_error(rng):
     spline = qi.approximate(rng.normal(size=(13, 13, 13)), h=1.0)
     with pytest.raises(qi.SizeError) as info:
