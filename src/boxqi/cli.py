@@ -245,16 +245,17 @@ def cmd_approximate(args) -> int:
 
 def cmd_eval(args) -> int:
     spline = qi.QISpline.load(getattr(args, "in"))
-    points = convergence.evaluation_grid(spline.grid, args.grid)
-    values = spline.eval(points)
-    header = ["points", "minimum", "maximum"]
-    row = [str(len(points)), _fmt(values.min()), _fmt(values.max())]
+    fn = None
     if args.fn is not None:
         fn = volume.TEST_FUNCTIONS.get(args.fn)
         if fn is None:
             raise ValueError(f"unknown test function {args.fn!r}")
+    count, low, high, error = convergence.grid_summary(spline, args.grid, fn)
+    header = ["points", "minimum", "maximum"]
+    row = [str(count), _fmt(low), _fmt(high)]
+    if fn is not None:
         header.append("max_error")
-        row.append(_fmt(np.abs(values - fn.on_omega(points)).max()))
+        row.append(_fmt(error))
     _write(_csv([row], header), args.out)
     return 0
 
@@ -364,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iso", type=float, required=True, help="isovalue")
     p.add_argument("--res", type=int, default=64, help="cells per axis")
     p.add_argument("--refine", action="store_true",
-                   help="bisect vertices to |s(v) - iso| <= 1e-8")
+                   help="refine vertices to |s(v) - iso| <= 1e-8")
     p.add_argument("--fn", help="benchmark id for the error channel (PLY)")
     p.add_argument("--out", required=True, help="mesh file (.obj or .ply)")
     p.add_argument("--format", choices=("obj", "ply"),

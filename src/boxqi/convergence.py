@@ -16,10 +16,11 @@ import numpy as np
 
 from . import qi, volume
 
-__all__ = ["ConvergenceRow", "evaluation_grid", "convergence_table",
-           "gradient_error"]
+__all__ = ["ConvergenceRow", "evaluation_grid", "evaluation_chunks",
+           "grid_summary", "convergence_table", "gradient_error"]
 
 DEFAULT_EVAL_POINTS = 139
+EVAL_CHUNK = 16 * qi._EVAL_BLOCK  # points per streamed evaluation chunk
 
 
 @dataclass(frozen=True)
@@ -33,11 +34,37 @@ class ConvergenceRow:
 
 def evaluation_grid(grid, n: int = DEFAULT_EVAL_POINTS) -> np.ndarray:
     """The n^3 uniform evaluation points over Omega, endpoints included."""
+    return np.concatenate(list(evaluation_chunks(grid, n)))
+
+
+def evaluation_chunks(grid, n: int = DEFAULT_EVAL_POINTS):
+    """Yield the points of `evaluation_grid`, in order, ``EVAL_CHUNK`` at a
+    time.  The chunk is a whole number of evaluation blocks, so every block
+    of ``QISpline.eval`` holds the same points as for the whole grid."""
     if n < 1:
         raise ValueError(f"evaluation grid needs n >= 1 points per axis, "
                          f"got {n}")
     axes = [np.linspace(0.0, m * grid.h, n) for m in grid.m]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    for start in range(0, n ** 3, EVAL_CHUNK):
+        ids = np.arange(start, min(start + EVAL_CHUNK, n ** 3))
+        yield np.stack([ax[i] for ax, i in
+                        zip(axes, np.unravel_index(ids, (n, n, n)))], axis=-1)
+
+
+def grid_summary(spline, n: int = DEFAULT_EVAL_POINTS, fn=None
+                 ) -> tuple[int, float, float, float | None]:
+    """(points, min, max, max |fn - spline| or None) of the spline over the
+    n^3 evaluation grid, reduced chunk by chunk."""
+    count, lows, highs, errors = 0, [], [], []
+    for points in evaluation_chunks(spline.grid, n):
+        values = spline.eval(points)
+        count += len(points)
+        lows.append(values.min())
+        highs.append(values.max())
+        if fn is not None:
+            errors.append(np.abs(values - fn.on_omega(points)).max())
+    return (count, float(np.min(lows)), float(np.max(highs)),
+            float(np.max(errors)) if fn is not None else None)
 
 
 def convergence_table(fn_id: str, m_values, eval_points: int | None = None
@@ -48,10 +75,7 @@ def convergence_table(fn_id: str, m_values, eval_points: int | None = None
     previous = {}
     for m in sorted(int(m) for m in m_values):
         samples, grid, fn = volume.sample_test_function(fn_id, m)
-        spline = qi.approximate(samples, grid)
-        points = evaluation_grid(grid, n)
-        error = float(np.abs(spline.eval(points)
-                             - fn.on_omega(points)).max())
+        error = grid_summary(qi.approximate(samples, grid), n, fn)[3]
         rf = (log2(previous[m // 2] / error)
               if m % 2 == 0 and m // 2 in previous else None)
         rows.append(ConvergenceRow(fn_id, m, grid.h, error, rf))

@@ -8,10 +8,15 @@ values.  Because all tetrahedra share the same diagonal direction, faces of
 neighbouring cells are triangulated compatibly and shared surface edges are
 used by at most two triangles.
 
+When R is a multiple of every m_i, each cube holds the same R/m_i samples
+per axis and the lattice is read by correlation (`QISpline.eval_lattice`);
+otherwise the spline is evaluated point by point.
+
 Vertices are merged by their undirected sample-edge key, so the mesh is
 deterministic.  Triangle winding is normalized so that normals point toward
-the above-isovalue side.  An optional bisection pass tightens each vertex
-along its edge until |s(v) - rho| <= 1e-8.
+the above-isovalue side.  An optional refinement moves each vertex along
+its edge by Illinois regula falsi, starting from the linear estimate and
+reusing the sampled end values, until |s(v) - rho| <= 1e-8.
 
 Export formats: ASCII OBJ (v/f records, 1-based indices, coordinates in
 shortest round-trip ``repr`` form) and binary little-endian PLY (float64 coordinates, optional
@@ -23,6 +28,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from itertools import permutations
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -75,11 +81,15 @@ class IsoRequest:
     reference: object = None   # optional callable points -> values
 
     def __post_init__(self):
-        if not np.isfinite(self.isovalue):
-            raise ValueError("isovalue must be finite")
-        if int(self.resolution) < 2:
-            raise ValueError("resolution must be at least 2 cells per axis")
-        object.__setattr__(self, "resolution", int(self.resolution))
+        rho, res = self.isovalue, self.resolution
+        if not (isinstance(rho, Real) and not isinstance(rho, bool)
+                and np.isfinite(rho)):
+            raise ValueError(f"isovalue must be a finite number, got {rho!r}")
+        if not (isinstance(res, Integral) and not isinstance(res, bool)
+                and res >= 2):
+            raise ValueError(f"resolution must be an integer of at least 2 "
+                             f"cells per axis, got {res!r}")
+        object.__setattr__(self, "resolution", int(res))
 
 
 # ---------------------------------------------------------------------------
@@ -132,10 +142,14 @@ def _case_table():
 _CASES = _case_table()
 
 
-def _sample_lattice(grid, resolution):
-    axes = [np.linspace(0.0, m * grid.h, resolution + 1) for m in grid.m]
+def _sample_values(spline, axes, resolution):
+    """Spline values on the sample lattice: by correlation when every axis
+    holds a whole number of samples per cube, else point by point."""
+    m = spline.grid.m
+    if all(resolution % n == 0 for n in m):
+        return spline.eval_lattice([resolution // n for n in m])
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return axes, points.reshape(-1, 3)
+    return spline.eval(points.reshape(-1, 3)).reshape([resolution + 1] * 3)
 
 
 def extract(spline, request: IsoRequest) -> TriangleMesh:
@@ -143,8 +157,8 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
     rho = float(request.isovalue)
     res = request.resolution
     grid = spline.grid
-    axes, points = _sample_lattice(grid, res)
-    values = spline.eval(points).reshape([res + 1] * 3)
+    axes = [np.linspace(0.0, m * grid.h, res + 1) for m in grid.m]
+    values = _sample_values(spline, axes, res)
     cell = np.array([ax[1] - ax[0] for ax in axes])
     area_cut = _AREA_FACTOR * cell.max() ** 2
 
@@ -183,14 +197,19 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
                                      return_inverse=True)
     triangles = inverse.reshape(-1, 3).astype(np.int32)
 
+    def point(ids):
+        return np.stack([ax[i] for ax, i in
+                         zip(axes, np.unravel_index(ids, values.shape))],
+                        axis=-1)
+
     ia = unique_keys // npts
     ib = unique_keys % npts
-    pa, pb = points[ia], points[ib]
+    pa, pb = point(ia), point(ib)
     va, vb = flat[ia], flat[ib]
     t = np.where(vb == va, 0.5, (rho - va) / np.where(vb == va, 1.0, vb - va))
     t = np.clip(t, 0.0, 1.0)
     if request.refine:
-        _refine_vertices(spline, t, pa, pb, va > rho, rho)
+        _refine_vertices(spline, t, pa, pb, va - rho, vb - rho, rho)
     verts = pa + t[:, None] * (pb - pa)
 
     # drop degenerate triangles, normalize winding toward the above side
@@ -200,7 +219,7 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
     keep = area2 > 2.0 * area_cut
     triangles, normal, v0, v1, v2 = (x[keep] for x in
                                      (triangles, normal, v0, v1, v2))
-    outward = points[refs[keep]] - (v0 + v1 + v2) / 3.0
+    outward = point(refs[keep]) - (v0 + v1 + v2) / 3.0
     flip = (normal * outward).sum(axis=1) < 0.0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
@@ -220,27 +239,38 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
     return TriangleMesh(verts, triangles, scalars=scalars, residual=residual)
 
 
-def _refine_vertices(spline, t, pa, pb, swap, rho):
-    """Bisect the edge parameters ``t`` in place until |s(v) - rho| <= 1e-8.
+def _refine_vertices(spline, t, pa, pb, fa, fb, rho):
+    """Refine the edge parameters ``t`` in place until |s(v) - rho| <= 1e-8.
 
-    Each step evaluates only the vertices not yet within tolerance.  ``swap``
-    marks edges whose start lies above rho, orienting every sign change
-    lo -> hi; vertices that never reach the tolerance keep their linear t.
+    Illinois regula falsi on the bracket [0, 1] of each edge, whose end
+    values s - rho are ``fa`` and ``fb`` (opposite signs, or one zero): the
+    first iterate is the linear ``t`` itself, each later one the secant
+    root of the shrinking bracket, with the value at an end kept twice in
+    a row halved.  Each step evaluates only the vertices not yet within
+    tolerance; vertices that never reach it keep their linear t.
     """
     todo = np.arange(len(t))
-    lo = np.zeros(len(t))
-    hi = np.ones(len(t))
+    lo, hi = np.zeros(len(t)), np.ones(len(t))
+    flo, fhi = fa, fb
+    kept = np.zeros(len(t), dtype=int)  # +1: lo kept last, -1: hi kept
+    x = t.copy()
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        f = spline.eval(pa + mid[:, None] * (pb - pa)) - rho
+        f = spline.eval(pa + x[:, None] * (pb - pa)) - rho
         done = np.abs(f) <= REFINE_TOLERANCE
-        t[todo[done]] = mid[done]
-        go_hi = (f < 0.0) ^ swap
-        lo = np.where(go_hi, mid, lo)[~done]
-        hi = np.where(go_hi, hi, mid)[~done]
-        todo, pa, pb, swap = todo[~done], pa[~done], pb[~done], swap[~done]
+        t[todo[done]] = x[done]
+        go = ~done
+        todo, pa, pb, x, f = todo[go], pa[go], pb[go], x[go], f[go]
+        lo, hi, flo, fhi, kept = lo[go], hi[go], flo[go], fhi[go], kept[go]
         if not len(todo):
             break
+        move_lo = (f < 0.0) == (flo < 0.0)
+        lo, flo = np.where(move_lo, x, lo), np.where(move_lo, f, flo)
+        hi, fhi = np.where(move_lo, hi, x), np.where(move_lo, fhi, f)
+        # Illinois: an end kept on two steps running has its value halved
+        fhi = np.where(move_lo & (kept == -1), 0.5 * fhi, fhi)
+        flo = np.where(~move_lo & (kept == 1), 0.5 * flo, flo)
+        kept = np.where(move_lo, -1, 1)
+        x = np.clip((lo * fhi - hi * flo) / (fhi - flo), lo, hi)
 
 
 def edge_use_counts(mesh: TriangleMesh) -> np.ndarray:
@@ -257,9 +287,9 @@ def edge_use_counts(mesh: TriangleMesh) -> np.ndarray:
 
 def write_obj(mesh: TriangleMesh) -> str:
     """Serialize to OBJ text: v/f records, 1-based, round-trip precision."""
-    lines = [f"v {float(x)!r} {float(y)!r} {float(z)!r}"
-             for x, y, z in mesh.vertices]
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles]
+    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
+    lines += [f"f {a} {b} {c}" for a, b, c in
+              (mesh.triangles.astype(np.int64) + 1).tolist()]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

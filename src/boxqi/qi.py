@@ -37,6 +37,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 from math import prod
+from numbers import Integral
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .bernstein import DIMENSION, bernstein_basis, derivative_reduce
 _NC = DIMENSION[4]  # 35 quartic Bernstein coefficients per tetrahedron
 from .boxspline import TRANSLATE_OFFSET, get_table
 from .domain import class_runs, index_set
-from .geometry import AXIS_DIRECTIONS, DomainGrid, locate
+from .geometry import AXIS_DIRECTIONS, DomainGrid, locate, locate_unit
 
 __all__ = [
     "QISpline",
@@ -293,6 +294,43 @@ class QISpline:
         points, scalar = _as_points(points)
         out = self._evaluate(points, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         return out[0] if scalar else out
+
+    def eval_lattice(self, r) -> np.ndarray:
+        """Values on the lattice of spacing h / r_a along each axis a.
+
+        ``r`` is a positive integer, or one per axis.  The result has shape
+        (r1 m1 + 1, r2 m2 + 1, r3 m3 + 1); entry (j1, j2, j3) is the value
+        at (j1 h / r1, j2 h / r2, j3 h / r3).  Lattice planes go to cubes by
+        `locate`'s rule, cube clamp(ceil(u) - 1), so every cube holds the
+        local offsets k / r_a, k = 1..r_a, and cube 0 also the plane
+        u_a = 0; each point uses the patch `eval` would use.  One offset is
+        one 53-tap kernel, ``blocks[t] @ bernstein_basis(bary)``, applied to
+        shifted slices of the coefficient array: no point is located,
+        gathered or sorted.
+        """
+        r = (r,) * 3 if np.ndim(r) == 0 else tuple(r)
+        if len(r) != 3 or not all(isinstance(x, Integral)
+                                  and not isinstance(x, bool) and x >= 1
+                                  for x in r):
+            raise ValueError(
+                f"lattice factors must be positive integers, got {r!r}")
+        rows, blocks = _tet_blocks(((0, 0, 0),))
+        offsets = list(np.ndindex(*(x + 1 for x in r)))
+        tet, bary = locate_unit(np.array(offsets) / np.array(r))
+        kernels = np.einsum("nsj,nj->ns", blocks[tet], bernstein_basis(bary))
+        taps = np.stack(_WINDOW_OFFSETS, axis=1)[rows[tet]]  # (n, 53, 3)
+        m = self.grid.m
+        out = np.empty(tuple(x * n + 1 for x, n in zip(r, m)))
+        for k, kernel, tap in zip(offsets, kernels, taps):
+            size = [n if ka else 1 for ka, n in zip(k, m)]
+            acc = np.zeros(size)
+            for weight, (a, b, c) in zip(kernel, tap):
+                acc += weight * self.coefficients[a:a + size[0],
+                                                  b:b + size[1],
+                                                  c:c + size[2]]
+            out[tuple(slice(ka, None, x) if ka else slice(0, 1)
+                      for ka, x in zip(k, r))] = acc
+        return out
 
     # direct translate summation
     def _eval_direct(self, points: np.ndarray) -> np.ndarray:

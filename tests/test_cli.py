@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -278,6 +279,26 @@ def test_eval_rejects_empty_grid(capsys, tmp_path):
     assert code == 1 and out == ""
     assert err == "error: evaluation grid needs n >= 1 points per axis, " \
                   "got 0\n"
+
+
+def test_eval_grid_streams_its_points(capsys, tmp_path):
+    """Memory of ``eval --grid n`` does not grow with the n^3 points."""
+    spline_path = tmp_path / "f2.qis"
+    run(capsys, "approximate", "--fn", "f2", "--m", "16",
+        "--out", str(spline_path))
+    run(capsys, "eval", "--in", str(spline_path), "--grid", "3", "--fn",
+        "f2")  # build the cached tables outside the trace
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "eval", "--in", str(spline_path),
+                           "--grid", "101", "--fn", "f2")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert list(csv.DictReader(io.StringIO(out)))[0]["points"] == \
+        str(101 ** 3)
+    assert peak < 16 << 20
 
 
 def test_csv_out_files_match_stdout(capsys, tmp_path):

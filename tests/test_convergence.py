@@ -82,3 +82,28 @@ def test_gradient_error_is_max_component():
 def test_unknown_function_rejected():
     with pytest.raises(ValueError):
         convergence.convergence_table("f7", [16])
+
+
+def test_evaluation_chunks_are_whole_blocks_of_the_grid():
+    from boxqi import qi
+    g = geometry.DomainGrid(11, 12, 13, 1 / 16)
+    n = 43  # 79507 points: one full chunk and a partial one
+    chunks = list(convergence.evaluation_chunks(g, n))
+    assert len(chunks) == 2
+    assert all(len(c) % qi._EVAL_BLOCK == 0 for c in chunks[:-1])
+    axes = [np.linspace(0.0, m * g.h, n) for m in g.m]
+    whole = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    np.testing.assert_array_equal(np.concatenate(chunks),
+                                  whole.reshape(-1, 3))
+
+
+def test_grid_summary_equals_the_whole_grid_reduction():
+    from boxqi import qi
+    samples, grid, fn = volume.sample_test_function("f3", 16)
+    spline = qi.approximate(samples, grid)
+    pts = convergence.evaluation_grid(grid, n=43)
+    values = spline.eval(pts)
+    count, low, high, error = convergence.grid_summary(spline, 43, fn)
+    assert (count, low, high) == (len(pts), values.min(), values.max())
+    assert error == np.abs(values - fn.on_omega(pts)).max()
+    assert convergence.grid_summary(spline, 43)[3] is None

@@ -206,3 +206,108 @@ def test_write_mesh_dispatch(bump_setup, tmp_path):
     assert forced.read_text() == obj_path.read_text()
     with pytest.raises(ValueError):
         iso.write_mesh(mesh, tmp_path / "m.stl")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("resolution", 2.9), ("resolution", "64"), ("resolution", True),
+    ("resolution", 16.0), ("isovalue", "0.3"), ("isovalue", 0.3j),
+    ("isovalue", None), ("isovalue", True)])
+def test_request_rejects_bad_types_with_one_error(field, value):
+    args = {"isovalue": 0.3, "resolution": 16, field: value}
+    with pytest.raises(ValueError, match=field):
+        iso.IsoRequest(**args)
+
+
+def test_request_accepts_numpy_scalars():
+    req = iso.IsoRequest(np.float64(0.3), resolution=np.int64(16))
+    assert req.resolution == 16 and type(req.resolution) is int
+
+
+class _Recording:
+    """Forwards to a spline, recording the points of every ``eval`` call
+    and the factors of every ``eval_lattice`` call."""
+
+    def __init__(self, spline):
+        self.spline = spline
+        self.grid = spline.grid
+        self.points = []
+        self.factors = []
+
+    @property
+    def sizes(self):
+        return [len(p) for p in self.points]
+
+    def eval(self, points):
+        self.points.append(points)
+        return self.spline.eval(points)
+
+    def eval_lattice(self, r):
+        self.factors.append(list(r))
+        return self.spline.eval_lattice(r)
+
+
+def test_aligned_lattice_is_read_without_point_evaluation(bump_setup):
+    spline, _ = bump_setup  # m = 16 per axis
+    recording = _Recording(spline)
+    mesh = iso.extract(recording, iso.IsoRequest(0.3, resolution=32))
+    assert recording.factors == [[2, 2, 2]]
+    assert recording.sizes == [len(mesh.vertices)]  # the residual pass
+
+    class PointByPoint:
+        grid = spline.grid
+        eval = spline.eval
+
+        def eval_lattice(self, r):
+            axes = [np.linspace(0.0, m * self.grid.h, f * m + 1)
+                    for f, m in zip(r, self.grid.m)]
+            pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+            return spline.eval(pts.reshape(-1, 3)).reshape(
+                [len(a) for a in axes])
+
+    reference = iso.extract(PointByPoint(), iso.IsoRequest(0.3,
+                                                           resolution=32))
+    np.testing.assert_array_equal(mesh.triangles, reference.triangles)
+    np.testing.assert_allclose(mesh.vertices, reference.vertices,
+                               rtol=0, atol=1e-12)
+
+
+def test_refinement_starts_from_the_linear_vertices(bump_setup):
+    spline, _ = bump_setup
+    recording = _Recording(spline)
+    iso.extract(recording, iso.IsoRequest(0.3, resolution=8, refine=True))
+    linear = iso.extract(spline, iso.IsoRequest(0.3, resolution=8))
+    first = {tuple(p) for p in recording.points[1].tolist()}
+    assert {tuple(v) for v in linear.vertices.tolist()} <= first
+
+
+def test_refinement_needs_few_evaluations_per_vertex(bump_setup):
+    spline, _ = bump_setup
+    recording = _Recording(spline)
+    mesh = iso.extract(recording, iso.IsoRequest(0.3, resolution=8,
+                                                  refine=True))
+    # calls: the sample lattice, the refinement steps, the final residual
+    assert sum(recording.sizes[1:-1]) <= 8 * len(mesh.vertices)
+    assert mesh.residual <= 1e-8
+
+
+def _obj_per_scalar(mesh):
+    """The OBJ text formatted one NumPy scalar at a time (the oracle)."""
+    lines = [f"v {float(x)!r} {float(y)!r} {float(z)!r}"
+             for x, y, z in mesh.vertices]
+    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in mesh.triangles]
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def test_obj_text_matches_per_scalar_formatting(bump_setup):
+    spline, _ = bump_setup
+    refined = iso.extract(spline, iso.IsoRequest(0.3, resolution=10,
+                                                 refine=True))
+    odd = iso.TriangleMesh(
+        np.array([[-0.0, 5e-324, 0.1], [1e300, -1e-300, 2.0 / 3.0],
+                  [0.0, 1.0, -2.5]]),
+        np.array([[0, 1, 2], [2, 1, 0]]))
+    empty = iso.TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), np.int64))
+    for mesh in (refined, odd, empty):
+        assert iso.write_obj(mesh) == _obj_per_scalar(mesh)
+    assert iso.write_obj(odd).splitlines()[0] == "v -0.0 5e-324 0.1"
+    assert iso.write_obj(odd).splitlines()[1].startswith("v 1e+300 ")

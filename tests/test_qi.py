@@ -432,3 +432,48 @@ def test_eval_memory_does_not_grow_with_n(rng):
     finally:
         tracemalloc.stop()
     assert peak - out.nbytes < 16 << 20
+
+
+# --------------------------------------------------------------------------
+# aligned lattices by correlation
+# --------------------------------------------------------------------------
+
+def _lattice_points(grid, r):
+    axes = [np.arange(f * m + 1) * (grid.h / f) for f, m in zip(r, grid.m)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"),
+                    axis=-1).reshape(-1, 3)
+
+
+@pytest.mark.parametrize("m, r", [((8, 8, 8), (1, 1, 1)),
+                                  ((8, 8, 8), (2, 2, 2)),
+                                  ((4, 6, 8), (6, 4, 3))])
+def test_eval_lattice_matches_eval(rng, m, r):
+    grid = geometry.DomainGrid(*m, h=0.3)
+    spline = qi.QISpline(grid, rng.normal(size=tuple(n + 4 for n in m)))
+    values = spline.eval_lattice(r)
+    assert values.shape == tuple(f * n + 1 for f, n in zip(r, m))
+    expected = spline.eval(_lattice_points(grid, r))
+    scale = np.abs(spline.coefficients).max()
+    assert np.abs(values.reshape(-1) - expected).max() <= 1e-14 * scale
+
+
+def test_eval_lattice_reproduces_cubics():
+    grid = geometry.DomainGrid(11, 12, 13, 1 / 12)
+
+    def p(x, y, z):
+        return ((x - 0.3) * (y + 0.1) * (z - 0.7)
+                + 2.0 * x * x * z - y * y * y + 0.25)
+
+    spline = qi.approximate(_samples_of(p, grid), grid)
+    pts = _lattice_points(grid, (2, 3, 1))
+    exact = p(pts[:, 0], pts[:, 1], pts[:, 2])
+    values = spline.eval_lattice((2, 3, 1)).reshape(-1)
+    assert np.abs(values - exact).max() <= 1e-12
+
+
+@pytest.mark.parametrize("r", [0, True, 1.5, (1, 2), (1, 0, 1), "2"])
+def test_eval_lattice_rejects_bad_factors(r):
+    spline = qi.QISpline(geometry.DomainGrid(4, 4, 4),
+                         np.zeros((8, 8, 8)))
+    with pytest.raises(ValueError, match="lattice factors"):
+        spline.eval_lattice(r)
