@@ -85,15 +85,17 @@ def convergence_table(fn_id: str, m_values, eval_points: int | None = None
 
 def gradient_error(fn_id: str, m: int, eval_points: int | None = None
                    ) -> float:
-    """max over the evaluation grid of max-component gradient error."""
+    """max over the evaluation grid of max-component gradient error,
+    reduced chunk by chunk as in `grid_summary`."""
     n = DEFAULT_EVAL_POINTS if eval_points is None else int(eval_points)
     samples, grid, fn = volume.sample_test_function(fn_id, m)
     spline = qi.approximate(samples, grid)
-    points = evaluation_grid(grid, n)
-    gradient = spline.gradient(points)
     step = 1e-5
-    reference = np.stack(
-        [(fn.on_omega(points + step * np.eye(3)[a])
-          - fn.on_omega(points - step * np.eye(3)[a])) / (2.0 * step)
-         for a in range(3)], axis=-1)
-    return float(np.abs(gradient - reference).max())
+    errors = []
+    for points in evaluation_chunks(grid, n):
+        reference = np.stack(
+            [(fn.on_omega(points + step * np.eye(3)[a])
+              - fn.on_omega(points - step * np.eye(3)[a])) / (2.0 * step)
+             for a in range(3)], axis=-1)
+        errors.append(np.abs(spline.gradient(points) - reference).max())
+    return float(np.max(errors))

@@ -6,7 +6,10 @@ diagonal, and every tetrahedron contributes 0, 1 or 2 triangles whose
 vertices sit on cell edges, placed by linear interpolation of the sampled
 values.  Because all tetrahedra share the same diagonal direction, faces of
 neighbouring cells are triangulated compatibly and shared surface edges are
-used by at most two triangles.
+used by at most two triangles.  The march is one table-driven pass: the
+case codes of all 6 R^3 tetrahedra are read from shifted views of the
+above-isovalue mask, and each crossed tetrahedron looks its triangles up in
+a 16-case table, so triangles come in (tetrahedron, cell, slot) order.
 
 When R is a multiple of every m_i, each cube holds the same R/m_i samples
 per axis and the lattice is read by correlation (`QISpline.eval_lattice`);
@@ -19,14 +22,16 @@ its edge by Illinois regula falsi, starting from the linear estimate and
 reusing the sampled end values, until |s(v) - rho| <= 1e-8.
 
 Export formats: ASCII OBJ (v/f records, 1-based indices, coordinates in
-shortest round-trip ``repr`` form) and binary little-endian PLY (float64 coordinates, optional
-per-vertex scalar channel, e.g. a reference-error colour).
+shortest round-trip ``repr`` form) and binary little-endian PLY (float64
+coordinates, optional per-vertex scalar channel, e.g. a reference-error
+colour).  The readers take back exactly what the writers write and raise
+one ``ValueError`` on anything else.
 """
 
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from itertools import permutations
 from numbers import Integral, Real
 from pathlib import Path
@@ -89,6 +94,11 @@ class IsoRequest:
                 and res >= 2):
             raise ValueError(f"resolution must be an integer of at least 2 "
                              f"cells per axis, got {res!r}")
+        if not isinstance(self.refine, (bool, np.bool_)):
+            raise ValueError(f"refine must be a bool, got {self.refine!r}")
+        if not (self.reference is None or callable(self.reference)):
+            raise ValueError(f"reference must be callable, got "
+                             f"{self.reference!r}")
         object.__setattr__(self, "resolution", int(res))
 
 
@@ -96,50 +106,62 @@ class IsoRequest:
 # marching tetrahedra
 # ---------------------------------------------------------------------------
 
-# Six tetrahedra per cell sharing the (0,0,0)-(1,1,1) diagonal: corners
-# (0,0,0), e_p1, e_p1+e_p2, (1,1,1) for each axis permutation (p1,p2,p3).
-def _kuhn_tets():
-    tets = []
-    eye = np.eye(3, dtype=np.int64)
-    for p in permutations(range(3)):
-        c0 = np.zeros(3, dtype=np.int64)
-        c1 = eye[p[0]]
-        c2 = eye[p[0]] + eye[p[1]]
-        c3 = np.ones(3, dtype=np.int64)
-        tets.append(np.stack([c0, c1, c2, c3]))
-    return np.stack(tets)  # (6, 4, 3)
-
-
-_TETS = _kuhn_tets()
+# Six tetrahedra per cell sharing the (0,0,0)-(1,1,1) diagonal, as cell-corner
+# numbers 4x + 2y + z: 0, e_p1, e_p1 + e_p2 and 7 for each axis permutation
+# p.  Corners rise componentwise along a row, so their sample ids do too.
+_TETS = np.array([[0, 4 >> p[0], (4 >> p[0]) | (4 >> p[1]), 7]
+                  for p in permutations(range(3))])
 
 _TET_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
-# case -> (triangles as edge-index triples, reference above-corner)
+
 def _case_table():
-    table = {}
-    for case in range(16):
+    """Per case (bit c set: corner c above the isovalue) the triangles as
+    edge-index triples padded to two, the mask of triangle slots in use,
+    and the above corner that sets the winding."""
+    tris, used = np.zeros((16, 2, 3), np.int64), np.zeros((16, 2), bool)
+    ref = np.zeros(16, np.int64)
+    for case in range(1, 15):
         above = [c for c in range(4) if case >> c & 1]
-        below = [c for c in range(4) if not case >> c & 1]
-        if not above or not below:
-            table[case] = ([], -1)
-            continue
-        single = above if len(above) == 1 else below
-        if len(single) == 1:
-            a = single[0]
-            e = [_TET_EDGES.index(tuple(sorted((a, o))))
-                 for o in range(4) if o != a]
-            table[case] = ([tuple(e)], above[0])
-        else:
-            a0, a1 = above
-            b0, b1 = below
-            # quad on the four mixed edges, split into two triangles
-            e = [_TET_EDGES.index(tuple(sorted(p)))
-                 for p in ((a0, b0), (a0, b1), (a1, b1), (a1, b0))]
-            table[case] = ([(e[0], e[1], e[2]), (e[0], e[2], e[3])], a0)
-    return table
+        below = [c for c in range(4) if c not in above]
+        if len(above) == 2:  # quad on the four mixed edges, split in two
+            (a0, a1), (b0, b1) = above, below
+            pairs = [(a0, b0), (a0, b1), (a1, b1), (a1, b0)]
+        else:                # one triangle around the lone corner
+            a = (above if len(above) == 1 else below)[0]
+            pairs = [(a, o) for o in range(4) if o != a]
+        e = [_TET_EDGES.index(tuple(sorted(p))) for p in pairs]
+        tris[case] = [e[:3], [e[0], e[2], e[-1]]]
+        used[case] = [True, len(e) == 4]
+        ref[case] = above[0]
+    return tris, used, ref
 
 
-_CASES = _case_table()
+_CASE_TRIS, _CASE_USED, _CASE_REF = _case_table()
+
+
+def _march(values, rho):
+    """The (nt, 3) sample-edge keys ``lo * npts + hi`` of the triangles of
+    the lattice ``values`` at ``rho``, and the (nt,) sample id of each one's
+    winding corner, in (tetrahedron, cell, slot) order.  Sample ids are
+    built only for the corners of crossed tetrahedra."""
+    cube = np.lib.stride_tricks.sliding_window_view(values > rho, (2, 2, 2))
+    codes = np.zeros((6, *cube.shape[:3]), dtype=np.uint8)
+    for code, tet in zip(codes, _TETS):
+        for c, k in enumerate(tet):  # corner k of every cell, as a view
+            code |= cube[..., k >> 2, k >> 1 & 1, k & 1].view(np.uint8) << c
+    tet, *cell = np.nonzero((codes != 0) & (codes != 15))
+    case = codes[(tet, *cell)]
+    offsets = np.ravel_multi_index(np.unravel_index(_TETS, (2, 2, 2)),
+                                   values.shape)              # (6, 4)
+    ids = (np.ravel_multi_index(cell, values.shape)[:, None]
+           + offsets[tet])                                    # (n, 4)
+    lo, hi = np.array(_TET_EDGES).T
+    edges = ids[:, lo] * values.size + ids[:, hi]             # (n, 6)
+    keys = np.take_along_axis(edges[:, None, :], _CASE_TRIS[case], axis=2)
+    used = _CASE_USED[case]
+    refs = ids[np.arange(len(ids)), _CASE_REF[case]]
+    return keys[used], np.repeat(refs, used.sum(axis=1))
 
 
 def _sample_values(spline, axes, resolution):
@@ -162,36 +184,11 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
     cell = np.array([ax[1] - ax[0] for ax in axes])
     area_cut = _AREA_FACTOR * cell.max() ** 2
 
-    npts = (res + 1) ** 3
-    strides = np.array([(res + 1) ** 2, res + 1, 1], dtype=np.int64)
-    base = np.arange(res, dtype=np.int64)
-    origin = (base[:, None, None] * strides[0] + base[None, :, None]
-              * strides[1] + base[None, None, :] * strides[2]).reshape(-1)
-    flat = values.reshape(-1)
-
-    edge_keys = []     # (nt, 3) int64 undirected sample-edge ids
-    refs = []          # (nt,) above-corner sample ids
-    for tet in _TETS:
-        corner_ids = origin[:, None] + (tet @ strides)[None, :]  # (nc, 4)
-        above = flat[corner_ids] > rho
-        case = (above << np.arange(4)).sum(axis=1)
-        for c in range(1, 15):
-            tris, ref_corner = _CASES[c]
-            rows = np.nonzero(case == c)[0]
-            if not len(rows):
-                continue
-            ids = corner_ids[rows]
-            lo = ids[:, [e[0] for e in _TET_EDGES]]
-            hi = ids[:, [e[1] for e in _TET_EDGES]]
-            ek = np.minimum(lo, hi) * npts + np.maximum(lo, hi)  # (n, 6)
-            for tri in tris:
-                edge_keys.append(ek[:, list(tri)])
-                refs.append(ids[:, ref_corner])
-    if not edge_keys:
+    edge_keys, refs = _march(values, rho)          # (nt, 3), (nt,)
+    if not len(edge_keys):
         return TriangleMesh(np.empty((0, 3)), np.empty((0, 3), np.int32),
                             residual=0.0)
-    edge_keys = np.concatenate(edge_keys)          # (nt, 3)
-    refs = np.concatenate(refs)                    # (nt,)
+    flat = values.reshape(-1)
 
     unique_keys, inverse = np.unique(edge_keys.reshape(-1),
                                      return_inverse=True)
@@ -202,8 +199,7 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
                          zip(axes, np.unravel_index(ids, values.shape))],
                         axis=-1)
 
-    ia = unique_keys // npts
-    ib = unique_keys % npts
+    ia, ib = np.divmod(unique_keys, values.size)
     pa, pb = point(ia), point(ib)
     va, vb = flat[ia], flat[ib]
     t = np.where(vb == va, 0.5, (rho - va) / np.where(vb == va, 1.0, vb - va))
@@ -297,13 +293,13 @@ def read_obj(text: str) -> TriangleMesh:
     """Parse the v/f subset of OBJ written by :func:`write_obj`."""
     verts, tris = [], []
     for line in text.splitlines():
-        parts = line.split()
-        if not parts or parts[0] not in ("v", "f"):
-            continue
-        if parts[0] == "v":
-            verts.append([float(p) for p in parts[1:4]])
-        else:
-            tris.append([int(p.split("/")[0]) - 1 for p in parts[1:4]])
+        kind, *fields = line.split() or [""]
+        if kind in ("v", "f") and len(fields) != 3:
+            raise ValueError(f"OBJ {kind} record needs 3 fields: {line!r}")
+        if kind == "v":
+            verts.append([float(p) for p in fields])
+        elif kind == "f":
+            tris.append([int(p.split("/")[0]) - 1 for p in fields])
     return TriangleMesh(np.array(verts, np.float64).reshape(-1, 3),
                         np.array(tris, np.int32).reshape(-1, 3))
 
@@ -312,16 +308,19 @@ def read_obj(text: str) -> TriangleMesh:
 # PLY (binary little-endian)
 # ---------------------------------------------------------------------------
 
+def _ply_header(nv: int, nf: int, scalar: bool) -> str:
+    """The header of :func:`write_ply`, the only one :func:`read_ply` reads."""
+    props = ["x", "y", "z", "scalar"][:4 if scalar else 3]
+    return "\n".join([
+        "ply", "format binary_little_endian 1.0", f"element vertex {nv}",
+        *[f"property double {p}" for p in props], f"element face {nf}",
+        "property list uchar int vertex_indices", "end_header", ""])
+
+
 def write_ply(mesh: TriangleMesh) -> bytes:
     """Serialize to binary little-endian PLY (scalar channel kept)."""
-    props = ["property double x", "property double y", "property double z"]
-    if mesh.scalars is not None:
-        props.append("property double scalar")
-    header = "\n".join([
-        "ply", "format binary_little_endian 1.0",
-        f"element vertex {len(mesh.vertices)}", *props,
-        f"element face {len(mesh.triangles)}",
-        "property list uchar int vertex_indices", "end_header", ""])
+    header = _ply_header(len(mesh.vertices), len(mesh.triangles),
+                         mesh.scalars is not None)
     vdata = (mesh.vertices if mesh.scalars is None else
              np.column_stack([mesh.vertices, mesh.scalars]))
     body = vdata.astype("<f8").tobytes()
@@ -332,35 +331,34 @@ def write_ply(mesh: TriangleMesh) -> bytes:
 
 
 def read_ply(data: bytes) -> TriangleMesh:
-    """Parse the PLY subset written by :func:`write_ply`."""
-    end = data.find(b"end_header\n")
-    if end < 0:
+    """Parse the PLY layout written by :func:`write_ply`.  Any other
+    header, a short or overlong body and non-triangle faces raise one
+    ``ValueError`` naming the problem."""
+    head, sep, body = data.partition(b"end_header\n")
+    if not sep:
         raise ValueError("not a PLY stream (missing end_header)")
-    header = data[:end].decode("ascii").splitlines()
-    if header[:2] != ["ply", "format binary_little_endian 1.0"]:
-        raise ValueError("unsupported PLY header")
-    nv = nf = 0
-    vprops = []
-    element = None
-    for line in header[2:]:
-        parts = line.split()
-        if parts[0] == "element":
-            element = parts[1]
-            if element == "vertex":
-                nv = int(parts[2])
-            elif element == "face":
-                nf = int(parts[2])
-        elif parts[0] == "property" and element == "vertex":
-            if parts[1] != "double":
-                raise ValueError(f"unsupported vertex property {line!r}")
-            vprops.append(parts[2])
-    body = data[end + len(b"end_header\n"):]
-    vbytes = nv * len(vprops) * 8
-    vdata = np.frombuffer(body[:vbytes], "<f8").reshape(nv, len(vprops))
-    fdata = np.frombuffer(body[vbytes:vbytes + nf * 13], np.uint8)
-    tris = fdata.reshape(nf, 13)[:, 1:].copy().view("<i4").reshape(nf, 3)
-    scalars = vdata[:, 3] if "scalar" in vprops else None
-    return TriangleMesh(vdata[:, :3], tris.astype(np.int32), scalars=scalars)
+    header = (head + sep).decode("ascii")
+    counts = re.findall(r"^element \w+ (\d+)$", header, re.M) + ["0", "0"]
+    nv, nf = int(counts[0]), int(counts[1])
+    ncol = 4 if "\nproperty double scalar\n" in header else 3
+    expected = _ply_header(nv, nf, ncol == 4)
+    if header != expected:
+        line = next(a for a, b in zip(header.split("\n"),
+                                      expected.split("\n")) if a != b)
+        raise ValueError(f"unsupported PLY header line {line!r}")
+    vbytes = nv * ncol * 8
+    size = vbytes + nf * 13
+    if len(body) != size:
+        problem = "is truncated" if len(body) < size else "has trailing bytes"
+        raise ValueError(f"PLY body {problem}: {len(body)} bytes, the "
+                         f"header declares {size}")
+    vdata = np.frombuffer(body[:vbytes], "<f8").reshape(nv, ncol)
+    fdata = np.frombuffer(body[vbytes:], np.uint8).reshape(nf, 13)
+    if (fdata[:, 0] != 3).any():
+        raise ValueError("PLY face is not a triangle (vertex count != 3)")
+    tris = fdata[:, 1:].copy().view("<i4").reshape(nf, 3)
+    return TriangleMesh(vdata[:, :3], tris.astype(np.int32),
+                        scalars=vdata[:, 3] if ncol == 4 else None)
 
 
 def write_mesh(mesh: TriangleMesh, path, format: str | None = None) -> None:

@@ -2,6 +2,7 @@
 orders. Frozen values are regression anchors on reduced evaluation grids."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,3 +108,17 @@ def test_grid_summary_equals_the_whole_grid_reduction():
     assert (count, low, high) == (len(pts), values.min(), values.max())
     assert error == np.abs(values - fn.on_omega(pts)).max()
     assert convergence.grid_summary(spline, 43)[3] is None
+
+
+def test_gradient_error_streams_its_points():
+    """Memory of `gradient_error` does not grow with the n^3 points, and
+    the streamed maximum is the one over the whole grid."""
+    convergence.gradient_error("f2", 16, eval_points=3)  # cached tables
+    tracemalloc.start()
+    try:
+        error = convergence.gradient_error("f2", 16, eval_points=101)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(error, 0.823415653704552, rtol=1e-12)
+    assert peak < 16 << 20

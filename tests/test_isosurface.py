@@ -1,6 +1,7 @@
 """Tetrahedral isosurface extraction and OBJ/PLY serialization."""
 
 import importlib.util
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,93 @@ def test_extraction_is_deterministic(bump_setup):
     np.testing.assert_array_equal(a.triangles, b.triangles)
 
 
+# ---------------------------------------------------------------------------
+# oracle: the per-tetrahedron, per-case march over every cell
+# ---------------------------------------------------------------------------
+
+def _oracle_march(values, rho):
+    """(edge keys, refs) by scanning all cells once per Kuhn tetrahedron
+    and case, with the case table as a dict of triangle lists."""
+    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    eye = np.eye(3, dtype=np.int64)
+    tets = [np.stack([0 * eye[0], eye[p[0]], eye[p[0]] + eye[p[1]],
+                      eye.sum(axis=0)]) for p in permutations(range(3))]
+    cases = {}
+    for case in range(1, 15):
+        above = [c for c in range(4) if case >> c & 1]
+        below = [c for c in range(4) if not case >> c & 1]
+        if len(above) == 2:
+            a0, a1 = above
+            b0, b1 = below
+            e = [edges.index(tuple(sorted(p)))
+                 for p in ((a0, b0), (a0, b1), (a1, b1), (a1, b0))]
+            cases[case] = ([(e[0], e[1], e[2]), (e[0], e[2], e[3])], a0)
+        else:
+            a = (above if len(above) == 1 else below)[0]
+            e = [edges.index(tuple(sorted((a, o))))
+                 for o in range(4) if o != a]
+            cases[case] = ([tuple(e)], above[0])
+
+    res = values.shape[0] - 1
+    npts = values.size
+    strides = np.array([(res + 1) ** 2, res + 1, 1], dtype=np.int64)
+    base = np.arange(res, dtype=np.int64)
+    origin = (base[:, None, None] * strides[0] + base[None, :, None]
+              * strides[1] + base[None, None, :] * strides[2]).reshape(-1)
+    flat = values.reshape(-1)
+    keys, refs = [np.zeros((0, 3), np.int64)], [np.zeros(0, np.int64)]
+    for tet in tets:
+        corner_ids = origin[:, None] + (tet @ strides)[None, :]
+        case = ((flat[corner_ids] > rho) << np.arange(4)).sum(axis=1)
+        for c in range(1, 15):
+            tris, ref_corner = cases[c]
+            ids = corner_ids[case == c]
+            lo = ids[:, [e[0] for e in edges]]
+            hi = ids[:, [e[1] for e in edges]]
+            ek = np.minimum(lo, hi) * npts + np.maximum(lo, hi)
+            for tri in tris:
+                keys.append(ek[:, list(tri)])
+                refs.append(ids[:, ref_corner])
+    return np.concatenate(keys), np.concatenate(refs)
+
+
+def _rows(keys, refs):
+    """The (edge-key triple, ref) rows as a sorted array (a multiset)."""
+    rows = np.column_stack([keys, refs])
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+def _lattice(spline, res):
+    axes = [np.linspace(0.0, m * spline.grid.h, res + 1)
+            for m in spline.grid.m]
+    return iso._sample_values(spline, axes, res)
+
+
+@pytest.mark.parametrize("res", [7, 16, 32])
+def test_march_matches_per_case_oracle(bump_setup, res):
+    spline, _ = bump_setup  # m = 16: R = 7 point by point, 16, 32 aligned
+    values = _lattice(spline, res)
+    on_sample = values.flat[np.abs(values - 0.3).argmin()]
+    for rho in (0.3, on_sample):
+        keys, refs = iso._march(values, rho)
+        assert keys.shape == (len(refs), 3) and len(refs) > 0
+        np.testing.assert_array_equal(_rows(keys, refs),
+                                      _rows(*_oracle_march(values, rho)))
+
+
+def test_march_matches_oracle_on_plane_and_above_maximum(plane_spline):
+    values = _lattice(plane_spline, 16)
+    for rho in (0.5, 17 / 32):  # on the sample planes, and between them
+        np.testing.assert_array_equal(
+            _rows(*iso._march(values, rho)),
+            _rows(*_oracle_march(values, rho)))
+    keys, refs = iso._march(values, values.max() + 1.0)
+    assert keys.shape == (0, 3) and refs.shape == (0,)
+    assert _oracle_march(values, values.max() + 1.0)[0].shape == (0, 3)
+    empty = iso.extract(plane_spline, iso.IsoRequest(2.0, resolution=16))
+    assert empty.triangles.shape == (0, 3) and empty.residual == 0.0
+
+
 def test_obj_round_trip(bump_setup):
     spline, _ = bump_setup
     mesh = iso.extract(spline, iso.IsoRequest(0.3, resolution=10))
@@ -192,6 +280,49 @@ def test_ply_round_trip(bump_setup):
         iso.read_ply(b"not a ply stream")
 
 
+_QUAD = iso.TriangleMesh(np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0],
+                                   [1, 1, 0]]), np.array([[0, 1, 2],
+                                                          [1, 3, 2]]))
+
+
+@pytest.mark.parametrize("text, match", [
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nv 1 1 0\nf 1 2 3 4\n", "f record"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2\n", "f record"),
+    ("v 0 0 0\nv 1 0\nv 0 1 0\nf 1 2 3\n", "v record"),
+    ("v 0 0 0\nv 1 0 0\nv 0 1 0\nf 1 2 4\n", "out of range")],
+    ids=["four-vertex-face", "two-vertex-face", "two-coordinate-vertex",
+         "index-out-of-range"])
+def test_read_obj_rejects_malformed_records(text, match):
+    with pytest.raises(ValueError, match=match):
+        iso.read_obj(text)
+
+
+def _four_sided(blob):
+    """The PLY bytes with the first face's vertex count byte set to 4."""
+    body = blob.index(b"end_header\n") + len(b"end_header\n")
+    at = body + 4 * 3 * 8
+    return blob[:at] + b"\x04" + blob[at + 1:]
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (_four_sided, "not a triangle"),
+    (lambda b: b + b"\x00", "trailing bytes"),
+    (lambda b: b[:-1], "truncated"),
+    (lambda b: b[:b.index(b"end_header") + 20], "truncated"),
+    (lambda b: b.replace(b"1.0\n", b"1.0\n\n", 1), "header line ''"),
+    (lambda b: b.replace(b"double z", b"float z", 1), "float z"),
+    (lambda b: b.replace(b"face 2", b"face 3", 1), "truncated"),
+    (lambda b: b.replace(b"face 2", b"face x", 1), "face x")],
+    ids=["four-sided-face", "trailing-byte", "short-faces", "short-vertices",
+         "blank-header-line", "float-property", "face-count-too-high",
+         "non-numeric-count"])
+def test_read_ply_rejects_corrupt_streams(corrupt, match):
+    blob = iso.write_ply(_QUAD)
+    assert iso.read_ply(blob).triangles.tolist() == [[0, 1, 2], [1, 3, 2]]
+    with pytest.raises(ValueError, match=match):
+        iso.read_ply(corrupt(blob))
+
+
 def test_write_mesh_dispatch(bump_setup, tmp_path):
     spline, _ = bump_setup
     mesh = iso.extract(spline, iso.IsoRequest(0.3, resolution=8))
@@ -211,7 +342,9 @@ def test_write_mesh_dispatch(bump_setup, tmp_path):
 @pytest.mark.parametrize("field, value", [
     ("resolution", 2.9), ("resolution", "64"), ("resolution", True),
     ("resolution", 16.0), ("isovalue", "0.3"), ("isovalue", 0.3j),
-    ("isovalue", None), ("isovalue", True)])
+    ("isovalue", None), ("isovalue", True), ("refine", "no"),
+    ("refine", 1), ("refine", None), ("reference", 5),
+    ("reference", "f2")])
 def test_request_rejects_bad_types_with_one_error(field, value):
     args = {"isovalue": 0.3, "resolution": 16, field: value}
     with pytest.raises(ValueError, match=field):
@@ -221,6 +354,12 @@ def test_request_rejects_bad_types_with_one_error(field, value):
 def test_request_accepts_numpy_scalars():
     req = iso.IsoRequest(np.float64(0.3), resolution=np.int64(16))
     assert req.resolution == 16 and type(req.resolution) is int
+
+
+def test_request_accepts_a_numpy_bool_refine(bump_setup):
+    spline, _ = bump_setup
+    req = iso.IsoRequest(0.3, resolution=8, refine=np.bool_(True))
+    assert iso.extract(spline, req).residual <= 1e-8
 
 
 class _Recording:
