@@ -4,7 +4,8 @@ For each benchmark function and grid size m the harness samples the
 function, builds the quasi-interpolant, evaluates both on a uniform
 N x N x N point grid over Omega (endpoints included, N = 139 by default)
 and records E = max |f - Qf|.  Consecutive rows at doubled m carry the
-observed order rf = log2(E(m) / E(2m)).
+observed order rf = log2(E(m) / E(2m)).  The grid is streamed by
+`qi.grid_chunks` and reduced chunk by chunk, so memory does not grow with N.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ import numpy as np
 
 from . import qi, volume
 
-__all__ = ["ConvergenceRow", "evaluation_grid", "evaluation_chunks",
-           "grid_summary", "convergence_table", "gradient_error"]
+__all__ = ["ConvergenceRow", "grid_summary", "convergence_table",
+           "gradient_error"]
 
 DEFAULT_EVAL_POINTS = 139
-EVAL_CHUNK = 16 * qi._EVAL_BLOCK  # points per streamed evaluation chunk
 
 
 @dataclass(frozen=True)
@@ -32,38 +32,18 @@ class ConvergenceRow:
     rf: float | None   # None on the coarsest row
 
 
-def evaluation_grid(grid, n: int = DEFAULT_EVAL_POINTS) -> np.ndarray:
-    """The n^3 uniform evaluation points over Omega, endpoints included."""
-    return np.concatenate(list(evaluation_chunks(grid, n)))
-
-
-def evaluation_chunks(grid, n: int = DEFAULT_EVAL_POINTS):
-    """Yield the points of `evaluation_grid`, in order, ``EVAL_CHUNK`` at a
-    time.  The chunk is a whole number of evaluation blocks, so every block
-    of ``QISpline.eval`` holds the same points as for the whole grid."""
-    if n < 1:
-        raise ValueError(f"evaluation grid needs n >= 1 points per axis, "
-                         f"got {n}")
-    axes = [np.linspace(0.0, m * grid.h, n) for m in grid.m]
-    for start in range(0, n ** 3, EVAL_CHUNK):
-        ids = np.arange(start, min(start + EVAL_CHUNK, n ** 3))
-        yield np.stack([ax[i] for ax, i in
-                        zip(axes, np.unravel_index(ids, (n, n, n)))], axis=-1)
-
-
 def grid_summary(spline, n: int = DEFAULT_EVAL_POINTS, fn=None
                  ) -> tuple[int, float, float, float | None]:
     """(points, min, max, max |fn - spline| or None) of the spline over the
-    n^3 evaluation grid, reduced chunk by chunk."""
-    count, lows, highs, errors = 0, [], [], []
-    for points in evaluation_chunks(spline.grid, n):
+    n^3 evaluation grid, reduced chunk by chunk of `qi.grid_chunks`."""
+    lows, highs, errors = [], [], []
+    for points in qi.grid_chunks(spline.grid, n):
         values = spline.eval(points)
-        count += len(points)
         lows.append(values.min())
         highs.append(values.max())
         if fn is not None:
             errors.append(np.abs(values - fn.on_omega(points)).max())
-    return (count, float(np.min(lows)), float(np.max(highs)),
+    return (n ** 3, float(np.min(lows)), float(np.max(highs)),
             float(np.max(errors)) if fn is not None else None)
 
 
@@ -92,7 +72,7 @@ def gradient_error(fn_id: str, m: int, eval_points: int | None = None
     spline = qi.approximate(samples, grid)
     step = 1e-5
     errors = []
-    for points in evaluation_chunks(grid, n):
+    for points in qi.grid_chunks(grid, n):
         reference = np.stack(
             [(fn.on_omega(points + step * np.eye(3)[a])
               - fn.on_omega(points - step * np.eye(3)[a])) / (2.0 * step)

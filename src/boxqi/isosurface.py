@@ -11,15 +11,16 @@ case codes of all 6 R^3 tetrahedra are read from shifted views of the
 above-isovalue mask, and each crossed tetrahedron looks its triangles up in
 a 16-case table, so triangles come in (tetrahedron, cell, slot) order.
 
-When R is a multiple of every m_i, each cube holds the same R/m_i samples
-per axis and the lattice is read by correlation (`QISpline.eval_lattice`);
-otherwise the spline is evaluated point by point.
+The sample lattice comes from `qi.grid_values`: read by correlation
+(`QISpline.eval_lattice`) when R is a multiple of every m_i, otherwise
+evaluated in streamed chunks, with no (R+1)^3 x 3 point array.
 
 Vertices are merged by their undirected sample-edge key, so the mesh is
 deterministic.  Triangle winding is normalized so that normals point toward
 the above-isovalue side.  An optional refinement moves each vertex along
 its edge by Illinois regula falsi, starting from the linear estimate and
-reusing the sampled end values, until |s(v) - rho| <= 1e-8.
+reusing the sampled end values, until |s(v) - rho| <= 1e-8.  Each vertex
+is evaluated once at its final point, for the residual and the scalars.
 
 Export formats: ASCII OBJ (v/f records, 1-based indices, coordinates in
 shortest round-trip ``repr`` form) and binary little-endian PLY (float64
@@ -37,6 +38,8 @@ from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
+
+from . import qi
 
 __all__ = [
     "TriangleMesh", "IsoRequest", "extract",
@@ -164,25 +167,13 @@ def _march(values, rho):
     return keys[used], np.repeat(refs, used.sum(axis=1))
 
 
-def _sample_values(spline, axes, resolution):
-    """Spline values on the sample lattice: by correlation when every axis
-    holds a whole number of samples per cube, else point by point."""
-    m = spline.grid.m
-    if all(resolution % n == 0 for n in m):
-        return spline.eval_lattice([resolution // n for n in m])
-    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return spline.eval(points.reshape(-1, 3)).reshape([resolution + 1] * 3)
-
-
 def extract(spline, request: IsoRequest) -> TriangleMesh:
     """March the sampled spline and return the (possibly empty) mesh."""
     rho = float(request.isovalue)
     res = request.resolution
     grid = spline.grid
-    axes = [np.linspace(0.0, m * grid.h, res + 1) for m in grid.m]
-    values = _sample_values(spline, axes, res)
-    cell = np.array([ax[1] - ax[0] for ax in axes])
-    area_cut = _AREA_FACTOR * cell.max() ** 2
+    values = qi.grid_values(spline, res + 1)
+    area_cut = _AREA_FACTOR * (max(grid.m) * grid.h / res) ** 2
 
     edge_keys, refs = _march(values, rho)          # (nt, 3), (nt,)
     if not len(edge_keys):
@@ -194,18 +185,13 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
                                      return_inverse=True)
     triangles = inverse.reshape(-1, 3).astype(np.int32)
 
-    def point(ids):
-        return np.stack([ax[i] for ax, i in
-                         zip(axes, np.unravel_index(ids, values.shape))],
-                        axis=-1)
-
     ia, ib = np.divmod(unique_keys, values.size)
-    pa, pb = point(ia), point(ib)
+    pa, pb = (qi.grid_points(grid, res + 1, i) for i in (ia, ib))
     va, vb = flat[ia], flat[ib]
     t = np.where(vb == va, 0.5, (rho - va) / np.where(vb == va, 1.0, vb - va))
     t = np.clip(t, 0.0, 1.0)
-    if request.refine:
-        _refine_vertices(spline, t, pa, pb, va - rho, vb - rho, rho)
+    svals = _refine_vertices(spline, t, pa, pb, va - rho, vb - rho, rho,
+                             60 if request.refine else 1)
     verts = pa + t[:, None] * (pb - pa)
 
     # drop degenerate triangles, normalize winding toward the above side
@@ -215,7 +201,8 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
     keep = area2 > 2.0 * area_cut
     triangles, normal, v0, v1, v2 = (x[keep] for x in
                                      (triangles, normal, v0, v1, v2))
-    outward = point(refs[keep]) - (v0 + v1 + v2) / 3.0
+    outward = (qi.grid_points(grid, res + 1, refs[keep])
+               - (v0 + v1 + v2) / 3.0)
     flip = (normal * outward).sum(axis=1) < 0.0
     triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
@@ -223,10 +210,9 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
     used = np.unique(triangles.reshape(-1))
     remap = np.full(len(verts), -1, dtype=np.int32)
     remap[used] = np.arange(len(used), dtype=np.int32)
-    verts = verts[used]
+    verts, svals = verts[used], svals[used]
     triangles = remap[triangles]
 
-    svals = spline.eval(verts) if len(verts) else verts[:, 0]
     residual = float(np.abs(svals - rho).max()) if len(verts) else 0.0
     scalars = None
     if request.reference is not None and len(verts):
@@ -235,38 +221,46 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
     return TriangleMesh(verts, triangles, scalars=scalars, residual=residual)
 
 
-def _refine_vertices(spline, t, pa, pb, fa, fb, rho):
-    """Refine the edge parameters ``t`` in place until |s(v) - rho| <= 1e-8.
+def _refine_vertices(spline, t, pa, pb, fa, fb, rho, steps):
+    """Refine the edge parameters ``t`` in place, over at most ``steps``
+    evaluations, until |s(v) - rho| <= 1e-8; return s at the final points.
 
     Illinois regula falsi on the bracket [0, 1] of each edge, whose end
     values s - rho are ``fa`` and ``fb`` (opposite signs, or one zero): the
-    first iterate is the linear ``t`` itself, each later one the secant
-    root of the shrinking bracket, with the value at an end kept twice in
-    a row halved.  Each step evaluates only the vertices not yet within
-    tolerance; vertices that never reach it keep their linear t.
+    first step evaluates the linear vertex ``t`` itself, each later one the
+    secant root of the shrinking bracket, with the value at an end kept
+    twice in a row halved.  Each step evaluates only the vertices not yet
+    within tolerance; vertices that never reach it keep their linear t and
+    its value.
     """
     todo = np.arange(len(t))
     lo, hi = np.zeros(len(t)), np.ones(len(t))
     flo, fhi = fa, fb
     kept = np.zeros(len(t), dtype=int)  # +1: lo kept last, -1: hi kept
     x = t.copy()
-    for _ in range(60):
-        f = spline.eval(pa + x[:, None] * (pb - pa)) - rho
+    for step in range(steps):
+        if step:
+            move_lo = (f < 0.0) == (flo < 0.0)
+            lo, flo = np.where(move_lo, x, lo), np.where(move_lo, f, flo)
+            hi, fhi = np.where(move_lo, hi, x), np.where(move_lo, fhi, f)
+            # Illinois: an end kept on two steps running has its value halved
+            fhi = np.where(move_lo & (kept == -1), 0.5 * fhi, fhi)
+            flo = np.where(~move_lo & (kept == 1), 0.5 * flo, flo)
+            kept = np.where(move_lo, -1, 1)
+            x = np.clip((lo * fhi - hi * flo) / (fhi - flo), lo, hi)
+        s = spline.eval(pa + x[:, None] * (pb - pa))
+        if not step:
+            values = s.copy()  # the linear vertices
+        f = s - rho
         done = np.abs(f) <= REFINE_TOLERANCE
         t[todo[done]] = x[done]
+        values[todo[done]] = s[done]
         go = ~done
         todo, pa, pb, x, f = todo[go], pa[go], pb[go], x[go], f[go]
         lo, hi, flo, fhi, kept = lo[go], hi[go], flo[go], fhi[go], kept[go]
         if not len(todo):
             break
-        move_lo = (f < 0.0) == (flo < 0.0)
-        lo, flo = np.where(move_lo, x, lo), np.where(move_lo, f, flo)
-        hi, fhi = np.where(move_lo, hi, x), np.where(move_lo, fhi, f)
-        # Illinois: an end kept on two steps running has its value halved
-        fhi = np.where(move_lo & (kept == -1), 0.5 * fhi, fhi)
-        flo = np.where(~move_lo & (kept == 1), 0.5 * flo, flo)
-        kept = np.where(move_lo, -1, 1)
-        x = np.clip((lo * fhi - hi * flo) / (fhi - flo), lo, hi)
+    return values
 
 
 def edge_use_counts(mesh: TriangleMesh) -> np.ndarray:

@@ -13,9 +13,10 @@ processed in blocks of ``_EVAL_BLOCK``, located once per block and sorted by
 tetrahedron, so an evaluation's working set does not grow with the call.
 ``mode="direct"`` sums the basis translates instead and serves as an
 independent oracle.  ``compile`` is an optional export of the
-per-tetrahedron patches (dense, within a memory budget) or a slab plan;
-evaluation reads neither.  Assembly, export and evaluation run their blocks
-one after another on the calling thread.
+per-tetrahedron patches (dense, within ``DEFAULT_COMPILE_BUDGET``) or, above
+it, a slab plan; evaluation reads neither.  Assembly, export and evaluation
+run their blocks one after another on the calling thread.  Uniform grids
+over the domain are walked here alone, in whole evaluation blocks.
 
 Spline file layout (little-endian, version 1):
 
@@ -53,6 +54,9 @@ __all__ = [
     "QISpline",
     "SizeError",
     "approximate",
+    "grid_points",
+    "grid_chunks",
+    "grid_values",
     "DEFAULT_COMPILE_BUDGET",
 ]
 
@@ -63,6 +67,7 @@ DEFAULT_COMPILE_BUDGET = 1 << 30
 _PATCH_BYTES_PER_CUBE = 24 * _NC * 8  # 6720
 _GATHER_CHUNK = 4 << 20  # float64 elements per temporary in bulk gathers
 _EVAL_BLOCK = 4096  # points per located, sorted and contracted block
+_GRID_CHUNK = 16 * _EVAL_BLOCK  # uniform-grid points per streamed chunk
 
 
 class SizeError(MemoryError):
@@ -73,8 +78,7 @@ class SizeError(MemoryError):
         self.budget = budget
         super().__init__(
             f"dense patch table needs {required} bytes "
-            f"(budget {budget}); compile with mode='streamed' or raise "
-            f"the budget")
+            f"(budget {budget}); mode='auto' gives a streamed slab plan")
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +198,6 @@ class CompiledPatches:
     plan (streamed); evaluation reads neither."""
 
     mode: str                      # "dense" | "streamed"
-    budget: int
     patches: np.ndarray | None     # dense: (m1, m2, m3, 24, 35)
     slab_rows: int                 # streamed: cube rows of axis 0 per slab
 
@@ -227,41 +230,35 @@ class QISpline:
 
     # -- compilation -------------------------------------------------------
 
-    def compile(self, mode: str = "auto",
-                budget: int | None = None) -> "QISpline":
+    def compile(self, mode: str = "auto") -> "QISpline":
         """Attach exported patches (dense) or a slab plan (streamed).
 
         ``mode="dense"`` materializes 24*35 coefficients per cube in
-        ``compiled.patches`` (raises :class:`SizeError` above the budget),
-        ``"streamed"`` stores only a slab schedule within the budget, and
-        ``"auto"`` picks dense when it fits.  Evaluation reads neither: it
-        works from the coefficients in bounded blocks either way.
+        ``compiled.patches`` and raises :class:`SizeError` above
+        ``DEFAULT_COMPILE_BUDGET``; ``"auto"`` picks dense when it fits and
+        else a slab schedule within that budget.  Evaluation reads neither.
         """
-        budget = DEFAULT_COMPILE_BUDGET if budget is None else int(budget)
+        budget = DEFAULT_COMPILE_BUDGET
         m1, m2, m3 = self.grid.m
         required = m1 * m2 * m3 * _PATCH_BYTES_PER_CUBE
-        if mode == "auto":
-            mode = "dense" if required <= budget else "streamed"
-        if mode == "dense":
-            if required > budget:
-                raise SizeError(required, budget)
-            patches = np.empty((m1, m2, m3, 24, _NC))
-            flat = patches.reshape(m1 * m2 * m3, 24 * _NC)
-            cubes = _all_cubes(self.grid.m)
-            matrix = _patch_matrix()
-            rows = max(1, _GATHER_CHUNK // (24 * _NC))
-            for start in range(0, len(cubes), rows):
-                flat[start:start + rows] = _windows(
-                    self.coefficients, cubes[start:start + rows]) @ matrix
-            patches.setflags(write=False)
-            compiled = CompiledPatches("dense", budget, patches, m1)
-        elif mode == "streamed":
-            per_row = m2 * m3 * _PATCH_BYTES_PER_CUBE
-            slab_rows = max(1, min(m1, budget // max(1, per_row)))
-            compiled = CompiledPatches("streamed", budget, None, slab_rows)
-        else:
+        if mode not in ("auto", "dense"):
             raise ValueError(f"unknown compile mode {mode!r}")
-        return replace(self, compiled=compiled)
+        if mode == "auto" and required > budget:
+            slab_rows = max(1, min(m1, budget // (required // m1)))
+            return replace(self, compiled=CompiledPatches(
+                "streamed", None, slab_rows))
+        if required > budget:
+            raise SizeError(required, budget)
+        patches = np.empty((m1, m2, m3, 24, _NC))
+        flat = patches.reshape(m1 * m2 * m3, 24 * _NC)
+        cubes = _all_cubes(self.grid.m)
+        matrix = _patch_matrix()
+        rows = max(1, _GATHER_CHUNK // (24 * _NC))
+        for start in range(0, len(cubes), rows):
+            flat[start:start + rows] = _windows(
+                self.coefficients, cubes[start:start + rows]) @ matrix
+        patches.setflags(write=False)
+        return replace(self, compiled=CompiledPatches("dense", patches, m1))
 
     # -- evaluation --------------------------------------------------------
 
@@ -421,6 +418,48 @@ class QISpline:
         coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
         coeffs.setflags(write=False)
         return cls(grid=grid, coefficients=coeffs)
+
+
+# ---------------------------------------------------------------------------
+# uniform grids over Omega
+# ---------------------------------------------------------------------------
+
+def grid_points(grid: DomainGrid, n: int, ids) -> np.ndarray:
+    """The points of flat (C-order) ids ``ids`` on the grid of n points per
+    axis over Omega: ``np.linspace(0, m_a h, n)[j_a]`` along each axis a."""
+    axes = [np.linspace(0.0, m * grid.h, n) for m in grid.m]
+    return np.stack([ax[i] for ax, i in
+                     zip(axes, np.unravel_index(ids, (n, n, n)))], axis=-1)
+
+
+def grid_chunks(grid: DomainGrid, n: int):
+    """The n^3 points of `grid_points` in id order, ``_GRID_CHUNK`` at a
+    time: whole evaluation blocks, so ``QISpline.eval`` gives every point
+    the bits it would give in one whole-grid call."""
+    if n < 1:
+        raise ValueError(f"evaluation grid needs n >= 1 points per axis, "
+                         f"got {n}")
+    return (grid_points(grid, n, np.arange(start, min(start + _GRID_CHUNK,
+                                                      n ** 3)))
+            for start in range(0, n ** 3, _GRID_CHUNK))
+
+
+def grid_values(spline, n: int) -> np.ndarray:
+    """The (n, n, n) values of ``spline`` on the grid of `grid_points`.
+
+    When every m_a divides n - 1 they are read by ``spline.eval_lattice``,
+    whose cube rule puts each plane where ``eval`` would; otherwise the
+    chunks of `grid_chunks` are evaluated into one preallocated array.
+    ``spline`` needs ``grid`` and ``eval``, and ``eval_lattice`` if aligned.
+    """
+    chunks = grid_chunks(spline.grid, n)
+    m = spline.grid.m
+    if n > 1 and all((n - 1) % k == 0 for k in m):
+        return spline.eval_lattice([(n - 1) // k for k in m])
+    out = np.empty(n ** 3)
+    for start, points in zip(range(0, n ** 3, _GRID_CHUNK), chunks):
+        out[start:start + len(points)] = spline.eval(points)
+    return out.reshape(n, n, n)
 
 
 # ---------------------------------------------------------------------------

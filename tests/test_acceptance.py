@@ -170,7 +170,7 @@ def test_criterion_03_cubic_reproduction_quartic_deviation():
     grid = geometry.DomainGrid(12, 12, 12, 1 / 12)
     data = domain.data_points(grid)
     flat = data.reshape(-1, 3)
-    probes = convergence.evaluation_grid(grid, 21)
+    probes = qi.grid_points(grid, 21, np.arange(21 ** 3))
     rng = np.random.default_rng(303)
     worst_rel = 0.0
     for _ in range(5):

@@ -7,12 +7,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from boxqi import convergence, geometry, volume
+from boxqi import convergence, geometry, qi, volume
+
+
+def _whole_grid(grid, n):
+    """All n^3 points of the evaluation grid in one array."""
+    return qi.grid_points(grid, n, np.arange(n ** 3))
 
 
 def test_evaluation_grid_inclusive():
     g = geometry.DomainGrid(16, 16, 16, 1 / 16)
-    pts = convergence.evaluation_grid(g, n=11)
+    pts = _whole_grid(g, 11)
     assert pts.shape == (11 ** 3, 3)
     assert pts.min() == 0.0
     np.testing.assert_allclose(pts.max(), 1.0)
@@ -25,7 +30,9 @@ def test_evaluation_grid_inclusive():
 def test_evaluation_grid_rejects_empty_grid(n):
     g = geometry.DomainGrid(16, 16, 16, 1 / 16)
     with pytest.raises(ValueError, match="n >= 1"):
-        convergence.evaluation_grid(g, n=n)
+        qi.grid_chunks(g, n)
+    with pytest.raises(ValueError, match="n >= 1"):
+        qi.grid_values(qi.approximate(np.zeros((18, 18, 18)), g), n)
 
 
 def test_table_row_regression():
@@ -62,9 +69,8 @@ def test_gradient_error_is_max_component():
     every probe point (recompute a coarse probe directly)."""
     m = 16
     samples, grid, fn = volume.sample_test_function("f3", m)
-    from boxqi import qi
     spline = qi.approximate(samples, grid)
-    pts = convergence.evaluation_grid(grid, n=11)
+    pts = _whole_grid(grid, 11)
     grad = spline.gradient(pts)
     step = 1e-5
     fd = np.empty_like(grad)
@@ -86,10 +92,9 @@ def test_unknown_function_rejected():
 
 
 def test_evaluation_chunks_are_whole_blocks_of_the_grid():
-    from boxqi import qi
     g = geometry.DomainGrid(11, 12, 13, 1 / 16)
     n = 43  # 79507 points: one full chunk and a partial one
-    chunks = list(convergence.evaluation_chunks(g, n))
+    chunks = list(qi.grid_chunks(g, n))
     assert len(chunks) == 2
     assert all(len(c) % qi._EVAL_BLOCK == 0 for c in chunks[:-1])
     axes = [np.linspace(0.0, m * g.h, n) for m in g.m]
@@ -99,10 +104,9 @@ def test_evaluation_chunks_are_whole_blocks_of_the_grid():
 
 
 def test_grid_summary_equals_the_whole_grid_reduction():
-    from boxqi import qi
     samples, grid, fn = volume.sample_test_function("f3", 16)
     spline = qi.approximate(samples, grid)
-    pts = convergence.evaluation_grid(grid, n=43)
+    pts = _whole_grid(grid, 43)
     values = spline.eval(pts)
     count, low, high, error = convergence.grid_summary(spline, 43, fn)
     assert (count, low, high) == (len(pts), values.min(), values.max())

@@ -93,6 +93,8 @@ def test_refinement_pins_vertices_to_the_level_set(bump_setup):
     mesh = iso.extract(spline, iso.IsoRequest(0.3, resolution=8,
                                               refine=True))
     assert mesh.residual <= 1e-7
+    assert mesh.residual == pytest.approx(
+        np.abs(spline.eval(mesh.vertices) - 0.3).max())
 
 
 def test_refinement_evaluates_only_unfinished_vertices(bump_setup):
@@ -108,8 +110,9 @@ def test_refinement_evaluates_only_unfinished_vertices(bump_setup):
 
     mesh = iso.extract(Recording(), iso.IsoRequest(0.3, resolution=8,
                                                    refine=True))
-    # calls: the sample lattice, the bisection steps, the final residual
-    steps = sizes[1:-1]
+    # calls: the sample lattice, then the refinement steps, whose values
+    # also give the residual
+    steps = sizes[1:]
     assert len(steps) >= 2
     assert all(b <= a for a, b in zip(steps, steps[1:]))
     assert steps[-1] < steps[0]
@@ -218,9 +221,7 @@ def _rows(keys, refs):
 
 
 def _lattice(spline, res):
-    axes = [np.linspace(0.0, m * spline.grid.h, res + 1)
-            for m in spline.grid.m]
-    return iso._sample_values(spline, axes, res)
+    return qi.grid_values(spline, res + 1)
 
 
 @pytest.mark.parametrize("res", [7, 16, 32])
@@ -390,7 +391,10 @@ def test_aligned_lattice_is_read_without_point_evaluation(bump_setup):
     recording = _Recording(spline)
     mesh = iso.extract(recording, iso.IsoRequest(0.3, resolution=32))
     assert recording.factors == [[2, 2, 2]]
-    assert recording.sizes == [len(mesh.vertices)]  # the residual pass
+    # one point evaluation: the linear vertices, which give the residual
+    assert len(recording.points) == 1
+    assert {tuple(v) for v in mesh.vertices.tolist()} <= {
+        tuple(p) for p in recording.points[0].tolist()}
 
     class PointByPoint:
         grid = spline.grid
@@ -424,8 +428,8 @@ def test_refinement_needs_few_evaluations_per_vertex(bump_setup):
     recording = _Recording(spline)
     mesh = iso.extract(recording, iso.IsoRequest(0.3, resolution=8,
                                                   refine=True))
-    # calls: the sample lattice, the refinement steps, the final residual
-    assert sum(recording.sizes[1:-1]) <= 8 * len(mesh.vertices)
+    # calls: the sample lattice, then the refinement steps
+    assert sum(recording.sizes[1:]) <= 8 * len(mesh.vertices)
     assert mesh.residual <= 1e-8
 
 

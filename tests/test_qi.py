@@ -123,20 +123,24 @@ def test_patch_coefficients_equal_bb_form_of_cubic():
         np.testing.assert_allclose(patch, bb_of_p, rtol=0, atol=1e-9)
 
 
-def test_eval_modes_agree(rng):
+def test_eval_modes_agree(rng, monkeypatch):
     spline = qi.approximate(rng.normal(size=(13, 14, 15)), h=0.5)
     pts = _probe_points(rng, spline.grid, 2000)
     direct = spline.eval(pts, mode="direct")
     dense = spline.compile("dense").eval(pts, mode="compiled")
-    streamed = spline.compile("streamed").eval(pts, mode="compiled")
+    monkeypatch.setattr(qi, "DEFAULT_COMPILE_BUDGET", 1000)
+    plan = spline.compile()
+    assert plan.compiled.mode == "streamed"
+    streamed = plan.eval(pts, mode="compiled")
     auto = spline.eval(pts)
     np.testing.assert_allclose(dense, direct, rtol=0, atol=1e-11)
     np.testing.assert_allclose(streamed, direct, rtol=0, atol=1e-11)
     np.testing.assert_allclose(auto, direct, rtol=0, atol=1e-11)
     with pytest.raises(ValueError):
         spline.eval(pts, mode="bogus")
-    with pytest.raises(ValueError):
-        spline.compile("bogus")
+    for mode in ("bogus", "streamed"):  # a streamed plan comes from auto
+        with pytest.raises(ValueError):
+            spline.compile(mode)
 
 
 def test_eval_rejects_outside_domain(rng):
@@ -266,17 +270,20 @@ def test_dense_compile_equals_window_products_at_m32():
         np.testing.assert_array_equal(flat[start:start + rows], expected)
 
 
-def test_compile_budget_and_size_error(rng):
+def test_compile_budget_and_size_error(rng, monkeypatch):
     spline = qi.approximate(rng.normal(size=(13, 13, 13)), h=1.0)
-    with pytest.raises(qi.SizeError) as info:
-        spline.compile("dense", budget=1000)
-    err = info.value
-    assert err.required > err.budget == 1000
-    assert "byte" in str(err)
-    # auto falls back to a streamed plan under the same budget
-    streamed = spline.compile("auto", budget=1000)
-    assert streamed.compiled.mode == "streamed"
-    assert streamed.compiled.slab_rows >= 1
+    with monkeypatch.context() as patch:
+        patch.setattr(qi, "DEFAULT_COMPILE_BUDGET", 1000)
+        with pytest.raises(qi.SizeError) as info:
+            spline.compile("dense")
+        err = info.value
+        assert err.required > err.budget == 1000
+        assert "byte" in str(err)
+        assert "mode='auto'" in str(err)
+        # auto falls back to a streamed plan under the same budget
+        streamed = spline.compile("auto")
+        assert streamed.compiled.mode == "streamed"
+        assert streamed.compiled.slab_rows >= 1
     # and a dense plan within a generous budget
     dense = spline.compile("auto")
     assert dense.compiled.mode == "dense"
@@ -477,3 +484,53 @@ def test_eval_lattice_rejects_bad_factors(r):
                          np.zeros((8, 8, 8)))
     with pytest.raises(ValueError, match="lattice factors"):
         spline.eval_lattice(r)
+
+
+# ---------------------------------------------------------------------------
+# uniform grids over the domain
+# ---------------------------------------------------------------------------
+
+def _whole_array_values(spline, n):
+    """The oracle: every grid point built at once by a meshgrid and
+    evaluated in one call."""
+    axes = [np.linspace(0.0, m * spline.grid.h, n) for m in spline.grid.m]
+    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return spline.eval(points.reshape(-1, 3)).reshape(n, n, n)
+
+
+@pytest.fixture(scope="module")
+def f2_m32():
+    from boxqi import volume
+    samples, grid, _ = volume.sample_test_function("f2", 32)
+    return qi.approximate(samples, grid)
+
+
+def test_streamed_grid_values_equal_one_whole_array_evaluation(f2_m32):
+    # n - 1 = 100 is no multiple of m = 32: 16 chunks of whole blocks
+    np.testing.assert_array_equal(qi.grid_values(f2_m32, 101),
+                                  _whole_array_values(f2_m32, 101))
+    rng = np.random.default_rng(44)
+    spline = qi.approximate(rng.normal(size=(13, 14, 15)), h=1 / 16)
+    assert spline.grid.m == (11, 12, 13)  # 43 divides by none of them
+    np.testing.assert_array_equal(qi.grid_values(spline, 44),
+                                  _whole_array_values(spline, 44))
+
+
+def test_aligned_grid_values_come_from_the_lattice(f2_m32, monkeypatch):
+    expected = f2_m32.eval_lattice(2)
+    monkeypatch.setattr(qi.QISpline, "eval", None)  # no point evaluation
+    np.testing.assert_array_equal(qi.grid_values(f2_m32, 65), expected)
+
+
+def test_streamed_grid_values_memory(f2_m32):
+    """Sampling an unaligned R = 100 lattice holds the values plus a few
+    evaluation chunks, not the (R+1)^3 x 3 point array."""
+    qi.grid_values(f2_m32, 3)  # build the cached blocks outside the trace
+    tracemalloc.start()
+    try:
+        values = qi.grid_values(f2_m32, 101)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (101, 101, 101)
+    assert peak <= values.nbytes + (10 << 20)
