@@ -14,8 +14,8 @@ nu3 determined.  Index 0 is (4,0,0,0) and index 34 is (0,0,0,4).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial
+from numbers import Integral
 
 import numpy as np
 
@@ -68,6 +68,14 @@ def multinomial(nu):
     return out
 
 
+#: _BASIS_TERMS[d][i] = (multinomial, ((axis, exponent), ...)) of the i-th
+#: degree-d multi-index, listing only the axes with a nonzero exponent.
+_BASIS_TERMS = {d: tuple((multinomial(nu),
+                          tuple((a, p) for a, p in enumerate(nu) if p))
+                         for nu in multi_indices(d))
+                for d in range(5)}
+
+
 def bernstein_basis(bary, degree=4):
     """Evaluate all Bernstein basis polynomials at barycentric points.
 
@@ -82,28 +90,32 @@ def bernstein_basis(bary, degree=4):
     Returns
     -------
     (..., n_degree) ndarray with columns in canonical multi-index order.
+
+    The barycentrics are copied once into four contiguous columns c_a and
+    the powers c_a ** p (p >= 2) computed once each.  Basis polynomial nu is
+    one contiguous row: its multinomial, multiplied in place by c_a ** nu_a
+    for a = 0..3, skipping the factors with nu_a = 0 (they are exactly 1).
+    That is the product order of the formula, so every value is rounded the
+    same way whatever the layout.  One contiguous copy transposes the
+    (n_degree, n) rows into the result; an ``einsum`` over the transposed
+    view would sum in another order and change the last digits.
     """
+    if (not isinstance(degree, Integral) or isinstance(degree, bool)
+            or degree not in _BASIS_TERMS):
+        raise ValueError(f"Bernstein degree must be an integer in 0..4, "
+                         f"got {degree!r}")
     bary = np.asarray(bary, dtype=np.float64)
-    rows = bary.reshape(-1, 4)
-    # powers[a][p] = rows[:, a] ** p for p = 0..degree
-    powers = [np.stack([rows[:, a] ** p for p in range(degree + 1)], axis=-1)
-              for a in range(4)]
-    out = np.empty((len(rows), DIMENSION[degree]), dtype=np.float64)
-    for col, nu in enumerate(multi_indices(degree)):
-        out[:, col] = (multinomial(nu)
-                       * powers[0][:, nu[0]]
-                       * powers[1][:, nu[1]]
-                       * powers[2][:, nu[2]]
-                       * powers[3][:, nu[3]])
-    return out.reshape(bary.shape[:-1] + (DIMENSION[degree],))
-
-
-def bernstein_basis_exact(bary):
-    """Quartic Bernstein basis row at one exact rational barycentric point."""
-    return [Fraction(multinomial(nu))
-            * bary[0] ** nu[0] * bary[1] ** nu[1]
-            * bary[2] ** nu[2] * bary[3] ** nu[3]
-            for nu in MULTI_INDICES_4]
+    cols = np.array(bary.reshape(-1, 4).T)
+    # powers[a][p] = cols[a] ** p for p = 1..degree (index 0 unused)
+    powers = [[None, c, *(c ** p for p in range(2, degree + 1))]
+              for c in cols]
+    rows = np.empty((DIMENSION[degree], cols.shape[1]))
+    for row, (k, factors) in zip(rows, _BASIS_TERMS[degree]):
+        row.fill(k)
+        for a, p in factors:
+            row *= powers[a][p]
+    return np.ascontiguousarray(rows.T).reshape(
+        bary.shape[:-1] + (DIMENSION[degree],))
 
 
 def domain_point_barycentrics(degree=4):

@@ -49,7 +49,7 @@ from .geometry import BARYCENTRIC_MATRICES_EXACT, TET_VERTICES_UNIT_2X
 
 __all__ = [
     "DIRECTIONS", "SUPPORT_LO", "SUPPORT_HI", "SUPPORT_CENTER",
-    "eval_oracle", "eval_oracle_montecarlo", "BoxSplineTable", "get_table",
+    "eval_oracle", "BoxSplineTable", "get_table",
     "translate_arguments", "TRANSLATE_OFFSET",
 ]
 
@@ -163,21 +163,6 @@ def eval_oracle(points):
         stop = min(start + _ORACLE_CHUNK, len(pts))
         out[start:stop] = _oracle_chunk(pts[start:stop])
     return float(out[0]) if scalar else out
-
-
-def eval_oracle_montecarlo(point, samples=2_000_000, seed=0):
-    """Monte-Carlo cross-check of the oracle.
-
-    B(.|X) is the 4-fold shadow of the unit cube along e4..e7:
-    B(x) = P(x - t4 e4 - t5 e5 - t6 e6 - t7 e7 in [0,1)^3)
-    for t_i independent uniform on [0,1).  Standard error ~ 0.5/sqrt(samples).
-    """
-    rng = np.random.default_rng(seed)
-    x = np.asarray(point, dtype=np.float64)
-    t = rng.random((samples, 4))
-    y = x - t @ DIRECTIONS[3:].astype(np.float64)
-    inside = np.all((y >= 0.0) & (y < 1.0), axis=1)
-    return inside.mean()
 
 
 # ---------------------------------------------------------------------------

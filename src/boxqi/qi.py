@@ -8,9 +8,11 @@ coefficients: on one tetrahedron of the type-6 partition only 53 of the 125
 translates of a cube's 5x5x5 window are nonzero, so each BB patch is a fixed
 (53, 35) linear map of 53 gathered coefficients, and the patches of a
 derivative or of the gradient are fixed maps too (the gradient's three cubic
-patches: (53, 60)).  Points are
-processed in blocks of ``_EVAL_BLOCK``, located once per block and sorted by
-tetrahedron, so an evaluation's working set does not grow with the call.
+patches: (53, 60)).  Points are processed in blocks of ``_EVAL_BLOCK``,
+located once per block and sorted by tetrahedron; each tetrahedron's run
+fills its rows of one patch array, and one ``einsum`` contracts the whole
+block with its Bernstein basis, so an evaluation's working set does not grow
+with the call.
 ``mode="direct"`` sums the basis translates instead and serves as an
 independent oracle.  ``compile`` is an optional export of the
 per-tetrahedron patches (dense, within ``DEFAULT_COMPILE_BUDGET``) or, above
@@ -44,8 +46,6 @@ import numpy as np
 
 from . import stencils
 from .bernstein import DIMENSION, bernstein_basis, derivative_reduce
-
-_NC = DIMENSION[4]  # 35 quartic Bernstein coefficients per tetrahedron
 from .boxspline import TRANSLATE_OFFSET, get_table
 from .domain import class_runs, index_set
 from .geometry import AXIS_DIRECTIONS, DomainGrid, locate, locate_unit
@@ -59,6 +59,8 @@ __all__ = [
     "grid_values",
     "DEFAULT_COMPILE_BUDGET",
 ]
+
+_NC = DIMENSION[4]  # 35 quartic Bernstein coefficients per tetrahedron
 
 # default ceiling for materialized per-tetrahedron patches: 1 GiB.  Larger
 # grids compile to a streamed plan (a slab schedule, no patches).
@@ -280,9 +282,13 @@ class QISpline:
 
     def eval_derivative(self, points, gamma) -> np.ndarray:
         """Partial derivative D^gamma(Qf), |gamma| <= 3 (exact per patch)."""
-        gamma = tuple(int(g) for g in gamma)
-        if len(gamma) != 3 or min(gamma) < 0 or sum(gamma) > 3:
+        gamma = tuple(gamma)
+        if (len(gamma) != 3
+                or not all(isinstance(g, Integral) and not isinstance(g, bool)
+                           for g in gamma)
+                or min(gamma) < 0 or sum(gamma) > 3):
             raise ValueError("gamma must be 3 nonnegative ints, |gamma|<=3")
+        gamma = tuple(int(g) for g in gamma)
         points, scalar = _as_points(points)
         values = self._evaluate(points, (gamma,))[:, 0]
         return values[0] if scalar else values
@@ -350,7 +356,15 @@ class QISpline:
 
     def _evaluate(self, points: np.ndarray, gammas: tuple) -> np.ndarray:
         """(n, q) values of D^gamma Qf for the q multi-indices ``gammas``,
-        all of one order, block by block of ``_EVAL_BLOCK`` points."""
+        all of one order, block by block of ``_EVAL_BLOCK`` points.
+
+        A block is located once and sorted by tetrahedron.  Each
+        tetrahedron's run of points gathers its 53 window coefficients and
+        maps them by ``blocks[t]`` into its rows of one (block, q*d) patch
+        array; one ``einsum`` then contracts every patch with the block's
+        Bernstein basis.  ``locate`` and ``bernstein_basis`` are called
+        through this module's globals, which the benchmark's tracer wraps.
+        """
         order = sum(gammas[0])
         degree = 4 - order
         rows, blocks = _tet_blocks(gammas)
@@ -359,6 +373,7 @@ class QISpline:
         offsets = ((_WINDOW_OFFSETS[0] * m2 + _WINDOW_OFFSETS[1]) * m3
                    + _WINDOW_OFFSETS[2])[rows]
         out = np.empty((len(points), len(gammas)))
+        patches = np.empty((min(len(points), _EVAL_BLOCK), blocks.shape[-1]))
         for start in range(0, len(points), _EVAL_BLOCK):
             cube, tet, bary = locate(points[start:start + _EVAL_BLOCK],
                                      self.grid)
@@ -366,14 +381,15 @@ class QISpline:
             tet, cube = tet[perm], cube[perm]
             base = (cube[:, 0] * m2 + cube[:, 1]) * m3 + cube[:, 2]
             basis = bernstein_basis(bary[perm], degree)
-            values = np.empty((len(perm), len(gammas)))
+            patch = patches[:len(perm)]
             edges = np.flatnonzero(np.diff(tet)) + 1
             for lo, hi in zip([0, *edges], [*edges, len(tet)]):
                 t = tet[lo]
-                patch = flat.take(base[lo:hi, None] + offsets[t]) @ blocks[t]
-                values[lo:hi] = np.einsum(
-                    "iqj,ij->iq", patch.reshape(hi - lo, len(gammas), -1),
-                    basis[lo:hi])
+                np.matmul(flat.take(base[lo:hi, None] + offsets[t]),
+                          blocks[t], out=patch[lo:hi])
+            values = np.einsum("iqj,ij->iq",
+                               patch.reshape(len(perm), len(gammas), -1),
+                               basis)
             if order:
                 values /= self.grid.h ** order
             out[start:start + _EVAL_BLOCK][perm] = values

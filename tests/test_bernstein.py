@@ -3,6 +3,7 @@ reduction."""
 
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -12,6 +13,35 @@ from boxqi import bernstein as bb
 
 def _random_bary(rng, n):
     return rng.dirichlet(np.ones(4), n)
+
+
+def oracle_basis(bary, degree=4):
+    """The per-column basis: each column is its multinomial times the four
+    powers rows[:, a] ** nu_a, left to right, on strided columns."""
+    bary = np.asarray(bary, dtype=np.float64)
+    rows = bary.reshape(-1, 4)
+    powers = [np.stack([rows[:, a] ** p for p in range(degree + 1)], axis=-1)
+              for a in range(4)]
+    out = np.empty((len(rows), bb.DIMENSION[degree]), dtype=np.float64)
+    for col, nu in enumerate(bb.multi_indices(degree)):
+        out[:, col] = (bb.multinomial(nu)
+                       * powers[0][:, nu[0]]
+                       * powers[1][:, nu[1]]
+                       * powers[2][:, nu[2]]
+                       * powers[3][:, nu[3]])
+    return out.reshape(bary.shape[:-1] + (bb.DIMENSION[degree],))
+
+
+def _basis_exact(bary):
+    """Quartic Bernstein basis row at one exact rational barycentric point."""
+    return [Fraction(bb.multinomial(nu))
+            * bary[0] ** nu[0] * bary[1] ** nu[1]
+            * bary[2] ** nu[2] * bary[3] ** nu[3]
+            for nu in bb.MULTI_INDICES_4]
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
 
 
 def test_multi_indices_enumeration():
@@ -47,11 +77,44 @@ def test_basis_matches_multinomial_formula(rng):
 
 def test_basis_exact_agrees_with_float():
     bary = (Fraction(1, 3), Fraction(1, 4), Fraction(1, 4), Fraction(1, 6))
-    exact = bb.bernstein_basis_exact(bary)
+    exact = _basis_exact(bary)
     assert all(isinstance(v, Fraction) for v in exact)
     assert sum(exact) == 1
     floats = bb.bernstein_basis(np.array([[float(v) for v in bary]]))[0]
     np.testing.assert_allclose([float(v) for v in exact], floats, rtol=1e-14)
+
+
+@pytest.mark.parametrize("degree", range(5))
+def test_basis_is_bitwise_the_per_column_oracle(rng, degree):
+    special = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -0.5,
+               5e-324, 1e300]
+    rows = np.concatenate([
+        _random_bary(rng, 500),
+        rng.normal(scale=3.0, size=(300, 4)),         # off the simplex
+        np.array(list(product(special, repeat=4))),  # NaN, inf, +-0
+    ])
+    with np.errstate(all="ignore"):
+        got, want = bb.bernstein_basis(rows, degree), oracle_basis(rows,
+                                                                   degree)
+    assert got.flags.c_contiguous
+    np.testing.assert_array_equal(_bits(got), _bits(want))
+    batch = rows[:24].reshape(2, 3, 4, 4)
+    assert bb.bernstein_basis(batch, degree).shape == (
+        2, 3, 4, bb.DIMENSION[degree])
+    np.testing.assert_array_equal(
+        _bits(bb.bernstein_basis(batch, degree)),
+        _bits(oracle_basis(batch, degree)))
+    np.testing.assert_array_equal(
+        _bits(bb.bernstein_basis(rows[7], degree)),
+        _bits(oracle_basis(rows[7], degree)))
+    assert bb.bernstein_basis(rows[:0], degree).shape == (
+        0, bb.DIMENSION[degree])
+
+
+@pytest.mark.parametrize("degree", [-1, 5, 2.0, True, None])
+def test_basis_rejects_a_degree_outside_0_to_4(degree):
+    with pytest.raises(ValueError, match=f"got {degree!r}"):
+        bb.bernstein_basis(np.full((3, 4), 0.25), degree)
 
 
 def test_collocation_matrix_is_invertible_interpolation():

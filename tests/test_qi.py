@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from boxqi import bernstein, boxspline, domain, geometry, qi, stencils
+from test_bernstein import oracle_basis
 
 
 def _samples_of(fn, grid):
@@ -186,10 +187,13 @@ def test_derivative_order_validation(rng):
     spline = qi.approximate(rng.normal(size=(13, 13, 13)), h=1.0)
     pts = _probe_points(rng, spline.grid, 5)
     spline.eval_derivative(pts, (1, 1, 1))  # |gamma| = 3 is fine
-    with pytest.raises(ValueError):
-        spline.eval_derivative(pts, (2, 1, 1))
-    with pytest.raises(ValueError):
-        spline.eval_derivative(pts, (-1, 0, 0))
+    np.testing.assert_array_equal(
+        spline.eval_derivative(pts, np.array([1, 0, 2])),
+        spline.eval_derivative(pts, (1, 0, 2)))
+    for gamma in [(2, 1, 1), (-1, 0, 0), (1, 0), (0.5, 0, 0), (1.9, 0, 0),
+                  (1.0, 0, 0), ("1", 0, 0), (True, 0, 0), "100"]:
+        with pytest.raises(ValueError, match="gamma must be"):
+            spline.eval_derivative(pts, gamma)
 
 
 def test_save_load_round_trip(rng, tmp_path):
@@ -439,6 +443,71 @@ def test_eval_memory_does_not_grow_with_n(rng):
     finally:
         tracemalloc.stop()
     assert peak - out.nbytes < 16 << 20
+
+
+# -- bit for bit against the per-segment loop ---------------------------------
+
+def _oracle_evaluate(spline, points, gammas):
+    """`QISpline._evaluate` as a loop over each block's tetrahedron runs,
+    with a product and an ``einsum`` per run and the per-column basis."""
+    order = sum(gammas[0])
+    rows, blocks = qi._tet_blocks(gammas)
+    flat = np.ravel(spline.coefficients)
+    _, m2, m3 = spline.coefficients.shape
+    offsets = ((qi._WINDOW_OFFSETS[0] * m2 + qi._WINDOW_OFFSETS[1]) * m3
+               + qi._WINDOW_OFFSETS[2])[rows]
+    out = np.empty((len(points), len(gammas)))
+    for start in range(0, len(points), qi._EVAL_BLOCK):
+        cube, tet, bary = geometry.locate(
+            points[start:start + qi._EVAL_BLOCK], spline.grid)
+        perm = np.argsort(tet.astype(np.uint8), kind="stable")
+        tet, cube = tet[perm], cube[perm]
+        base = (cube[:, 0] * m2 + cube[:, 1]) * m3 + cube[:, 2]
+        basis = oracle_basis(bary[perm], 4 - order)
+        values = np.empty((len(perm), len(gammas)))
+        edges = np.flatnonzero(np.diff(tet)) + 1
+        for lo, hi in zip([0, *edges], [*edges, len(tet)]):
+            t = tet[lo]
+            patch = flat.take(base[lo:hi, None] + offsets[t]) @ blocks[t]
+            values[lo:hi] = np.einsum(
+                "iqj,ij->iq", patch.reshape(hi - lo, len(gammas), -1),
+                basis[lo:hi])
+        if order:
+            values /= spline.grid.h ** order
+        out[start:start + qi._EVAL_BLOCK][perm] = values
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("which", ["m=(11,12,13)", "f2 m=32"])
+def test_evaluation_is_bitwise_the_per_segment_oracle(f2_m32, which):
+    rng = np.random.default_rng(45)
+    if which == "f2 m=32":
+        spline = f2_m32
+    else:
+        spline = qi.approximate(rng.normal(size=(13, 14, 15)), h=1 / 16)
+    grid = spline.grid
+    ties = _lattice_points(grid, (4, 4, 4))  # faces and diagonal planes
+    sets = [_probe_points(rng, grid, n) for n in (1, 32, 4095, 4096, 4097)]
+    sets += [ties[rng.permutation(len(ties))[:4097]],
+             *_point_sets(rng, grid).values()]
+    second = [(2, 0, 0), (1, 1, 0), (0, 1, 1)]
+    third = [(1, 1, 1), (0, 0, 3), (2, 0, 1)]
+    for pts in sets:
+        np.testing.assert_array_equal(
+            _bits(spline.eval(pts)),
+            _bits(_oracle_evaluate(spline, pts, ((0, 0, 0),))[:, 0]))
+        np.testing.assert_array_equal(
+            _bits(spline.gradient(pts)),
+            _bits(_oracle_evaluate(spline, pts,
+                                   ((1, 0, 0), (0, 1, 0), (0, 0, 1)))))
+        for gamma in second + third:
+            np.testing.assert_array_equal(
+                _bits(spline.eval_derivative(pts, gamma)),
+                _bits(_oracle_evaluate(spline, pts, (gamma,))[:, 0]))
 
 
 # --------------------------------------------------------------------------
