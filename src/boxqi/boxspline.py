@@ -40,6 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from importlib import resources
+from numbers import Integral
 
 import numpy as np
 
@@ -50,7 +51,7 @@ from .geometry import BARYCENTRIC_MATRICES_EXACT, TET_VERTICES_UNIT_2X
 __all__ = [
     "DIRECTIONS", "SUPPORT_LO", "SUPPORT_HI", "SUPPORT_CENTER",
     "eval_oracle", "BoxSplineTable", "get_table",
-    "translate_arguments", "TRANSLATE_OFFSET",
+    "translate_arguments", "TRANSLATE_OFFSET", "derivative_order",
 ]
 
 #: The seven direction vectors, rows e1..e7.
@@ -189,6 +190,21 @@ def support_cubes():
 
 
 _CUBE_INDEX = {c: n for n, c in enumerate(support_cubes())}
+
+
+def derivative_order(gamma) -> tuple[int, int, int]:
+    """``gamma`` as a 3-tuple of ints with |gamma| <= 3.
+
+    Entries must be non-bool ``Integral`` values: ``(0.5, 0, 0)`` or
+    ``(True, 0, 0)`` raise one ``ValueError`` instead of truncating.
+    """
+    gamma = tuple(gamma)
+    if (len(gamma) != 3
+            or not all(isinstance(g, Integral) and not isinstance(g, bool)
+                       for g in gamma)
+            or min(gamma) < 0 or sum(gamma) > 3):
+        raise ValueError("gamma must be 3 nonnegative ints, |gamma|<=3")
+    return tuple(int(g) for g in gamma)
 
 
 def _shrunk_barycentrics_exact():
@@ -399,9 +415,7 @@ class BoxSplineTable:
         Points are processed in blocks of `_EVAL_BLOCK`, so the working set
         beyond the (n,) result does not grow with n.
         """
-        gamma = tuple(int(g) for g in gamma)
-        if len(gamma) != 3 or min(gamma) < 0 or sum(gamma) > 3:
-            raise ValueError("gamma must be a 3-multi-index with |gamma| <= 3")
+        gamma = derivative_order(gamma)
         pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
         scalar = np.asarray(points).ndim == 1
         out = np.zeros(len(pts))

@@ -1,9 +1,14 @@
 """Assembly and evaluation of the quasi-interpolating spline Qf.
 
 ``approximate`` turns a complete grid of samples into spline coefficients by
-applying the class stencil of every basis index (vectorized over the
-products of ``domain.class_runs``, index regions that share one stencil
-layout).  ``QISpline`` evaluates values and derivatives straight from the
+applying the class stencil of every basis index.  It walks the products of
+``domain.class_runs``, boxes of indices that share one stencil layout.  A
+box of at least ``_SLICED_REGION`` coefficients (the interior, and the big
+face slabs) is correlated with its stencil over shifted slices of the
+samples, one slab of ``_SLAB`` elements at a time, so beyond the
+coefficient array it allocates one slab buffer; a smaller box (corners,
+edges, small faces) is gathered as (n, k) and contracted with ``@ w``.
+``QISpline`` evaluates values and derivatives straight from the
 coefficients: on one tetrahedron of the type-6 partition only 53 of the 125
 translates of a cube's 5x5x5 window are nonzero, so each BB patch is a fixed
 (53, 35) linear map of 53 gathered coefficients, and the patches of a
@@ -35,18 +40,18 @@ translates vanish on the domain).
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
-from math import prod
 from numbers import Integral
 
 import numpy as np
 
 from . import stencils
 from .bernstein import DIMENSION, bernstein_basis, derivative_reduce
-from .boxspline import TRANSLATE_OFFSET, get_table
+from .boxspline import TRANSLATE_OFFSET, derivative_order, get_table
 from .domain import class_runs, index_set
 from .geometry import AXIS_DIRECTIONS, DomainGrid, locate, locate_unit
 
@@ -67,7 +72,16 @@ _NC = DIMENSION[4]  # 35 quartic Bernstein coefficients per tetrahedron
 DEFAULT_COMPILE_BUDGET = 1 << 30
 
 _PATCH_BYTES_PER_CUBE = 24 * _NC * 8  # 6720
-_GATHER_CHUNK = 4 << 20  # float64 elements per temporary in bulk gathers
+_GATHER_CHUNK = 4 << 20  # float64 elements per temporary in compile gathers
+# Assembly method by region size.  Slicing pays two ufunc calls per tap
+# and slab, gathering pays more per element, so a box of at least this
+# many coefficients is sliced.  For a 20-tap face stencil slicing took
+# 1.3-1.5x the gather at 512 coefficients and 0.67-0.86x at 1536; this is
+# the break-even.  m = 32 keeps its 625-coefficient faces gathered, m = 64
+# slices its 3249-coefficient faces, and every gathered temporary stays
+# under 1024 x 23 elements.
+_SLICED_REGION = 1024
+_SLAB = 1 << 15  # float64 elements per slab of a sliced box (256 KiB)
 _EVAL_BLOCK = 4096  # points per located, sorted and contracted block
 _GRID_CHUNK = 16 * _EVAL_BLOCK  # uniform-grid points per streamed chunk
 
@@ -95,6 +109,12 @@ def approximate(samples: np.ndarray, grid: DomainGrid | None = None, *,
     boundary points included.  Each spline coefficient is that index's class
     stencil applied to the samples; the result reproduces cubics and
     satisfies ``|Qf| <= 9.945 max|f|``.
+
+    Each box of indices with one stencil layout is assembled at once: by
+    shifted slices (``_correlate``) if it holds at least ``_SLICED_REGION``
+    coefficients, else by one gather and ``@ w``.  The two sum the taps in
+    different orders, so they agree to a few ulps, not bit for bit.  Memory
+    beyond the result is one slab buffer or one small gathered array.
     """
     samples = np.ascontiguousarray(samples, dtype=np.float64)
     if samples.ndim != 3:
@@ -107,7 +127,7 @@ def approximate(samples: np.ndarray, grid: DomainGrid | None = None, *,
         raise ValueError(
             f"samples shape {samples.shape} does not cover the data point "
             f"set; expected {expected}")
-    if not np.isfinite(samples).all():
+    if not _finite(samples):
         raise ValueError("samples contain non-finite values")
 
     coeffs = np.zeros(tuple(m + 4 for m in grid.m))
@@ -117,23 +137,50 @@ def approximate(samples: np.ndarray, grid: DomainGrid | None = None, *,
             continue  # inactive corner region: coefficients stay 0
         rep = (lo1, lo2, lo3)
         mapped, w = stencils.functional(rep, grid)
-        delta = mapped - np.array(rep)
-        a2 = np.arange(lo2, hi2 + 1)
-        a3 = np.arange(lo3, hi3 + 1)
-        n2, n3, k = len(a2), len(a3), len(w)
-        idx2 = (a2[:, None] + delta[:, 1])[None, :, None, :]
-        idx3 = (a3[:, None] + delta[:, 2])[None, None, :, :]
-        rows = max(1, _GATHER_CHUNK // max(1, n2 * n3 * k))
-        for start in range(lo1, hi1 + 1, rows):
-            stop = min(start + rows, hi1 + 1)
-            a1 = np.arange(start, stop)
-            idx1 = (a1[:, None] + delta[:, 0])[:, None, None, :]
-            gathered = samples[idx1, idx2, idx3]
-            block = gathered @ w
-            coeffs[start + 1:stop + 1,
-                   lo2 + 1:hi2 + 2, lo3 + 1:hi3 + 2] = block
+        out = coeffs[lo1 + 1:hi1 + 2, lo2 + 1:hi2 + 2, lo3 + 1:hi3 + 2]
+        if out.size >= _SLICED_REGION:
+            _correlate(samples, mapped, w, out)
+        else:
+            delta = mapped - np.array(rep)
+            idx1 = np.arange(lo1, hi1 + 1)[:, None] + delta[:, 0]
+            idx2 = np.arange(lo2, hi2 + 1)[:, None] + delta[:, 1]
+            idx3 = np.arange(lo3, hi3 + 1)[:, None] + delta[:, 2]
+            out[...] = samples[idx1[:, None, None], idx2[None, :, None],
+                               idx3[None, None]] @ w
     coeffs.setflags(write=False)
     return QISpline(grid=grid, coefficients=coeffs)
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether ``a`` holds no NaN or infinity.  Its min and max propagate
+    NaN and reach any infinity, with no boolean mask the size of ``a``."""
+    return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
+
+
+def _correlate(samples, taps, w, out):
+    """Apply one stencil to a box of coefficients by shifted slices.
+
+    ``taps`` (k, 3) holds the data indices read by the box's first index;
+    every other index of the box reads them translated.  The box is walked
+    in slabs of whole axis-0 rows, about ``_SLAB`` elements each: the first
+    tap writes the slab of ``out``, and every later tap is multiplied into
+    one reused buffer and added in place.
+    """
+    n1, n2, n3 = out.shape
+    rows = max(1, _SLAB // (n2 * n3))
+    buf = np.empty((min(rows, n1), n2, n3))
+    taps = taps.tolist()
+    for start in range(0, n1, rows):
+        dst = out[start:start + rows]
+        tmp = buf[:len(dst)]
+        for t, ((d1, d2, d3), wt) in enumerate(zip(taps, w)):
+            src = samples[d1 + start:d1 + start + len(dst),
+                          d2:d2 + n2, d3:d3 + n3]
+            if t == 0:
+                np.multiply(src, wt, out=dst)
+            else:
+                np.multiply(src, wt, out=tmp)
+                dst += tmp
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +274,7 @@ class QISpline:
                 f"coefficient array shape {self.coefficients.shape} does "
                 f"not match grid (expected {expected})")
         # `compile` re-runs this through `replace`; checked once, uncompiled
-        if self.compiled is None and not np.isfinite(self.coefficients).all():
+        if self.compiled is None and not _finite(self.coefficients):
             raise ValueError("spline coefficients contain non-finite values")
 
     # -- compilation -------------------------------------------------------
@@ -282,13 +329,7 @@ class QISpline:
 
     def eval_derivative(self, points, gamma) -> np.ndarray:
         """Partial derivative D^gamma(Qf), |gamma| <= 3 (exact per patch)."""
-        gamma = tuple(gamma)
-        if (len(gamma) != 3
-                or not all(isinstance(g, Integral) and not isinstance(g, bool)
-                           for g in gamma)
-                or min(gamma) < 0 or sum(gamma) > 3):
-            raise ValueError("gamma must be 3 nonnegative ints, |gamma|<=3")
-        gamma = tuple(int(g) for g in gamma)
+        gamma = derivative_order(gamma)
         points, scalar = _as_points(points)
         values = self._evaluate(points, (gamma,))[:, 0]
         return values[0] if scalar else values
@@ -407,30 +448,35 @@ class QISpline:
         with open(path, "wb") as fh:
             fh.write(header)
             fh.write(np.ascontiguousarray(
-                self.coefficients, dtype="<f8").tobytes())
+                self.coefficients, dtype="<f8").data)
 
     @classmethod
     def load(cls, path) -> "QISpline":
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        """Read a spline file.  The body is read straight into an aligned
+        array: a view at the 28-byte header offset would be misaligned for
+        float64, and every later gather from it would copy."""
         head = len(cls.MAGIC) + struct.calcsize("<IIIId")
-        if blob[:len(cls.MAGIC)] != cls.MAGIC:
-            raise ValueError("not a spline file (bad magic)")
-        if len(blob) < head:
-            raise ValueError(f"spline file truncated: {len(blob)} bytes, "
-                             f"header alone is {head}")
-        version, m1, m2, m3, h = struct.unpack(
-            "<IIIId", blob[len(cls.MAGIC):head])
-        if version != cls.VERSION:
-            raise ValueError(f"unsupported spline file version {version}")
-        grid = DomainGrid(m1, m2, m3, h=h)
-        shape = tuple(m + 4 for m in grid.m)
-        expected = head + prod(shape) * 8
-        if len(blob) != expected:
-            raise ValueError(
-                f"spline file truncated: {len(blob)} bytes, "
-                f"expected {expected}")
-        coeffs = np.frombuffer(blob[head:], dtype="<f8").reshape(shape)
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            header = fh.read(head)
+            if header[:len(cls.MAGIC)] != cls.MAGIC:
+                raise ValueError("not a spline file (bad magic)")
+            if len(header) < head:
+                raise ValueError(f"spline file truncated: {size} bytes, "
+                                 f"header alone is {head}")
+            version, m1, m2, m3, h = struct.unpack(
+                "<IIIId", header[len(cls.MAGIC):])
+            if version != cls.VERSION:
+                raise ValueError(
+                    f"unsupported spline file version {version}")
+            grid = DomainGrid(m1, m2, m3, h=h)
+            coeffs = np.empty(tuple(m + 4 for m in grid.m), dtype="<f8")
+            expected = head + coeffs.nbytes
+            if size != expected or fh.readinto(
+                    coeffs.reshape(-1).view(np.uint8)) != coeffs.nbytes:
+                raise ValueError(
+                    f"spline file truncated: {size} bytes, "
+                    f"expected {expected}")
         coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
         coeffs.setflags(write=False)
         return cls(grid=grid, coefficients=coeffs)

@@ -135,8 +135,9 @@ def _triple(values, kind):
 def read_raw(header: VolumeHeader, data: bytes):
     """Decode a raw stream into a sample field plus its grid.
 
-    Returns ``(samples, grid)`` where ``samples`` is a float64 array of
-    shape ``dims`` (voxel (i, j, k) at ``samples[i, j, k]``) and
+    Returns ``(samples, grid)`` where ``samples`` is a C-ordered float64
+    array of shape ``dims`` (voxel (i, j, k) at ``samples[i, j, k]``), the
+    layout ``qi.approximate`` reads without a copy, and
     ``grid = DomainGrid(N1-2, N2-2, N3-2, h=1)``.
     """
     if len(data) != header.nbytes:
@@ -144,7 +145,8 @@ def read_raw(header: VolumeHeader, data: bytes):
             f"raw stream holds {len(data)} bytes but header "
             f"{header.dims} {header.dtype} requires {header.nbytes}")
     flat = np.frombuffer(data, dtype=header.numpy_dtype)
-    samples = flat.reshape(header.dims, order="F").astype(np.float64)
+    samples = flat.reshape(header.dims, order="F").astype(np.float64,
+                                                          order="C")
     samples.setflags(write=False)
     return samples, header.grid()
 

@@ -112,6 +112,15 @@ def test_eval_derivative_matches_fd(table, rng):
                                    rtol=0, atol=1e-8)
 
 
+def test_eval_derivative_rejects_non_integer_orders(table):
+    pts = np.array([[0.4, 0.5, 2.3]])
+    table.eval_derivative(pts, np.array([1, 0, 2]))  # numpy ints are fine
+    for gamma in [(0.5, 0, 0), (1.9, 0, 0), (1.0, 0, 0), (True, 0, 0),
+                  ("1", 0, 0), (2, 1, 1), (-1, 0, 0), (1, 0)]:
+        with pytest.raises(ValueError, match="gamma must be"):
+            table.eval_derivative(pts, gamma)
+
+
 def test_save_load_round_trip(table, tmp_path):
     path = tmp_path / "table.npz"
     table.save(path)

@@ -38,16 +38,47 @@ def test_linearity(rng):
         rtol=0, atol=1e-12)
 
 
-def test_coefficients_match_per_class_stencils(rng):
-    grid = geometry.DomainGrid(11, 11, 11, 1.0)
-    data = rng.normal(size=(13, 13, 13))
-    spline = qi.approximate(data, grid)
-    for alpha in [(0, 0, -1), (6, 6, 6), (11, 0, 5), (-1, 3, 8),
-                  (13, 5, 11), (2, 2, 2)]:
-        slot = tuple(a + 1 for a in alpha)
-        np.testing.assert_allclose(
-            spline.coefficients[slot],
-            stencils.coefficient(alpha, grid, data), rtol=1e-12)
+def _region_sizes(grid):
+    """Coefficient counts of the active regions `approximate` walks."""
+    return [(hi1 - lo1 + 1) * (hi2 - lo2 + 1) * (hi3 - lo3 + 1)
+            for (lo1, hi1, c1, _), (lo2, hi2, c2, _), (lo3, hi3, c3, _)
+            in product(*(domain.class_runs(m) for m in grid.m))
+            if (c1, c2, c3).count(-1) < 2]
+
+
+def test_coefficients_match_per_class_stencils(rng, monkeypatch):
+    """Every active coefficient, gathered or correlated over slices, is its
+    class stencil applied to the data.  At (40, 40, 12) the interior box
+    fits one slab; slabs of 660 elements walk it in 4-row slabs and a
+    1-row remainder."""
+    grids = [geometry.DomainGrid(11, 11, 11, 1.0),
+             geometry.DomainGrid(40, 40, 12, 1.0)]
+    sizes = [n for grid in grids for n in _region_sizes(grid)]
+    assert min(sizes) < qi._SLICED_REGION <= max(sizes)
+    for grid in grids:
+        data = rng.normal(size=tuple(m + 2 for m in grid.m))
+        active = list(domain.index_set(grid))
+        want = [stencils.coefficient(alpha, grid, data) for alpha in active]
+        for slab in (qi._SLAB, 660):
+            monkeypatch.setattr(qi, "_SLAB", slab)
+            coeffs = qi.approximate(data, grid).coefficients
+            got = [coeffs[tuple(a + 1 for a in alpha)] for alpha in active]
+            np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+def test_assembly_memory_is_the_coefficients():
+    """Assembly allocates the coefficient array plus slab-sized
+    temporaries: no gathered (n, k) array of a large region."""
+    grid = geometry.DomainGrid(96, 96, 40, 1.0)
+    samples = np.random.default_rng(5).normal(size=(98, 98, 42))
+    qi.approximate(samples[:13, :13, :13])  # stencil library, outside
+    tracemalloc.start()
+    try:
+        spline = qi.approximate(samples, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= spline.coefficients.nbytes + (2 << 20)
 
 
 @pytest.mark.parametrize("m", [11, 12])
@@ -209,6 +240,19 @@ def test_save_load_round_trip(rng, tmp_path):
     assert path.read_bytes() == path2.read_bytes()
 
 
+def test_saved_bytes_are_header_and_coefficients(rng, tmp_path):
+    spline = qi.approximate(rng.normal(size=(13, 14, 15)), h=0.25)
+    path = tmp_path / "model.qis"
+    spline.save(path)
+    header = qi.QISpline.MAGIC + struct.pack(
+        "<IIIId", qi.QISpline.VERSION, 11, 12, 13, 0.25)
+    assert path.read_bytes() == (
+        header + spline.coefficients.astype("<f8").tobytes())
+    loaded = qi.QISpline.load(path).coefficients
+    np.testing.assert_array_equal(loaded, spline.coefficients)
+    assert loaded.flags.aligned and not loaded.flags.writeable
+
+
 def test_load_rejects_corrupt_files(rng, tmp_path):
     spline = qi.approximate(rng.normal(size=(13, 13, 13)), h=1.0)
     path = tmp_path / "model.qis"
@@ -312,6 +356,11 @@ def test_approximate_input_validation():
     with pytest.raises(ValueError):
         grid = geometry.DomainGrid(11, 11, 11, 1.0)
         qi.approximate(np.zeros((14, 13, 13)), grid)  # shape/grid mismatch
+    for bad in (np.nan, np.inf, -np.inf):
+        samples = np.zeros((13, 13, 13))
+        samples[4, 12, 7] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            qi.approximate(samples, h=1.0)
 
 
 def test_nonfinite_coefficients_rejected(rng, tmp_path):

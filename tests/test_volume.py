@@ -67,6 +67,8 @@ def test_raw_round_trip_u16_big_endian(rng):
     blob = volume.write_raw(header, samples)
     back, _ = volume.read_raw(header, blob)
     np.testing.assert_array_equal(back, samples)
+    # native float64 in C order: `qi.approximate` takes it without a copy
+    assert back.dtype == np.float64 and back.flags.c_contiguous
 
 
 def test_raw_stream_is_x_fastest():
