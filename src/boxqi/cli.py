@@ -270,6 +270,11 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_isosurface(args) -> int:
+    # resolved before the spline is read, so a bad --out fails at once
+    fmt = isosurface.mesh_format(args.out, args.format)
+    if fmt == "obj" and args.fn is not None:
+        raise ValueError("--fn needs PLY output: OBJ has no channel for "
+                         "the reference error")
     spline = qi.QISpline.load(getattr(args, "in"))
     reference = None
     if args.fn is not None:
@@ -280,7 +285,7 @@ def cmd_isosurface(args) -> int:
     request = isosurface.IsoRequest(isovalue=args.iso, resolution=args.res,
                                     refine=args.refine, reference=reference)
     mesh = isosurface.extract(spline, request)
-    isosurface.write_mesh(mesh, args.out, args.format)
+    isosurface.write_mesh(mesh, args.out, fmt)
     print(f"wrote {args.out} ({len(mesh.vertices)} vertices, "
           f"{len(mesh.triangles)} triangles, "
           f"residual {_fmt(mesh.residual)})")
@@ -366,7 +371,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--res", type=int, default=64, help="cells per axis")
     p.add_argument("--refine", action="store_true",
                    help="refine vertices to |s(v) - iso| <= 1e-8")
-    p.add_argument("--fn", help="benchmark id for the error channel (PLY)")
+    p.add_argument("--fn",
+                   help="benchmark id for the error channel (PLY only)")
     p.add_argument("--out", required=True, help="mesh file (.obj or .ply)")
     p.add_argument("--format", choices=("obj", "ply"),
                    help="override the suffix-derived format")

@@ -25,12 +25,14 @@ is evaluated once at its final point, for the residual and the scalars.
 Export formats: ASCII OBJ (v/f records, 1-based indices, coordinates in
 shortest round-trip ``repr`` form) and binary little-endian PLY (float64
 coordinates, optional per-vertex scalar channel, e.g. a reference-error
-colour).  The readers take back exactly what the writers write and raise
-one ``ValueError`` on anything else.
+colour).  ``write_mesh`` streams OBJ text to the file in chunks of
+``_OBJ_CHUNK`` records.  The readers take back exactly what the writers
+write and raise one ``ValueError`` on anything else.
 """
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass
 from itertools import permutations
@@ -44,11 +46,12 @@ from . import qi
 __all__ = [
     "TriangleMesh", "IsoRequest", "extract",
     "write_obj", "read_obj", "write_ply", "read_ply", "write_mesh",
-    "edge_use_counts",
+    "mesh_format", "edge_use_counts",
 ]
 
 REFINE_TOLERANCE = 1e-8
 _AREA_FACTOR = 1e-12  # zero-area cutoff: _AREA_FACTOR * (max cell extent)^2
+_OBJ_CHUNK = 1 << 14  # OBJ records formatted, and held, at a time
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +278,21 @@ def edge_use_counts(mesh: TriangleMesh) -> np.ndarray:
 # OBJ (ASCII)
 # ---------------------------------------------------------------------------
 
+def _obj_chunks(mesh: TriangleMesh):
+    """The OBJ text of :func:`write_obj` in pieces of at most
+    ``_OBJ_CHUNK`` records, each formatted by one ``%``."""
+    v, t = mesh.vertices, mesh.triangles
+    for start in range(0, len(v), _OBJ_CHUNK):
+        rows = v[start:start + _OBJ_CHUNK]
+        yield "v %r %r %r\n" * len(rows) % tuple(rows.reshape(-1).tolist())
+    for start in range(0, len(t), _OBJ_CHUNK):
+        rows = t[start:start + _OBJ_CHUNK].astype(np.int64) + 1
+        yield "f %d %d %d\n" * len(rows) % tuple(rows.reshape(-1).tolist())
+
+
 def write_obj(mesh: TriangleMesh) -> str:
     """Serialize to OBJ text: v/f records, 1-based, round-trip precision."""
-    lines = [f"v {x!r} {y!r} {z!r}" for x, y, z in mesh.vertices.tolist()]
-    lines += [f"f {a} {b} {c}" for a, b, c in
-              (mesh.triangles.astype(np.int64) + 1).tolist()]
-    return "\n".join(lines) + ("\n" if lines else "")
+    return "".join(_obj_chunks(mesh))
 
 
 def read_obj(text: str) -> TriangleMesh:
@@ -355,13 +367,33 @@ def read_ply(data: bytes) -> TriangleMesh:
                         scalars=vdata[:, 3] if ncol == 4 else None)
 
 
-def write_mesh(mesh: TriangleMesh, path, format: str | None = None) -> None:
-    """Write OBJ or PLY by explicit format or file suffix."""
-    path = Path(path)
-    fmt = (format or path.suffix.lstrip(".")).lower()
-    if fmt == "obj":
-        path.write_text(write_obj(mesh))
-    elif fmt == "ply":
-        path.write_bytes(write_ply(mesh))
-    else:
+def mesh_format(path, format: str | None = None) -> str:
+    """``"obj"`` or ``"ply"``: ``format`` if given, else the suffix of
+    ``path``; anything else raises one ``ValueError``."""
+    fmt = (format or Path(path).suffix.lstrip(".")).lower()
+    if fmt not in ("obj", "ply"):
         raise ValueError(f"unknown mesh format {fmt!r} (use obj or ply)")
+    return fmt
+
+
+def write_mesh(mesh: TriangleMesh, path, format: str | None = None) -> None:
+    """Write OBJ or PLY by explicit format or file suffix.
+
+    OBJ text goes to the file chunk by chunk, so only one chunk of it is
+    held.  Either format is written to a sibling ``.part`` file that then
+    replaces ``path``, so a failed write leaves no partial mesh there.
+    """
+    path = Path(path)
+    fmt = mesh_format(path, format)
+    part = path.with_name(path.name + ".part")
+    try:
+        with open(part, "wb") as fh:
+            if fmt == "obj":
+                for chunk in _obj_chunks(mesh):
+                    fh.write(chunk.encode("ascii"))
+            else:
+                fh.write(write_ply(mesh))
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise

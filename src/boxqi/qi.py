@@ -2,12 +2,15 @@
 
 ``approximate`` turns a complete grid of samples into spline coefficients by
 applying the class stencil of every basis index.  It walks the products of
-``domain.class_runs``, boxes of indices that share one stencil layout.  A
-box of at least ``_SLICED_REGION`` coefficients (the interior, and the big
-face slabs) is correlated with its stencil over shifted slices of the
-samples, one slab of ``_SLAB`` elements at a time, so beyond the
-coefficient array it allocates one slab buffer; a smaller box (corners,
-edges, small faces) is gathered as (n, k) and contracted with ``@ w``.
+``domain.class_runs``, boxes of indices that share one stencil layout, and
+reads each box's taps from one table keyed by its per-axis run labels; the
+table holds no grid size, so it is built once per process, on the first
+call, and no index is classified after that.  A box of at least
+``_SLICED_REGION`` coefficients (the interior, and the big face slabs) is
+correlated with its stencil over shifted slices of the samples, one slab of
+``_SLAB`` elements at a time, so beyond the coefficient array it allocates
+one slab buffer; a smaller box (corners, edges, small faces) is gathered as
+(n, k) and contracted with ``@ w``.
 ``QISpline`` evaluates values and derivatives straight from the
 coefficients: on one tetrahedron of the type-6 partition only 53 of the 125
 translates of a cube's 5x5x5 window are nonzero, so each BB patch is a fixed
@@ -110,11 +113,13 @@ def approximate(samples: np.ndarray, grid: DomainGrid | None = None, *,
     stencil applied to the samples; the result reproduces cubics and
     satisfies ``|Qf| <= 9.945 max|f|``.
 
-    Each box of indices with one stencil layout is assembled at once: by
-    shifted slices (``_correlate``) if it holds at least ``_SLICED_REGION``
-    coefficients, else by one gather and ``@ w``.  The two sum the taps in
-    different orders, so they agree to a few ulps, not bit for bit.  Memory
-    beyond the result is one slab buffer or one small gathered array.
+    Each box of indices with one stencil layout takes its tap offsets and
+    weights from ``_region_table`` (built by the first call in a process)
+    and is assembled at once: by shifted slices (``_correlate``) if it
+    holds at least ``_SLICED_REGION`` coefficients, else by one gather and
+    ``@ w``.  The two sum the taps in different orders, so they agree to a
+    few ulps, not bit for bit.  Memory beyond the result is one slab buffer
+    or one small gathered array.
     """
     samples = np.ascontiguousarray(samples, dtype=np.float64)
     if samples.ndim != 3:
@@ -130,25 +135,56 @@ def approximate(samples: np.ndarray, grid: DomainGrid | None = None, *,
     if not _finite(samples):
         raise ValueError("samples contain non-finite values")
 
+    table = _region_table()
     coeffs = np.zeros(tuple(m + 4 for m in grid.m))
-    for (lo1, hi1, c1, _), (lo2, hi2, c2, _), (lo3, hi3, c3, _) in product(
-            *(class_runs(m) for m in grid.m)):
-        if (c1, c2, c3).count(-1) >= 2:
+    # each run's label and indices, shaped to broadcast over a gathered box
+    axes = [[(lo, hi, (c, flip), np.arange(lo, hi + 1).reshape(shape))
+             for lo, hi, c, flip in class_runs(m)]
+            for m, shape in zip(grid.m, ((-1, 1, 1, 1), (-1, 1, 1), (-1, 1)))]
+    for (lo1, hi1, l1, i1), (lo2, hi2, l2, i2), (lo3, hi3, l3, i3) in product(
+            *axes):
+        taps = table.get((l1, l2, l3))
+        if taps is None:
             continue  # inactive corner region: coefficients stay 0
-        rep = (lo1, lo2, lo3)
-        mapped, w = stencils.functional(rep, grid)
+        delta, w = taps
         out = coeffs[lo1 + 1:hi1 + 2, lo2 + 1:hi2 + 2, lo3 + 1:hi3 + 2]
         if out.size >= _SLICED_REGION:
-            _correlate(samples, mapped, w, out)
+            _correlate(samples, delta + (lo1, lo2, lo3), w, out)
         else:
-            delta = mapped - np.array(rep)
-            idx1 = np.arange(lo1, hi1 + 1)[:, None] + delta[:, 0]
-            idx2 = np.arange(lo2, hi2 + 1)[:, None] + delta[:, 1]
-            idx3 = np.arange(lo3, hi3 + 1)[:, None] + delta[:, 2]
-            out[...] = samples[idx1[:, None, None], idx2[None, :, None],
-                               idx3[None, None]] @ w
+            d1, d2, d3 = delta.T
+            out[...] = samples[i1 + d1, i2 + d2, i3 + d3] @ w
     coeffs.setflags(write=False)
     return QISpline(grid=grid, coefficients=coeffs)
+
+
+@lru_cache(maxsize=1)
+def _region_table() -> dict:
+    """The taps of every region label, shared by all grids.
+
+    A region is a product of `domain.class_runs`, keyed by its three runs'
+    (class, reflection) labels.  Its value is (offsets, w): the data
+    indices read by the region's first index minus that index, as
+    read-only int64 (k, 3) in tap order, and the class stencil's shared
+    weights.  At a run's first index `domain.classify` sees exactly the
+    label's class and flag; the grid enters only through the reflection
+    v -> m_a + 1 - v, and a reflected run starts at m_a + 1 - c, so the
+    offset c - v holds no m_a.  The table is therefore built once, by
+    `stencils.functional` at the first indices of the m = 11 regions (every
+    label occurs there, and m_a >= 11 on every grid), and inactive corner
+    labels are left out.
+    """
+    grid = DomainGrid(11, 11, 11)
+    table = {}
+    for runs in product(class_runs(11), repeat=3):
+        labels = tuple(run[2:] for run in runs)
+        if [c for c, _ in labels].count(-1) >= 2:
+            continue
+        rep = tuple(run[0] for run in runs)
+        mapped, w = stencils.functional(rep, grid)
+        offsets = mapped - np.array(rep)
+        offsets.setflags(write=False)
+        table[labels] = (offsets, w)
+    return table
 
 
 def _finite(a: np.ndarray) -> bool:

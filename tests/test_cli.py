@@ -153,6 +153,28 @@ def test_eval_paths_do_not_compile(capsys, tmp_path, monkeypatch):
     assert convergence.gradient_error("f2", 11, eval_points=5) > 0.0
 
 
+def test_isosurface_output_errors_come_before_extraction(capsys, tmp_path,
+                                                         monkeypatch):
+    spline_path = tmp_path / "f2.qis"
+    run(capsys, "approximate", "--fn", "f2", "--m", "11",
+        "--out", str(spline_path))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("extracted before the output was checked")
+
+    monkeypatch.setattr(isosurface, "extract", refuse)
+    for extra, message in (
+            (["--out", str(tmp_path / "x.stl")],
+             "error: unknown mesh format 'stl'"),
+            (["--fn", "f2", "--out", str(tmp_path / "x.obj")],
+             "error: --fn needs PLY output")):
+        code, out, err = run(capsys, "isosurface", "--in", str(spline_path),
+                             "--iso", "0.3", *extra)
+        assert code == 1 and out == ""
+        assert err.startswith(message) and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f2.qis"]
+
+
 def test_approximate_from_raw_volume(capsys, tmp_path, rng):
     from boxqi import volume
     header = volume.VolumeHeader((13, 13, 13))

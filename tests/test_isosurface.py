@@ -1,6 +1,7 @@
 """Tetrahedral isosurface extraction and OBJ/PLY serialization."""
 
 import importlib.util
+import tracemalloc
 from itertools import permutations
 from pathlib import Path
 
@@ -441,16 +442,70 @@ def _obj_per_scalar(mesh):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+_ODD_MESH = iso.TriangleMesh(
+    np.array([[-0.0, 5e-324, 0.1], [1e300, -1e-300, 2.0 / 3.0],
+              [0.0, 1.0, -2.5]]),
+    np.array([[0, 1, 2], [2, 1, 0]]))
+
+
 def test_obj_text_matches_per_scalar_formatting(bump_setup):
     spline, _ = bump_setup
     refined = iso.extract(spline, iso.IsoRequest(0.3, resolution=10,
                                                  refine=True))
-    odd = iso.TriangleMesh(
-        np.array([[-0.0, 5e-324, 0.1], [1e300, -1e-300, 2.0 / 3.0],
-                  [0.0, 1.0, -2.5]]),
-        np.array([[0, 1, 2], [2, 1, 0]]))
+    odd = _ODD_MESH
     empty = iso.TriangleMesh(np.zeros((0, 3)), np.zeros((0, 3), np.int64))
     for mesh in (refined, odd, empty):
         assert iso.write_obj(mesh) == _obj_per_scalar(mesh)
     assert iso.write_obj(odd).splitlines()[0] == "v -0.0 5e-324 0.1"
     assert iso.write_obj(odd).splitlines()[1].startswith("v 1e+300 ")
+
+
+@pytest.mark.parametrize("n", [0, 1, iso._OBJ_CHUNK - 1, iso._OBJ_CHUNK,
+                               iso._OBJ_CHUNK + 1])
+def test_obj_chunk_boundaries_match_per_scalar_formatting(n, tmp_path):
+    """n vertices and n faces cycled from the odd-value mesh: `write_obj`
+    and the file `write_mesh` streams are the per-scalar oracle's text."""
+    mesh = iso.TriangleMesh(np.resize(_ODD_MESH.vertices, (n, 3)),
+                            np.resize(_ODD_MESH.triangles, (n, 3)) % max(n, 1))
+    text = _obj_per_scalar(mesh)
+    path = tmp_path / "m.obj"
+    iso.write_mesh(mesh, path)
+    # compared outside `assert`: pytest's diff of two 16k-line texts would
+    # take minutes to report a failure
+    same_text = iso.write_obj(mesh) == text
+    same_file = path.read_bytes() == text.encode("ascii")
+    assert same_text and same_file
+    assert [p.name for p in tmp_path.iterdir()] == ["m.obj"]
+
+
+def test_write_mesh_holds_one_obj_chunk(tmp_path):
+    """Streaming OBJ export allocates about one chunk of text, not the
+    whole 6 MB file (formatting the whole text peaked at 57 MiB)."""
+    rng = np.random.default_rng(14)
+    n = 100_000
+    mesh = iso.TriangleMesh(rng.integers(0, 999, size=(n, 3)) / 8.0,
+                            rng.integers(0, n, size=(2 * n, 3)))
+    path = tmp_path / "big.obj"
+    tracemalloc.start()
+    try:
+        iso.write_mesh(mesh, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 << 20
+
+
+def test_failed_write_leaves_the_previous_mesh(tmp_path, monkeypatch):
+    path = tmp_path / "m.obj"
+    iso.write_mesh(_ODD_MESH, path)
+    before = path.read_bytes()
+
+    def failing(mesh):
+        yield "v 0.0 0.0 0.0\n"
+        raise OSError("disk full")
+
+    monkeypatch.setattr(iso, "_obj_chunks", failing)
+    with pytest.raises(OSError, match="disk full"):
+        iso.write_mesh(_ODD_MESH, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.obj"]

@@ -81,6 +81,89 @@ def test_assembly_memory_is_the_coefficients():
     assert peak <= spline.coefficients.nbytes + (2 << 20)
 
 
+def _approximate_per_region(samples, grid):
+    """The oracle: the assembly loop that classified every region's first
+    index through `stencils.functional` on each call, with the same
+    gather / `qi._correlate` split."""
+    coeffs = np.zeros(tuple(m + 4 for m in grid.m))
+    for (lo1, hi1, c1, _), (lo2, hi2, c2, _), (lo3, hi3, c3, _) in product(
+            *(domain.class_runs(m) for m in grid.m)):
+        if (c1, c2, c3).count(-1) >= 2:
+            continue
+        rep = (lo1, lo2, lo3)
+        mapped, w = stencils.functional(rep, grid)
+        out = coeffs[lo1 + 1:hi1 + 2, lo2 + 1:hi2 + 2, lo3 + 1:hi3 + 2]
+        if out.size >= qi._SLICED_REGION:
+            qi._correlate(samples, mapped, w, out)
+        else:
+            delta = mapped - np.array(rep)
+            idx1 = np.arange(lo1, hi1 + 1)[:, None] + delta[:, 0]
+            idx2 = np.arange(lo2, hi2 + 1)[:, None] + delta[:, 1]
+            idx3 = np.arange(lo3, hi3 + 1)[:, None] + delta[:, 2]
+            out[...] = samples[idx1[:, None, None], idx2[None, :, None],
+                               idx3[None, None]] @ w
+    return coeffs
+
+
+_TABLE_GRIDS = [(11, 11, 11), (12, 12, 12), (13, 11, 17), (32, 32, 32),
+                (33, 32, 31), (64, 64, 64), (100, 11, 12), (254, 254, 97)]
+
+
+@pytest.mark.parametrize("m", _TABLE_GRIDS)
+def test_region_table_is_grid_independent(m):
+    """Every region's functional, at its first index on this grid and
+    relative to it, is the table entry of its run labels, tap for tap."""
+    grid = geometry.DomainGrid(*m, 1.0)
+    table = qi._region_table()
+    assert len(table) == 1215
+    seen = set()
+    for runs in product(*(domain.class_runs(n) for n in m)):
+        labels = tuple(run[2:] for run in runs)
+        if [c for c, _ in labels].count(-1) >= 2:
+            assert labels not in table
+            continue
+        rep = tuple(run[0] for run in runs)
+        idx, w = stencils.functional(rep, grid)
+        offsets, weights = table[labels]
+        np.testing.assert_array_equal(offsets, idx - rep)
+        assert weights is w
+        assert not offsets.flags.writeable
+        seen.add(labels)
+    assert seen == set(table)
+
+
+def test_approximate_classifies_nothing_once_the_table_exists(monkeypatch):
+    qi._region_table()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an index was classified during assembly")
+
+    for owner in (stencils, domain):
+        monkeypatch.setattr(owner, "classify", refuse)
+    monkeypatch.setattr(stencils, "functional", refuse)
+    rng = np.random.default_rng(14)
+    for m in [(11, 11, 11), (40, 40, 12), (13, 11, 17)]:
+        qi.approximate(rng.normal(size=tuple(n + 2 for n in m)))
+
+
+@pytest.mark.parametrize("slab", [qi._SLAB, 660])
+def test_table_assembly_is_bitwise_the_per_region_oracle(rng, monkeypatch,
+                                                         slab):
+    monkeypatch.setattr(qi, "_SLAB", slab)
+    for m in [(11, 11, 11), (40, 40, 12)]:
+        grid = geometry.DomainGrid(*m, 1.0)
+        data = rng.normal(size=tuple(n + 2 for n in m))
+        np.testing.assert_array_equal(qi.approximate(data, grid).coefficients,
+                                      _approximate_per_region(data, grid))
+
+
+def test_table_assembly_of_f2_is_bitwise_the_per_region_oracle(f2_m32):
+    from boxqi import volume
+    samples, grid, _ = volume.sample_test_function("f2", 32)
+    np.testing.assert_array_equal(f2_m32.coefficients,
+                                  _approximate_per_region(samples, grid))
+
+
 @pytest.mark.parametrize("m", [11, 12])
 def test_functional_is_invariant_along_class_runs(m):
     """`approximate` applies the functional of each region's first index to
