@@ -25,8 +25,8 @@ is evaluated once at its final point, for the residual and the scalars.
 Export formats: ASCII OBJ (v/f records, 1-based indices, coordinates in
 shortest round-trip ``repr`` form) and binary little-endian PLY (float64
 coordinates, optional per-vertex scalar channel, e.g. a reference-error
-colour).  ``write_mesh`` streams OBJ text to the file in chunks of
-``_OBJ_CHUNK`` records.  The readers take back exactly what the writers
+colour).  ``write_mesh`` streams either format to the file in chunks of
+``_MESH_CHUNK`` records.  The readers take back exactly what the writers
 write and raise one ``ValueError`` on anything else.
 """
 
@@ -51,7 +51,7 @@ __all__ = [
 
 REFINE_TOLERANCE = 1e-8
 _AREA_FACTOR = 1e-12  # zero-area cutoff: _AREA_FACTOR * (max cell extent)^2
-_OBJ_CHUNK = 1 << 14  # OBJ records formatted, and held, at a time
+_MESH_CHUNK = 1 << 14  # export records formatted, and held, at a time
 
 
 # ---------------------------------------------------------------------------
@@ -278,15 +278,20 @@ def edge_use_counts(mesh: TriangleMesh) -> np.ndarray:
 # OBJ (ASCII)
 # ---------------------------------------------------------------------------
 
+def _chunks(a: np.ndarray):
+    """``a`` in pieces of at most ``_MESH_CHUNK`` records: the one chunk
+    loop of both export formats."""
+    return (a[start:start + _MESH_CHUNK]
+            for start in range(0, len(a), _MESH_CHUNK))
+
+
 def _obj_chunks(mesh: TriangleMesh):
-    """The OBJ text of :func:`write_obj` in pieces of at most
-    ``_OBJ_CHUNK`` records, each formatted by one ``%``."""
-    v, t = mesh.vertices, mesh.triangles
-    for start in range(0, len(v), _OBJ_CHUNK):
-        rows = v[start:start + _OBJ_CHUNK]
+    """The OBJ text of :func:`write_obj` in pieces of ``_chunks``, each
+    formatted by one ``%``."""
+    for rows in _chunks(mesh.vertices):
         yield "v %r %r %r\n" * len(rows) % tuple(rows.reshape(-1).tolist())
-    for start in range(0, len(t), _OBJ_CHUNK):
-        rows = t[start:start + _OBJ_CHUNK].astype(np.int64) + 1
+    for rows in _chunks(mesh.triangles):
+        rows = rows.astype(np.int64) + 1
         yield "f %d %d %d\n" * len(rows) % tuple(rows.reshape(-1).tolist())
 
 
@@ -323,17 +328,25 @@ def _ply_header(nv: int, nf: int, scalar: bool) -> str:
         "property list uchar int vertex_indices", "end_header", ""])
 
 
+def _ply_chunks(mesh: TriangleMesh):
+    """The bytes of :func:`write_ply`: the header, then the vertex block
+    and the face block in pieces of ``_chunks``."""
+    v, t = mesh.vertices, mesh.triangles
+    scalar = mesh.scalars is not None
+    columns = [v, mesh.scalars] if scalar else [v]
+    yield _ply_header(len(v), len(t), scalar).encode("ascii")
+    for rows in zip(*map(_chunks, columns)):
+        yield np.column_stack(rows).astype("<f8").tobytes()
+    for rows in _chunks(t):
+        faces = np.empty((len(rows), 13), dtype=np.uint8)
+        faces[:, 0] = 3
+        faces[:, 1:] = rows.astype("<i4").view(np.uint8).reshape(-1, 12)
+        yield faces.tobytes()
+
+
 def write_ply(mesh: TriangleMesh) -> bytes:
     """Serialize to binary little-endian PLY (scalar channel kept)."""
-    header = _ply_header(len(mesh.vertices), len(mesh.triangles),
-                         mesh.scalars is not None)
-    vdata = (mesh.vertices if mesh.scalars is None else
-             np.column_stack([mesh.vertices, mesh.scalars]))
-    body = vdata.astype("<f8").tobytes()
-    faces = np.empty((len(mesh.triangles), 13), dtype=np.uint8)
-    faces[:, 0] = 3
-    faces[:, 1:] = mesh.triangles.astype("<i4").view(np.uint8).reshape(-1, 12)
-    return header.encode("ascii") + body + faces.tobytes()
+    return b"".join(_ply_chunks(mesh))
 
 
 def read_ply(data: bytes) -> TriangleMesh:
@@ -379,20 +392,19 @@ def mesh_format(path, format: str | None = None) -> str:
 def write_mesh(mesh: TriangleMesh, path, format: str | None = None) -> None:
     """Write OBJ or PLY by explicit format or file suffix.
 
-    OBJ text goes to the file chunk by chunk, so only one chunk of it is
-    held.  Either format is written to a sibling ``.part`` file that then
-    replaces ``path``, so a failed write leaves no partial mesh there.
+    Either format goes chunk by chunk, so only one chunk is held, to a
+    sibling ``.part`` file that then replaces ``path``, so a failed write
+    leaves no partial mesh there.
     """
     path = Path(path)
-    fmt = mesh_format(path, format)
+    chunks = (_obj_chunks if mesh_format(path, format) == "obj"
+              else _ply_chunks)(mesh)
     part = path.with_name(path.name + ".part")
     try:
         with open(part, "wb") as fh:
-            if fmt == "obj":
-                for chunk in _obj_chunks(mesh):
-                    fh.write(chunk.encode("ascii"))
-            else:
-                fh.write(write_ply(mesh))
+            for chunk in chunks:
+                fh.write(chunk.encode("ascii") if isinstance(chunk, str)
+                         else chunk)
         os.replace(part, path)
     except BaseException:
         part.unlink(missing_ok=True)

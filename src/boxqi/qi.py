@@ -1,32 +1,34 @@
 """Assembly and evaluation of the quasi-interpolating spline Qf.
 
-``approximate`` turns a complete grid of samples into spline coefficients by
-applying the class stencil of every basis index.  It walks the products of
-``domain.class_runs``, boxes of indices that share one stencil layout, and
-reads each box's taps from one table keyed by its per-axis run labels; the
-table holds no grid size, so it is built once per process, on the first
-call, and no index is classified after that.  A box of at least
-``_SLICED_REGION`` coefficients (the interior, and the big face slabs) is
-correlated with its stencil over shifted slices of the samples, one slab of
-``_SLAB`` elements at a time, so beyond the coefficient array it allocates
-one slab buffer; a smaller box (corners, edges, small faces) is gathered as
-(n, k) and contracted with ``@ w``.
+Each coefficient is a fixed-weight stencil over the samples, each BB patch
+or lattice value one over the coefficients; every such loop reads a cube's
+5x5x5 coefficient window (``_WINDOW``, or ``sliding_window_view`` slabs in
+``compile``) or runs ``_correlate``, the one slab-wise correlation.
+``approximate`` applies the class stencil of every basis index to a
+complete sample grid.  It walks the products of ``domain.class_runs``,
+boxes of indices that share one stencil layout, and reads each box's taps
+from one table keyed by its per-axis run labels; the table holds no grid
+size, so it is built once per process, on the first call, and no index is
+classified after that.  A box of at least ``_SLICED_REGION`` coefficients
+(the interior, and the big face slabs) is correlated, so beyond the
+coefficient array it allocates one slab buffer; a smaller box (corners,
+edges, small faces) is gathered as (n, k) and contracted with ``@ w``.
 ``QISpline`` evaluates values and derivatives straight from the
 coefficients: on one tetrahedron of the type-6 partition only 53 of the 125
-translates of a cube's 5x5x5 window are nonzero, so each BB patch is a fixed
+translates of a cube's window are nonzero, so each BB patch is a fixed
 (53, 35) linear map of 53 gathered coefficients, and the patches of a
 derivative or of the gradient are fixed maps too (the gradient's three cubic
 patches: (53, 60)).  Points are processed in blocks of ``_EVAL_BLOCK``,
 located once per block and sorted by tetrahedron; each tetrahedron's run
 fills its rows of one patch array, and one ``einsum`` contracts the whole
 block with its Bernstein basis, so an evaluation's working set does not grow
-with the call.
+with the call.  On an aligned lattice (``eval_lattice``) each local offset
+is one 53-tap kernel, correlated into one contiguous block.
 ``mode="direct"`` sums the basis translates instead and serves as an
 independent oracle.  ``compile`` is an optional export of the
 per-tetrahedron patches (dense, within ``DEFAULT_COMPILE_BUDGET``) or, above
-it, a slab plan; evaluation reads neither.  Assembly, export and evaluation
-run their blocks one after another on the calling thread.  Uniform grids
-over the domain are walked here alone, in whole evaluation blocks.
+it, a slab plan; evaluation reads neither.  Uniform grids over the domain
+are walked here alone, in whole evaluation blocks.
 
 Spline file layout (little-endian, version 1):
 
@@ -75,7 +77,7 @@ _NC = DIMENSION[4]  # 35 quartic Bernstein coefficients per tetrahedron
 DEFAULT_COMPILE_BUDGET = 1 << 30
 
 _PATCH_BYTES_PER_CUBE = 24 * _NC * 8  # 6720
-_GATHER_CHUNK = 4 << 20  # float64 elements per temporary in compile gathers
+_GATHER_CHUNK = 1 << 20  # float64 elements per window slab in `compile`
 # Assembly method by region size.  Slicing pays two ufunc calls per tap
 # and slab, gathering pays more per element, so a box of at least this
 # many coefficients is sliced.  For a 20-tap face stencil slicing took
@@ -193,14 +195,13 @@ def _finite(a: np.ndarray) -> bool:
     return bool(np.isfinite(a.min()) and np.isfinite(a.max()))
 
 
-def _correlate(samples, taps, w, out):
-    """Apply one stencil to a box of coefficients by shifted slices.
+def _correlate(src, taps, w, out):
+    """Correlate ``src`` with k taps into ``out``, in tap order:
+    ``out[i] = sum_t w[t] src[i + taps[t]]`` for (k, 3) offsets ``taps``.
 
-    ``taps`` (k, 3) holds the data indices read by the box's first index;
-    every other index of the box reads them translated.  The box is walked
-    in slabs of whole axis-0 rows, about ``_SLAB`` elements each: the first
-    tap writes the slab of ``out``, and every later tap is multiplied into
-    one reused buffer and added in place.
+    ``out`` is walked in slabs of whole axis-0 rows, about ``_SLAB``
+    elements each: the first tap writes the slab of ``out``, and every
+    later tap is multiplied into one reused buffer and added in place.
     """
     n1, n2, n3 = out.shape
     rows = max(1, _SLAB // (n2 * n3))
@@ -210,12 +211,12 @@ def _correlate(samples, taps, w, out):
         dst = out[start:start + rows]
         tmp = buf[:len(dst)]
         for t, ((d1, d2, d3), wt) in enumerate(zip(taps, w)):
-            src = samples[d1 + start:d1 + start + len(dst),
-                          d2:d2 + n2, d3:d3 + n3]
+            part = src[d1 + start:d1 + start + len(dst),
+                       d2:d2 + n2, d3:d3 + n3]
             if t == 0:
-                np.multiply(src, wt, out=dst)
+                np.multiply(part, wt, out=dst)
             else:
-                np.multiply(src, wt, out=tmp)
+                np.multiply(part, wt, out=tmp)
                 dst += tmp
 
 
@@ -236,11 +237,8 @@ def _patch_matrix() -> np.ndarray:
     return np.ascontiguousarray(get_table().coeffs[::-1]).reshape(125, -1)
 
 
-_WINDOW_OFFSETS = (
-    np.repeat(np.arange(5), 25),
-    np.tile(np.repeat(np.arange(5), 5), 5),
-    np.tile(np.arange(5), 25),
-)
+# slot w of a cube's 5x5x5 coefficient window, in C order: (125, 3)
+_WINDOW = np.array(list(np.ndindex(5, 5, 5)))
 
 
 @lru_cache(maxsize=None)
@@ -270,13 +268,6 @@ def _tet_blocks(gammas: tuple) -> tuple[np.ndarray, np.ndarray]:
     return rows, blocks
 
 
-def _windows(coeffs: np.ndarray, cube: np.ndarray) -> np.ndarray:
-    """Gather the (n, 125) coefficient windows feeding each cube's patches."""
-    return coeffs[cube[:, 0, None] + _WINDOW_OFFSETS[0],
-                  cube[:, 1, None] + _WINDOW_OFFSETS[1],
-                  cube[:, 2, None] + _WINDOW_OFFSETS[2]]
-
-
 @dataclass(frozen=True)
 class CompiledPatches:
     """Exported per-tetrahedron Bernstein coefficients (dense) or a slab
@@ -304,13 +295,18 @@ class QISpline:
     compiled: CompiledPatches | None = None
 
     def __post_init__(self):
+        c = self.coefficients
+        if not isinstance(c, np.ndarray) or c.dtype.kind not in "iuf":
+            raise ValueError("spline coefficients must be a real integer or "
+                             "floating ndarray, got "
+                             f"{getattr(c, 'dtype', type(c).__name__)}")
         expected = tuple(m + 4 for m in self.grid.m)
-        if self.coefficients.shape != expected:
+        if c.shape != expected:
             raise ValueError(
-                f"coefficient array shape {self.coefficients.shape} does "
+                f"coefficient array shape {c.shape} does "
                 f"not match grid (expected {expected})")
         # `compile` re-runs this through `replace`; checked once, uncompiled
-        if self.compiled is None and not _finite(self.coefficients):
+        if self.compiled is None and not _finite(c):
             raise ValueError("spline coefficients contain non-finite values")
 
     # -- compilation -------------------------------------------------------
@@ -318,8 +314,10 @@ class QISpline:
     def compile(self, mode: str = "auto") -> "QISpline":
         """Attach exported patches (dense) or a slab plan (streamed).
 
-        ``mode="dense"`` materializes 24*35 coefficients per cube in
-        ``compiled.patches`` and raises :class:`SizeError` above
+        ``mode="dense"`` fills 24*35 coefficients per cube of
+        ``compiled.patches``, one slab of axis-0 cube rows (about
+        ``_GATHER_CHUNK`` elements of a ``sliding_window_view``) times
+        ``_patch_matrix()`` at a time, and raises :class:`SizeError` above
         ``DEFAULT_COMPILE_BUDGET``; ``"auto"`` picks dense when it fits and
         else a slab schedule within that budget.  Evaluation reads neither.
         """
@@ -336,12 +334,14 @@ class QISpline:
             raise SizeError(required, budget)
         patches = np.empty((m1, m2, m3, 24, _NC))
         flat = patches.reshape(m1 * m2 * m3, 24 * _NC)
-        cubes = _all_cubes(self.grid.m)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            self.coefficients, (5, 5, 5))
         matrix = _patch_matrix()
-        rows = max(1, _GATHER_CHUNK // (24 * _NC))
-        for start in range(0, len(cubes), rows):
-            flat[start:start + rows] = _windows(
-                self.coefficients, cubes[start:start + rows]) @ matrix
+        plane = m2 * m3
+        rows = max(1, _GATHER_CHUNK // (plane * 125))
+        for start in range(0, m1, rows):  # an unnamed slab is freed at once
+            np.matmul(windows[start:start + rows].reshape(-1, 125), matrix,
+                      out=flat[start * plane:(start + rows) * plane])
         patches.setflags(write=False)
         return replace(self, compiled=CompiledPatches("dense", patches, m1))
 
@@ -384,9 +384,9 @@ class QISpline:
         `locate`'s rule, cube clamp(ceil(u) - 1), so every cube holds the
         local offsets k / r_a, k = 1..r_a, and cube 0 also the plane
         u_a = 0; each point uses the patch `eval` would use.  One offset is
-        one 53-tap kernel, ``blocks[t] @ bernstein_basis(bary)``, applied to
-        shifted slices of the coefficient array: no point is located,
-        gathered or sorted.
+        one 53-tap kernel, ``blocks[t] @ bernstein_basis(bary)``, that
+        ``_correlate`` applies into one contiguous block, then copied into
+        the result: no point is located, gathered or sorted.
         """
         r = (r,) * 3 if np.ndim(r) == 0 else tuple(r)
         if len(r) != 3 or not all(isinstance(x, Integral)
@@ -398,18 +398,16 @@ class QISpline:
         offsets = list(np.ndindex(*(x + 1 for x in r)))
         tet, bary = locate_unit(np.array(offsets) / np.array(r))
         kernels = np.einsum("nsj,nj->ns", blocks[tet], bernstein_basis(bary))
-        taps = np.stack(_WINDOW_OFFSETS, axis=1)[rows[tet]]  # (n, 53, 3)
+        taps = _WINDOW[rows[tet]]  # (n, 53, 3)
         m = self.grid.m
         out = np.empty(tuple(x * n + 1 for x, n in zip(r, m)))
+        buf = np.empty(m[0] * m[1] * m[2])  # every offset's block, reused
         for k, kernel, tap in zip(offsets, kernels, taps):
             size = [n if ka else 1 for ka, n in zip(k, m)]
-            acc = np.zeros(size)
-            for weight, (a, b, c) in zip(kernel, tap):
-                acc += weight * self.coefficients[a:a + size[0],
-                                                  b:b + size[1],
-                                                  c:c + size[2]]
+            block = buf[:size[0] * size[1] * size[2]].reshape(size)
+            _correlate(self.coefficients, tap, kernel, block)
             out[tuple(slice(ka, None, x) if ka else slice(0, 1)
-                      for ka, x in zip(k, r))] = acc
+                      for ka, x in zip(k, r))] = block
         return out
 
     # direct translate summation
@@ -419,16 +417,10 @@ class QISpline:
         u = points / grid.h
         cube, _, _ = locate(points, grid)
         values = np.zeros(len(points))
-        shift = np.array(TRANSLATE_OFFSET, dtype=np.float64)
-        for ox in range(-1, 4):
-            for oy in range(-1, 4):
-                for oz in range(-1, 4):
-                    alpha = cube + (ox, oy, oz)
-                    local = u - alpha + shift
-                    coeff = self.coefficients[alpha[:, 0] + 1,
-                                              alpha[:, 1] + 1,
-                                              alpha[:, 2] + 1]
-                    values += coeff * table.eval(local)
+        for offset in _WINDOW - 1:
+            alpha = cube + offset
+            coeff = self.coefficients[tuple((alpha + 1).T)]
+            values += coeff * table.eval(u - alpha + TRANSLATE_OFFSET)
         return values
 
     def _evaluate(self, points: np.ndarray, gammas: tuple) -> np.ndarray:
@@ -447,8 +439,7 @@ class QISpline:
         rows, blocks = _tet_blocks(gammas)
         flat = np.ravel(self.coefficients)
         _, m2, m3 = self.coefficients.shape
-        offsets = ((_WINDOW_OFFSETS[0] * m2 + _WINDOW_OFFSETS[1]) * m3
-                   + _WINDOW_OFFSETS[2])[rows]
+        offsets = (_WINDOW @ (m2 * m3, m3, 1))[rows]
         out = np.empty((len(points), len(gammas)))
         patches = np.empty((min(len(points), _EVAL_BLOCK), blocks.shape[-1]))
         for start in range(0, len(points), _EVAL_BLOCK):
@@ -571,11 +562,6 @@ def _as_points(points) -> tuple[np.ndarray, bool]:
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("points must have shape (n, 3) or (3,)")
     return arr, scalar
-
-
-def _all_cubes(m: tuple[int, int, int]) -> np.ndarray:
-    grids = np.meshgrid(*(np.arange(x) for x in m), indexing="ij")
-    return np.stack([g.reshape(-1) for g in grids], axis=1)
 
 
 def active_mask(grid: DomainGrid) -> np.ndarray:

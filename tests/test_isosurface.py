@@ -460,8 +460,8 @@ def test_obj_text_matches_per_scalar_formatting(bump_setup):
     assert iso.write_obj(odd).splitlines()[1].startswith("v 1e+300 ")
 
 
-@pytest.mark.parametrize("n", [0, 1, iso._OBJ_CHUNK - 1, iso._OBJ_CHUNK,
-                               iso._OBJ_CHUNK + 1])
+@pytest.mark.parametrize("n", [0, 1, iso._MESH_CHUNK - 1, iso._MESH_CHUNK,
+                               iso._MESH_CHUNK + 1])
 def test_obj_chunk_boundaries_match_per_scalar_formatting(n, tmp_path):
     """n vertices and n faces cycled from the odd-value mesh: `write_obj`
     and the file `write_mesh` streams are the per-scalar oracle's text."""
@@ -493,6 +493,58 @@ def test_write_mesh_holds_one_obj_chunk(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 8 << 20
+
+
+def _ply_whole(mesh):
+    """The oracle: the PLY stream built in one piece, the scalar column
+    stacked onto the whole vertex array and every face at once."""
+    header = iso._ply_header(len(mesh.vertices), len(mesh.triangles),
+                             mesh.scalars is not None)
+    vdata = (mesh.vertices if mesh.scalars is None else
+             np.column_stack([mesh.vertices, mesh.scalars]))
+    faces = np.empty((len(mesh.triangles), 13), dtype=np.uint8)
+    faces[:, 0] = 3
+    faces[:, 1:] = mesh.triangles.astype("<i4").view(np.uint8).reshape(-1, 12)
+    return (header.encode("ascii") + vdata.astype("<f8").tobytes()
+            + faces.tobytes())
+
+
+@pytest.mark.parametrize("n", [0, 1, iso._MESH_CHUNK - 1, iso._MESH_CHUNK,
+                               iso._MESH_CHUNK + 1])
+@pytest.mark.parametrize("scalars", [False, True])
+def test_ply_chunk_boundaries_match_the_whole_stream(n, scalars, tmp_path):
+    """n vertices and n faces cycled from the odd-value mesh: `write_ply`
+    and the file `write_mesh` streams are the one-piece oracle's bytes."""
+    mesh = iso.TriangleMesh(
+        np.resize(_ODD_MESH.vertices, (n, 3)),
+        np.resize(_ODD_MESH.triangles, (n, 3)) % max(n, 1),
+        scalars=np.resize([-0.0, 5e-324, np.pi], n) if scalars else None)
+    blob = _ply_whole(mesh)
+    path = tmp_path / "m.ply"
+    iso.write_mesh(mesh, path)
+    same_bytes = iso.write_ply(mesh) == blob
+    same_file = path.read_bytes() == blob
+    assert same_bytes and same_file
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ply"]
+
+
+def test_write_mesh_holds_one_ply_chunk(tmp_path):
+    """Streaming PLY export allocates about one chunk of the body, not the
+    whole 5.5 MB stream (building it in one piece peaked at 19.7 MiB)."""
+    rng = np.random.default_rng(14)
+    n = 100_000
+    mesh = iso.TriangleMesh(rng.integers(0, 999, size=(n, 3)) / 8.0,
+                            rng.integers(0, n, size=(2 * n, 3)),
+                            scalars=rng.normal(size=n))
+    path = tmp_path / "big.ply"
+    tracemalloc.start()
+    try:
+        iso.write_mesh(mesh, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size == len(_ply_whole(mesh))
+    assert peak <= 4 << 20
 
 
 def test_failed_write_leaves_the_previous_mesh(tmp_path, monkeypatch):

@@ -384,21 +384,87 @@ def test_patch_matrix_rows_follow_the_support_cube_index():
         np.testing.assert_array_equal(matrix[slot], reference[slot])
 
 
-def test_dense_compile_equals_window_products_at_m32():
-    """Dense patches of f2 at m = 32 are bit for bit the window products
-    with the reference map, in the chunks `compile` uses."""
-    from boxqi import volume
-    samples, grid, _ = volume.sample_test_function("f2", 32)
-    spline = qi.approximate(samples, grid)
-    patches = spline.compile("dense").compiled.patches
-    flat = patches.reshape(-1, 24 * 35)
-    reference = _patch_matrix_by_cube_index()
-    cubes = qi._all_cubes(grid.m)
-    rows = qi._GATHER_CHUNK // (24 * 35)
+# The window slots as three index arrays, and the fancy-index gather of
+# (n, 125) windows that `compile` once ran in flat chunks of cubes: the
+# oracles of the dense export and of the evaluation offsets.
+_WINDOW_OFFSETS = (
+    np.repeat(np.arange(5), 25),
+    np.tile(np.repeat(np.arange(5), 5), 5),
+    np.tile(np.arange(5), 25),
+)
+
+
+def _windows(coeffs, cube):
+    """Gather the (n, 125) coefficient windows feeding each cube's patches."""
+    return coeffs[cube[:, 0, None] + _WINDOW_OFFSETS[0],
+                  cube[:, 1, None] + _WINDOW_OFFSETS[1],
+                  cube[:, 2, None] + _WINDOW_OFFSETS[2]]
+
+
+def _patches_by_gather(spline, matrix):
+    """Dense patches as gathered windows times ``matrix``, in flat chunks
+    of 4 << 20 // 840 cubes."""
+    m = spline.grid.m
+    grids = np.meshgrid(*(np.arange(x) for x in m), indexing="ij")
+    cubes = np.stack([g.reshape(-1) for g in grids], axis=1)
+    flat = np.empty((len(cubes), 24 * 35))
+    rows = (4 << 20) // (24 * 35)
     for start in range(0, len(cubes), rows):
-        expected = qi._windows(spline.coefficients,
-                               cubes[start:start + rows]) @ reference
-        np.testing.assert_array_equal(flat[start:start + rows], expected)
+        flat[start:start + rows] = _windows(
+            spline.coefficients, cubes[start:start + rows]) @ matrix
+    return flat.reshape(*m, 24, 35)
+
+
+def test_dense_compile_equals_window_products_at_m32(f2_m32):
+    """Dense patches of f2 at m = 32 are bit for bit the gathered window
+    products with the reference map."""
+    patches = f2_m32.compile("dense").compiled.patches
+    expected = _patches_by_gather(f2_m32, _patch_matrix_by_cube_index())
+    np.testing.assert_array_equal(_bits(patches), _bits(expected))
+
+
+def _bitwise_spline(which, f2_m32):
+    """The splines of the bitwise compile and lattice checks."""
+    if which == "m=11":
+        return qi.approximate(
+            np.random.default_rng(11).normal(size=(13, 13, 13)))
+    if which == "m=(40,23,12)":
+        return qi.QISpline(geometry.DomainGrid(40, 23, 12, 0.1),
+                           np.random.default_rng(15).normal(size=(44, 27, 16)))
+    return f2_m32
+
+
+@pytest.mark.parametrize("which", ["m=11", "m=(40,23,12)", "f2 m=32"])
+@pytest.mark.parametrize("split", [False, True])
+def test_dense_compile_is_bitwise_the_gather_oracle(f2_m32, monkeypatch,
+                                                    which, split):
+    """Window slabs of a `sliding_window_view`, whole or split into 3-row
+    slabs and a remainder, give the gathered patches bit for bit."""
+    spline = _bitwise_spline(which, f2_m32)
+    m1, m2, m3 = spline.grid.m
+    if split:
+        monkeypatch.setattr(qi, "_GATHER_CHUNK", 3 * m2 * m3 * 125 + 7)
+        assert m1 % 3
+    patches = spline.compile("dense").compiled.patches
+    expected = _patches_by_gather(spline, qi._patch_matrix())
+    np.testing.assert_array_equal(_bits(patches), _bits(expected))
+
+
+def test_dense_compile_holds_one_window_slab(f2_m32):
+    """Beyond the patches, `compile` holds one slab of windows (at m = 32,
+    8 rows of 1 MiB), each freed before the next is copied."""
+    m1, m2, m3 = f2_m32.grid.m
+    rows = min(m1, max(1, qi._GATHER_CHUNK // (m2 * m3 * 125)))
+    assert rows < m1
+    slab = rows * m2 * m3 * 125 * 8
+    qi._patch_matrix()  # the box-spline table, outside the trace
+    tracemalloc.start()
+    try:
+        patches = f2_m32.compile("dense").compiled.patches
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= patches.nbytes + slab + (2 << 20)
 
 
 def test_compile_budget_and_size_error(rng, monkeypatch):
@@ -447,7 +513,21 @@ def test_approximate_input_validation():
 
 
 def test_nonfinite_coefficients_rejected(rng, tmp_path):
+    """Non-finite values, and anything but a real integer or floating
+    ndarray, fail with one ValueError when the spline is made."""
     spline = qi.approximate(rng.normal(size=(13, 13, 13)), h=1.0)
+    grid = spline.grid
+    for bad in ([[0]], spline.coefficients.tolist(),
+                spline.coefficients.astype(complex),
+                spline.coefficients.astype(object),
+                np.zeros((15, 15, 15), dtype=bool)):
+        with pytest.raises(ValueError, match="real integer or floating"):
+            qi.QISpline(grid, bad)
+    with pytest.raises(ValueError, match="does not match grid"):
+        qi.QISpline(grid, np.zeros((15, 15)))
+    for dtype in (np.int32, np.uint8, np.float32):
+        cast = qi.QISpline(grid, spline.coefficients.astype(dtype))
+        assert np.isfinite(cast.eval([[1.5, 2.5, 3.5]])).all()
     for bad in (np.nan, np.inf, -np.inf):
         coeffs = spline.coefficients.copy()
         coeffs[5, 6, 7] = bad
@@ -586,8 +666,8 @@ def _oracle_evaluate(spline, points, gammas):
     rows, blocks = qi._tet_blocks(gammas)
     flat = np.ravel(spline.coefficients)
     _, m2, m3 = spline.coefficients.shape
-    offsets = ((qi._WINDOW_OFFSETS[0] * m2 + qi._WINDOW_OFFSETS[1]) * m3
-               + qi._WINDOW_OFFSETS[2])[rows]
+    offsets = ((_WINDOW_OFFSETS[0] * m2 + _WINDOW_OFFSETS[1]) * m3
+               + _WINDOW_OFFSETS[2])[rows]
     out = np.empty((len(points), len(gammas)))
     for start in range(0, len(points), qi._EVAL_BLOCK):
         cube, tet, bary = geometry.locate(
@@ -677,6 +757,74 @@ def test_eval_lattice_reproduces_cubics():
     exact = p(pts[:, 0], pts[:, 1], pts[:, 2])
     values = spline.eval_lattice((2, 3, 1)).reshape(-1)
     assert np.abs(values - exact).max() <= 1e-12
+
+
+def _lattice_per_tap(spline, r):
+    """The oracle: each offset's 53 taps added one at a time into a
+    zeroed block of whole-axis slices, one temporary per tap."""
+    rows, blocks = qi._tet_blocks(((0, 0, 0),))
+    offsets = list(np.ndindex(*(x + 1 for x in r)))
+    tet, bary = geometry.locate_unit(np.array(offsets) / np.array(r))
+    kernels = np.einsum("nsj,nj->ns", blocks[tet],
+                        bernstein.bernstein_basis(bary))
+    taps = np.stack(_WINDOW_OFFSETS, axis=1)[rows[tet]]
+    m = spline.grid.m
+    out = np.empty(tuple(x * n + 1 for x, n in zip(r, m)))
+    for k, kernel, tap in zip(offsets, kernels, taps):
+        size = [n if ka else 1 for ka, n in zip(k, m)]
+        acc = np.zeros(size)
+        for weight, (a, b, c) in zip(kernel, tap):
+            acc += weight * spline.coefficients[a:a + size[0],
+                                                b:b + size[1],
+                                                c:c + size[2]]
+        out[tuple(slice(ka, None, x) if ka else slice(0, 1)
+                  for ka, x in zip(k, r))] = acc
+    return out
+
+
+@pytest.mark.parametrize("which, r", [
+    ("m=11", (1, 1, 1)), ("m=11", (3, 3, 3)), ("m=11", (2, 3, 1)),
+    ("m=(40,23,12)", (3, 2, 5)), ("f2 m=32", (1, 1, 1)),
+    ("f2 m=32", (2, 2, 2)), ("f2 m=32", (4, 4, 4))])
+@pytest.mark.parametrize("split", [False, True])
+def test_eval_lattice_is_bitwise_the_per_tap_oracle(f2_m32, monkeypatch,
+                                                    which, r, split):
+    """Each offset correlated into one block, whole or in 3-row slabs and
+    a remainder, gives the per-tap sums bit for bit."""
+    spline = _bitwise_spline(which, f2_m32)
+    m1, m2, m3 = spline.grid.m
+    if split:
+        monkeypatch.setattr(qi, "_SLAB", 3 * m2 * m3 + 7)
+        assert m1 % 3
+    np.testing.assert_array_equal(_bits(spline.eval_lattice(r)),
+                                  _bits(_lattice_per_tap(spline, r)))
+
+
+def test_eval_lattice_of_the_scan_shape_is_bitwise_the_oracle():
+    """At (254, 254, 97) a whole block is 24638-element planes, one per
+    slab."""
+    spline = qi.QISpline(geometry.DomainGrid(254, 254, 97, 1.0),
+                         np.random.default_rng(3).normal(size=(258, 258, 101)))
+    np.testing.assert_array_equal(_bits(spline.eval_lattice(1)),
+                                  _bits(_lattice_per_tap(spline, (1, 1, 1))))
+
+
+def test_eval_lattice_holds_one_block_and_one_slab():
+    """Beyond the result, `eval_lattice` holds one block of its largest
+    offset and one correlation slab; a temporary per tap held two blocks."""
+    m1, m2, m3 = m = (128, 128, 48)
+    spline = qi.QISpline(geometry.DomainGrid(*m, 1.0),
+                         np.random.default_rng(4).normal(size=(132, 132, 52)))
+    block = m1 * m2 * m3 * 8
+    slab = min(m1, max(1, qi._SLAB // (m2 * m3))) * m2 * m3 * 8
+    qi._tet_blocks(((0, 0, 0),))  # the box-spline table, outside the trace
+    tracemalloc.start()
+    try:
+        out = spline.eval_lattice(1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= out.nbytes + block + slab + (2 << 20)
 
 
 @pytest.mark.parametrize("r", [0, True, 1.5, (1, 2), (1, 0, 1), "2"])
