@@ -114,7 +114,7 @@ def cmd_info(args) -> int:
     grid = _grid_from_flags(args, args.h)
     grid.require_quasi_interpolation()
     m1, m2, m3 = grid.m
-    active = int(qi.active_mask(grid).sum())
+    active = int(domain.active_mask(grid).sum())
     slots = (m1 + 4) * (m2 + 4) * (m3 + 4)
     lib = stencils.library()
     bound = max(s.norm for s in lib.values())

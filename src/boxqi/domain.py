@@ -1,17 +1,26 @@
 """Bounded-domain bookkeeping for the quasi-interpolant.
 
-Index set
----------
-The translates B_alpha meeting Omega are indexed by alpha = (i, j, k) with
--1 <= i <= m1+2 (likewise j, k), minus the exclusion set A' of twelve edge
-lines of that index box whose translates vanish identically on Omega:
+One per-axis rule
+-----------------
+`_axis_class(a, m)` decides everything about a basis index a on an axis of
+m cells: its class (a up to ceil((m+1)/2), else m + 1 - a) and whether the
+axis is reflected.  Class -1 is exactly an extreme coordinate (-1 or m+2).
+The other boundary facts follow from it:
 
-* (i, -1, -1), (i, m2+2, -1), (i, -1, m3+2), (i, m2+2, m3+2)   full i range,
-* (-1, j, -1), (m1+2, j, -1), (-1, j, m3+2), (m1+2, j, m3+2)   0 <= j <= m2+1,
-* (-1, -1, k), (m1+2, -1, k), (-1, m2+2, k), (m1+2, m2+2, k)   0 <= k <= m3+1.
+* Index set.  The translates B_alpha meeting Omega are indexed by
+  alpha = (i, j, k) with -1 <= i <= m1+2 (likewise j, k), minus the twelve
+  edge lines of that index box whose translates vanish identically on
+  Omega: alpha is excluded iff at least two of its axes have class -1.
+  `active_mask` states this over the whole index box.
+* Class and frame.  The three per-axis classes, sorted descending and
+  clamped, give one of 23 canonical class keys, and the sort order and the
+  reflection flags give the symmetry transform (`label_class`).
+* Taps.  A class stencil's data indices minus its key, permuted and
+  negated along reflected axes (`SymmetryTransform.offsets`), are the data
+  offsets the coefficient at alpha reads; none of this needs the grid.
 
-Equivalently: alpha is excluded iff at least two of its coordinates are
-extreme (-1 or m_a+2).
+`classify` applies the rule to one index of a grid; `class_runs` lists the
+index runs along one axis that share a stencil layout.
 
 Data points
 -----------
@@ -19,13 +28,6 @@ Samples live at M_beta = (s_i, t_j, u_k), beta = (i, j, k) with
 0 <= i <= m1+1, where s_0 = 0, s_i = (i - 1/2) h for 1 <= i <= m1, and
 s_{m1+1} = m1 h (likewise t, u): the cube-center lattice of step h clamped
 onto the boundary faces of Omega.
-
-Classification
---------------
-Every alpha in A reduces, by axis reflections and permutations, to one of
-22 canonical boundary classes keyed by a sorted triple; see `classify`.
-`class_runs` lists the index runs along one axis that share a stencil
-layout.
 """
 
 from __future__ import annotations
@@ -36,10 +38,11 @@ from fractions import Fraction
 import numpy as np
 
 __all__ = [
-    "index_set", "IndexSetA", "centers", "center_exact",
+    "active_mask", "centers", "center_exact",
     "data_points", "data_coordinate", "data_coordinate_exact",
     "project_index", "octahedron_offsets", "octahedron",
-    "SymmetryTransform", "classify", "class_runs", "CLASS_KEYS",
+    "SymmetryTransform", "label_class", "classify", "class_runs",
+    "CLASS_KEYS",
 ]
 
 
@@ -47,57 +50,14 @@ __all__ = [
 # index set A
 # ---------------------------------------------------------------------------
 
-class IndexSetA:
-    """The admissible index set A for a grid, with A' excluded."""
-
-    def __init__(self, grid):
-        self.grid = grid
-
-    def _extreme_count(self, alpha):
-        m = self.grid.m
-        return sum(1 for a in range(3) if alpha[a] in (-1, m[a] + 2))
-
-    def __contains__(self, alpha):
-        m = self.grid.m
-        if any(alpha[a] < -1 or alpha[a] > m[a] + 2 for a in range(3)):
-            return False
-        return self._extreme_count(alpha) < 2
-
-    def __len__(self):
-        m1, m2, m3 = self.grid.m
-        full = (m1 + 4) * (m2 + 4) * (m3 + 4)
-        excluded = 4 * (m1 + 4) + 4 * (m2 + 2) + 4 * (m3 + 2)
-        return full - excluded
-
-    def __iter__(self):
-        m1, m2, m3 = self.grid.m
-        for i in range(-1, m1 + 3):
-            for j in range(-1, m2 + 3):
-                for k in range(-1, m3 + 3):
-                    alpha = (i, j, k)
-                    if self._extreme_count(alpha) < 2:
-                        yield alpha
-
-    def mask(self):
-        """Boolean array over the full index box, True where alpha in A.
-
-        Shape (m1+4, m2+4, m3+4); slot [i+1, j+1, k+1] corresponds to
-        alpha = (i, j, k).
-        """
-        m1, m2, m3 = self.grid.m
-        ext = []
-        for m, size in zip(self.grid.m, (m1 + 4, m2 + 4, m3 + 4)):
-            e = np.zeros(size, dtype=np.int8)
-            e[0] = e[m + 3] = 1
-            ext.append(e)
-        count = (ext[0][:, None, None] + ext[1][None, :, None]
-                 + ext[2][None, None, :])
-        return count < 2
-
-
-def index_set(grid):
-    """The index set A of translates contributing on Omega."""
-    return IndexSetA(grid)
+def active_mask(grid):
+    """Boolean (m1+4, m2+4, m3+4) mask of the index set A: slot
+    [i+1, j+1, k+1] is alpha = (i, j, k), True unless two or more of its
+    axes have class -1 (an extreme coordinate) under `_axis_class`."""
+    e1, e2, e3 = (np.array([_axis_class(a, m)[0] == -1
+                            for a in range(-1, m + 3)], dtype=np.int8)
+                  for m in grid.m)
+    return e1[:, None, None] + e2[None, :, None] + e3[None, None, :] < 2
 
 
 def centers(alpha, grid):
@@ -223,26 +183,26 @@ class SymmetryTransform:
     """Box-symmetry element mapping the canonical frame onto alpha's frame.
 
     ``perm[p]`` is the actual axis receiving canonical slot p; ``flips[a]``
-    reflects actual axis a (index map v -> m_a + 1 - v); ``shifts[p]`` is
-    the translation applied to canonical slot p before reflection (the
-    clamp excess of the per-axis class over the canonical key value).
+    reflects actual axis a (index map v -> m_a + 1 - v).
     """
     perm: tuple
     flips: tuple
-    shifts: tuple
 
-    def apply_data_index(self, beta_canonical, grid):
-        """Map canonical stencil data indices (triple or (k, 3) array) to
-        alpha's frame."""
-        beta = np.asarray(beta_canonical, dtype=np.int64)
-        single = beta.ndim == 1
-        rows = beta.reshape(1, 3) if single else beta
-        out = np.empty_like(rows)
-        for p in range(3):
-            a = self.perm[p]
-            v = rows[:, p] + self.shifts[p]
-            out[:, a] = grid.m[a] + 1 - v if self.flips[a] else v
-        return tuple(int(x) for x in out[0]) if single else out
+    def offsets(self, delta):
+        """Data offsets from alpha of canonical offsets ``delta``: (k, 3)
+        stencil data indices minus the class key.
+
+        Column ``perm[p]`` gets ``delta[:, p]``, negated along a reflected
+        axis.  Unreflected, alpha's class c is alpha itself and the index
+        idx + c - key is alpha + (idx - key); reflected, c = m + 1 - alpha
+        and m + 1 - (idx + c - key) is alpha - (idx - key).  So the grid
+        size never enters, even where the class was clamped onto the key.
+        """
+        delta = np.asarray(delta, dtype=np.int64)
+        out = np.empty_like(delta)
+        for p, a in enumerate(self.perm):
+            out[:, a] = -delta[:, p] if self.flips[a] else delta[:, p]
+        return out
 
 
 def _clamp_key(c):
@@ -268,7 +228,8 @@ def _clamp_key(c):
 def _axis_class(a, m):
     """Per-axis class of basis index a on an axis of m cells, and whether
     the axis is reflected: a itself up to ceil((m+1)/2), else m + 1 - a
-    (equidistant middles stay unreflected)."""
+    (equidistant middles stay unreflected).  Class -1 is an extreme index,
+    -1 or m + 2; a class below -1 lies outside the index box."""
     if a <= -(-(m + 1) // 2):
         return a, False
     return m + 1 - a, True
@@ -297,23 +258,29 @@ def class_runs(m):
     return runs
 
 
-def classify(alpha, grid):
-    """Reduce alpha to a canonical class key plus the symmetry transform.
+def label_class(classes, flips):
+    """Canonical class key and symmetry transform of per-axis labels.
 
-    Each axis gets its class and reflection flag from `_axis_class`.
-    Classes are sorted descending (stable: lower axis first on ties), then
-    clamped onto the canonical key set family by family.
+    ``classes`` and ``flips`` hold each axis's class and reflection flag
+    from `_axis_class`.  Classes are sorted descending (stable: lower axis
+    first on ties), then clamped onto the canonical key set family by
+    family.
 
     Returns
     -------
     (key, transform) : ((int, int, int), SymmetryTransform)
     """
+    perm = tuple(sorted(range(3), key=lambda a: (-classes[a], a)))
+    key = _clamp_key(tuple(classes[a] for a in perm))
+    return key, SymmetryTransform(perm=perm, flips=tuple(flips))
+
+
+def classify(alpha, grid):
+    """Reduce alpha to a canonical class key plus the symmetry transform:
+    `label_class` of its per-axis `_axis_class` labels.  Raises ValueError
+    for an index outside -1..m_a+2 or with two extreme coordinates."""
     grid.require_quasi_interpolation()
-    if alpha not in index_set(grid):
-        raise ValueError(f"alpha {alpha} not in the index set A")
     cls, flips = zip(*(_axis_class(alpha[a], grid.m[a]) for a in range(3)))
-    perm = tuple(sorted(range(3), key=lambda a: (-cls[a], a)))
-    sorted_c = tuple(cls[a] for a in perm)
-    key = _clamp_key(sorted_c)
-    shifts = tuple(sorted_c[p] - key[p] for p in range(3))
-    return key, SymmetryTransform(perm=perm, flips=flips, shifts=shifts)
+    if min(cls) < -1 or cls.count(-1) >= 2:
+        raise ValueError(f"alpha {alpha} not in the index set A")
+    return label_class(cls, flips)

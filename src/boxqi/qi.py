@@ -8,11 +8,12 @@ or lattice value one over the coefficients; every such loop reads a cube's
 complete sample grid.  It walks the products of ``domain.class_runs``,
 boxes of indices that share one stencil layout, and reads each box's taps
 from one table keyed by its per-axis run labels; the table holds no grid
-size, so it is built once per process, on the first call, and no index is
-classified after that.  A box of at least ``_SLICED_REGION`` coefficients
-(the interior, and the big face slabs) is correlated, so beyond the
-coefficient array it allocates one slab buffer; a smaller box (corners,
-edges, small faces) is gathered as (n, k) and contracted with ``@ w``.
+size and is built from the labels alone, once per process on the first
+call (about 0.02 s), so no index is classified.  A box of at least
+``_SLICED_REGION`` coefficients (the interior, and the big face slabs) is
+correlated, so beyond the coefficient array it allocates one slab buffer;
+a smaller box (corners, edges, small faces) is gathered as (n, k) and
+contracted with ``@ w``.
 ``QISpline`` evaluates values and derivatives straight from the
 coefficients: on one tetrahedron of the type-6 partition only 53 of the 125
 translates of a cube's window are nonzero, so each BB patch is a fixed
@@ -57,7 +58,7 @@ import numpy as np
 from . import stencils
 from .bernstein import DIMENSION, bernstein_basis, derivative_reduce
 from .boxspline import TRANSLATE_OFFSET, derivative_order, get_table
-from .domain import class_runs, index_set
+from .domain import class_runs, label_class
 from .geometry import AXIS_DIRECTIONS, DomainGrid, locate, locate_unit
 
 __all__ = [
@@ -167,23 +168,22 @@ def _region_table() -> dict:
     (class, reflection) labels.  Its value is (offsets, w): the data
     indices read by the region's first index minus that index, as
     read-only int64 (k, 3) in tap order, and the class stencil's shared
-    weights.  At a run's first index `domain.classify` sees exactly the
-    label's class and flag; the grid enters only through the reflection
-    v -> m_a + 1 - v, and a reflected run starts at m_a + 1 - c, so the
-    offset c - v holds no m_a.  The table is therefore built once, by
-    `stencils.functional` at the first indices of the m = 11 regions (every
-    label occurs there, and m_a >= 11 on every grid), and inactive corner
-    labels are left out.
+    weights.  A run's first index has exactly its label's class and flag,
+    so `domain.label_class` of the labels gives the stencil and its
+    transform, and `SymmetryTransform.offsets` the taps, which hold no grid
+    size.  The labels are those of m = 11, where every label occurs;
+    inactive corner labels are left out.  The build takes about 0.02 s.
     """
-    grid = DomainGrid(11, 11, 11)
+    lib = stencils.library()
     table = {}
     for runs in product(class_runs(11), repeat=3):
         labels = tuple(run[2:] for run in runs)
-        if [c for c, _ in labels].count(-1) >= 2:
+        classes, flips = zip(*labels)
+        if classes.count(-1) >= 2:
             continue
-        rep = tuple(run[0] for run in runs)
-        mapped, w = stencils.functional(rep, grid)
-        offsets = mapped - np.array(rep)
+        key, transform = label_class(classes, flips)
+        idx, w = lib[key].arrays
+        offsets = transform.offsets(idx - key)
         offsets.setflags(write=False)
         table[labels] = (offsets, w)
     return table
@@ -384,9 +384,10 @@ class QISpline:
         `locate`'s rule, cube clamp(ceil(u) - 1), so every cube holds the
         local offsets k / r_a, k = 1..r_a, and cube 0 also the plane
         u_a = 0; each point uses the patch `eval` would use.  One offset is
-        one 53-tap kernel, ``blocks[t] @ bernstein_basis(bary)``, that
-        ``_correlate`` applies into one contiguous block, then copied into
-        the result: no point is located, gathered or sorted.
+        one 53-tap kernel, ``blocks[t] @ bernstein_basis(bary)``, whose
+        nonzero taps (32 at a cube's corner offset) ``_correlate`` applies
+        into one contiguous block, then copied into the result: no point is
+        located, gathered or sorted.
         """
         r = (r,) * 3 if np.ndim(r) == 0 else tuple(r)
         if len(r) != 3 or not all(isinstance(x, Integral)
@@ -405,7 +406,9 @@ class QISpline:
         for k, kernel, tap in zip(offsets, kernels, taps):
             size = [n if ka else 1 for ka, n in zip(k, m)]
             block = buf[:size[0] * size[1] * size[2]].reshape(size)
-            _correlate(self.coefficients, tap, kernel, block)
+            nonzero = kernel != 0
+            _correlate(self.coefficients, tap[nonzero], kernel[nonzero],
+                       block)
             out[tuple(slice(ka, None, x) if ka else slice(0, 1)
                       for ka, x in zip(k, r))] = block
         return out
@@ -497,9 +500,11 @@ class QISpline:
                 raise ValueError(
                     f"unsupported spline file version {version}")
             grid = DomainGrid(m1, m2, m3, h=h)
-            coeffs = np.empty(tuple(m + 4 for m in grid.m), dtype="<f8")
-            expected = head + coeffs.nbytes
-            if size != expected or fh.readinto(
+            shape = (m1 + 4, m2 + 4, m3 + 4)
+            expected = head + 8 * shape[0] * shape[1] * shape[2]
+            # allocate only what the file holds, not what its header claims
+            coeffs = np.empty(shape, dtype="<f8") if size == expected else None
+            if coeffs is None or fh.readinto(
                     coeffs.reshape(-1).view(np.uint8)) != coeffs.nbytes:
                 raise ValueError(
                     f"spline file truncated: {size} bytes, "
@@ -562,8 +567,3 @@ def _as_points(points) -> tuple[np.ndarray, bool]:
     if arr.ndim != 2 or arr.shape[1] != 3:
         raise ValueError("points must have shape (n, 3) or (3,)")
     return arr, scalar
-
-
-def active_mask(grid: DomainGrid) -> np.ndarray:
-    """Boolean (m1+4, m2+4, m3+4) mask of the active coefficient slots."""
-    return index_set(grid).mask()

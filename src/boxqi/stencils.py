@@ -428,12 +428,12 @@ def functional(alpha, grid: DomainGrid) -> tuple[np.ndarray, np.ndarray]:
 
     ``indices`` is (k, 3) int64 of data indices in [0, m_a + 1]; ``weights``
     is the class stencil's read-only float64 array.  The rule is the class
-    stencil mapped through the symmetry transform returned by
-    :func:`boxqi.domain.classify`.
+    stencil's offsets from its key, mapped by the symmetry transform
+    returned by :func:`boxqi.domain.classify`, added to ``alpha``.
     """
     key, transform = classify(alpha, grid)
     idx, w = library()[key].arrays
-    return transform.apply_data_index(idx, grid), w
+    return np.asarray(alpha, dtype=np.int64) + transform.offsets(idx - key), w
 
 
 def coefficient(alpha, grid: DomainGrid, data: np.ndarray) -> float:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import struct
 import tracemalloc
 from fractions import Fraction
 
@@ -201,9 +202,14 @@ def test_approximate_from_npy(capsys, tmp_path, rng):
 def test_truncated_spline_header_is_one_error(capsys, tmp_path):
     path = tmp_path / "short.qis"
     path.write_bytes(qi.QISpline.MAGIC + b"\x01\x00\x00")
+    # a whole header claiming m = 100000, then 64 bytes: refused unallocated
+    huge = tmp_path / "huge.qis"
+    huge.write_bytes(qi.QISpline.MAGIC + struct.pack(
+        "<IIIId", 1, 100000, 100000, 100000, 1.0) + bytes(64))
     for argv in (["eval", "--in", str(path), "--grid", "5"],
                  ["isosurface", "--in", str(path), "--iso", "0.3",
-                  "--out", str(tmp_path / "x.obj")]):
+                  "--out", str(tmp_path / "x.obj")],
+                 ["eval", "--in", str(huge), "--grid", "5"]):
         code, _, err = run(capsys, *argv)
         assert code == 1
         assert err.startswith("error: spline file truncated")

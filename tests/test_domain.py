@@ -10,19 +10,19 @@ from boxqi import domain, geometry
 
 
 def _alphas(grid):
-    mask = domain.index_set(grid).mask()
+    mask = domain.active_mask(grid)
     return [tuple(int(v) for v in a) for a in np.argwhere(mask) - 1]
 
 
 def test_index_set_count_canonical(grid11):
-    mask = domain.index_set(grid11).mask()
+    mask = domain.active_mask(grid11)
     assert mask.shape == (15, 15, 15)
     assert int(mask.sum()) == 3211
     assert mask.size == 3375
 
 
 def test_index_set_excludes_only_extreme_corners(grid11):
-    mask = domain.index_set(grid11).mask()
+    mask = domain.active_mask(grid11)
     excluded = np.argwhere(~mask) - 1
     # every excluded index has at least two coordinates outside [0, m]
     m = grid11.m[0]
@@ -102,12 +102,14 @@ def test_classify_canonical_identity(grid11):
     assert key == (0, 0, -1)
     assert t.perm == (0, 1, 2)
     assert t.flips == (False, False, False)
-    assert t.shifts == (0, 0, 0)
 
 
 def test_classify_rejects_outside(grid11):
-    with pytest.raises(ValueError):
-        domain.classify((-2, -1, -1), grid11)
+    m = grid11.m[0]
+    for alpha in [(-2, -1, -1), (-2, 5, 5), (5, m + 3, 5),
+                  (-1, -1, 5), (m + 2, 4, -1), (3, m + 2, m + 2)]:
+        with pytest.raises(ValueError, match="not in the index set A"):
+            domain.classify(alpha, grid11)
 
 
 def test_transform_maps_canonical_points_into_lattice(grid11):
@@ -117,7 +119,7 @@ def test_transform_maps_canonical_points_into_lattice(grid11):
         alpha = alphas[idx]
         key, t = domain.classify(alpha, grid11)
         canon = domain.octahedron(key, 2, grid11).points
-        mapped = t.apply_data_index(canon, grid11)
+        mapped = np.array(alpha) + t.offsets(canon - key)
         assert mapped.shape == canon.shape
         assert (mapped >= 0).all() and (mapped <= 12).all()
         # distinct canonical points stay distinct
@@ -130,7 +132,7 @@ def test_transform_preserves_center_distance(grid11):
     for alpha in [(11, 11, 12), (0, 4, 12), (12, 0, 3), (5, 12, 12)]:
         key, t = domain.classify(alpha, grid11)
         canon_set = domain.octahedron(key, 2, grid11)
-        mapped = t.apply_data_index(canon_set.points, grid11)
+        mapped = np.array(alpha) + t.offsets(canon_set.points - key)
         c_canon = np.array([float(v) for v in domain.center_exact(key)])
         c_alpha = np.array([float(v) for v in domain.center_exact(alpha)])
         d0 = np.sort(np.linalg.norm(

@@ -38,6 +38,12 @@ def test_linearity(rng):
         rtol=0, atol=1e-12)
 
 
+def _active(grid):
+    """The index set A of ``grid`` as index triples, in C order."""
+    return [tuple(int(v) for v in a)
+            for a in np.argwhere(domain.active_mask(grid)) - 1]
+
+
 def _region_sizes(grid):
     """Coefficient counts of the active regions `approximate` walks."""
     return [(hi1 - lo1 + 1) * (hi2 - lo2 + 1) * (hi3 - lo3 + 1)
@@ -57,7 +63,7 @@ def test_coefficients_match_per_class_stencils(rng, monkeypatch):
     assert min(sizes) < qi._SLICED_REGION <= max(sizes)
     for grid in grids:
         data = rng.normal(size=tuple(m + 2 for m in grid.m))
-        active = list(domain.index_set(grid))
+        active = _active(grid)
         want = [stencils.coefficient(alpha, grid, data) for alpha in active]
         for slab in (qi._SLAB, 660):
             monkeypatch.setattr(qi, "_SLAB", slab)
@@ -132,6 +138,32 @@ def test_region_table_is_grid_independent(m):
     assert seen == set(table)
 
 
+def test_region_table_is_built_without_a_grid(monkeypatch):
+    """The table comes from run labels alone: rebuilt with no index
+    classified, no functional instantiated and no grid made, it is the
+    same table."""
+    before = qi._region_table()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the region table used a grid or an index")
+
+    monkeypatch.setattr(domain, "classify", refuse)
+    monkeypatch.setattr(stencils, "classify", refuse)
+    monkeypatch.setattr(stencils, "functional", refuse)
+    monkeypatch.setattr(geometry, "DomainGrid", refuse)
+    monkeypatch.setattr(qi, "DomainGrid", refuse)
+    qi._region_table.cache_clear()
+    try:
+        after = qi._region_table()
+    finally:
+        qi._region_table.cache_clear()
+    assert after.keys() == before.keys() and len(after) == 1215
+    for labels, (offsets, w) in after.items():
+        np.testing.assert_array_equal(offsets, before[labels][0])
+        assert offsets.dtype == np.int64 and not offsets.flags.writeable
+        assert w is before[labels][1]
+
+
 def test_approximate_classifies_nothing_once_the_table_exists(monkeypatch):
     qi._region_table()
 
@@ -178,7 +210,7 @@ def test_functional_is_invariant_along_class_runs(m):
         return sorted(zip(map(tuple, (idx - alpha).tolist()), w.tolist()))
 
     checked = 0
-    for alpha in domain.index_set(grid):
+    for alpha in _active(grid):
         rep = tuple(first[a] for a in alpha)
         if rep != alpha:
             assert pairs(alpha) == pairs(rep), (alpha, rep)
@@ -193,7 +225,7 @@ def test_adjacent_class_runs_cannot_merge(m):
     would serve `approximate`."""
     grid = geometry.DomainGrid(m, m, m, 1.0)
     runs = domain.class_runs(m)
-    index_set = domain.index_set(grid)
+    active = set(_active(grid))
 
     def pairs(alpha):
         idx, w = stencils.functional(alpha, grid)
@@ -203,7 +235,7 @@ def test_adjacent_class_runs_cannot_merge(m):
         assert any(
             pairs((left[0], b, c)) != pairs((right[0], b, c))
             for (b, _, _, _), (c, _, _, _) in product(runs, runs)
-            if (left[0], b, c) in index_set and (right[0], b, c) in index_set
+            if (left[0], b, c) in active and (right[0], b, c) in active
         ), (left, right)
 
 
@@ -350,6 +382,11 @@ def test_load_rejects_corrupt_files(rng, tmp_path):
     (tmp_path / "header.qis").write_bytes(blob[:7])  # magic, partial header
     with pytest.raises(ValueError, match="truncated"):
         qi.QISpline.load(tmp_path / "header.qis")
+    # a header claiming m = 100000 (7.11 PiB) is refused before allocating
+    (tmp_path / "huge.qis").write_bytes(
+        blob[:8] + struct.pack("<III", 100000, 100000, 100000) + blob[20:92])
+    with pytest.raises(ValueError, match="truncated: 92 bytes"):
+        qi.QISpline.load(tmp_path / "huge.qis")
 
 
 @pytest.mark.parametrize("h", [float("inf"), float("nan"), 0.0])
@@ -488,10 +525,21 @@ def test_compile_budget_and_size_error(rng, monkeypatch):
 
 
 def test_active_mask_matches_index_set(grid11):
-    mask = qi.active_mask(grid11)
+    """`classify` accepts exactly the indices of `active_mask`, over the
+    index box and one layer beyond it on every side."""
+    mask = domain.active_mask(grid11)
     assert mask.shape == (15, 15, 15)
     assert int(mask.sum()) == 3211
-    np.testing.assert_array_equal(mask, domain.index_set(grid11).mask())
+    for m in [(11, 11, 11), (12, 13, 11), (40, 40, 12)]:
+        grid = geometry.DomainGrid(*m, 1.0)
+        active = np.pad(domain.active_mask(grid), 1)
+        for alpha in product(*(range(-2, n + 4) for n in m)):
+            try:
+                domain.classify(alpha, grid)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == active[tuple(a + 2 for a in alpha)], alpha
     rng = np.random.default_rng(2)
     spline = qi.approximate(rng.normal(size=(13, 13, 13)), grid11)
     assert (spline.coefficients[~mask] == 0).all()
@@ -825,6 +873,24 @@ def test_eval_lattice_holds_one_block_and_one_slab():
     finally:
         tracemalloc.stop()
     assert peak <= out.nbytes + block + slab + (2 << 20)
+
+
+def test_eval_lattice_correlates_only_nonzero_taps(monkeypatch):
+    """Zero weights of a kernel are left out: at r = 1 every offset is a
+    cube corner, where 32 of the 53 taps are nonzero."""
+    weights = []
+    correlate = qi._correlate
+
+    def spy(src, taps, w, out):
+        weights.append(np.array(w))
+        correlate(src, taps, w, out)
+
+    monkeypatch.setattr(qi, "_correlate", spy)
+    spline = qi.QISpline(geometry.DomainGrid(11, 11, 11),
+                         np.random.default_rng(6).normal(size=(15, 15, 15)))
+    spline.eval_lattice(1)
+    assert len(weights) == 8
+    assert all(len(w) == 32 and (w != 0).all() for w in weights)
 
 
 @pytest.mark.parametrize("r", [0, True, 1.5, (1, 2), (1, 0, 1), "2"])
