@@ -51,7 +51,7 @@ from .geometry import BARYCENTRIC_MATRICES_EXACT, TET_VERTICES_UNIT_2X
 __all__ = [
     "DIRECTIONS", "SUPPORT_LO", "SUPPORT_HI", "SUPPORT_CENTER",
     "eval_oracle", "BoxSplineTable", "get_table",
-    "translate_arguments", "TRANSLATE_OFFSET", "derivative_order",
+    "TRANSLATE_OFFSET", "derivative_order",
 ]
 
 #: The seven direction vectors, rows e1..e7.
@@ -561,10 +561,3 @@ def get_table():
         with source.open("rb") as fh:
             _TABLE = BoxSplineTable.load(fh)
     return _TABLE
-
-
-def translate_arguments(points, alpha, grid):
-    """Map physical points to the argument of B for the translate B_alpha."""
-    pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    a = np.asarray(alpha, dtype=np.float64)
-    return pts / grid.h - a + TRANSLATE_OFFSET

@@ -9,18 +9,19 @@ neighbouring cells are triangulated compatibly and shared surface edges are
 used by at most two triangles.  The march is one table-driven pass: the
 case codes of all 6 R^3 tetrahedra are read from shifted views of the
 above-isovalue mask, and each crossed tetrahedron looks its triangles up in
-a 16-case table, so triangles come in (tetrahedron, cell, slot) order.
+a (tetrahedron, case) table, so triangles come in (tetrahedron, cell, slot)
+order, each wound by the table to face the above-isovalue side; no pass
+normalizes the winding afterwards.
 
 The sample lattice comes from `qi.grid_values`: read by correlation
 (`QISpline.eval_lattice`) when R is a multiple of every m_i, otherwise
 evaluated in streamed chunks, with no (R+1)^3 x 3 point array.
 
 Vertices are merged by their undirected sample-edge key, so the mesh is
-deterministic.  Triangle winding is normalized so that normals point toward
-the above-isovalue side.  An optional refinement moves each vertex along
-its edge by Illinois regula falsi, starting from the linear estimate and
-reusing the sampled end values, until |s(v) - rho| <= 1e-8.  Each vertex
-is evaluated once at its final point, for the residual and the scalars.
+deterministic.  An optional refinement moves each vertex along its edge by
+Illinois regula falsi, starting from the linear estimate and reusing the
+sampled end values, until |s(v) - rho| <= 1e-8.  Each vertex is evaluated
+once at its final point, for the residual and the scalars.
 
 Export formats: ASCII OBJ (v/f records, 1-based indices, coordinates in
 shortest round-trip ``repr`` form) and binary little-endian PLY (float64
@@ -122,9 +123,15 @@ _TET_EDGES = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
 
 
 def _case_table():
-    """Per case (bit c set: corner c above the isovalue) the triangles as
-    edge-index triples padded to two, the mask of triangle slots in use,
-    and the above corner that sets the winding."""
+    """Per Kuhn tetrahedron and case (bit c set: corner c above the
+    isovalue) the triangles as edge-index triples padded to two, and the
+    (case, slot) mask of triangle slots in use.
+
+    Each triangle is wound so its normal faces an above corner.  Its
+    vertices lie on its edges, so its signed volume with that corner is a
+    nonnegative multiple (a product of edge parameters) of the one through
+    the edge midpoints; the integer triple product of the doubled midpoints
+    and the doubled corner therefore decides the winding for every cell."""
     tris, used = np.zeros((16, 2, 3), np.int64), np.zeros((16, 2), bool)
     ref = np.zeros(16, np.int64)
     for case in range(1, 15):
@@ -140,17 +147,22 @@ def _case_table():
         tris[case] = [e[:3], [e[0], e[2], e[-1]]]
         used[case] = [True, len(e) == 4]
         ref[case] = above[0]
-    return tris, used, ref
+    corner = np.stack(np.unravel_index(_TETS, (2, 2, 2)), axis=-1)  # (6, 4, 3)
+    mid = corner[:, _TET_EDGES].sum(axis=2)[:, tris]   # (6, 16, 2, 3, 3)
+    m0, m1, m2 = (mid[..., i, :] for i in range(3))
+    volume = (np.cross(m1 - m0, m2 - m0)
+              * (2 * corner[:, ref, None] - m0)).sum(axis=-1)  # (6, 16, 2)
+    return np.where(volume[..., None] < 0, tris[..., [0, 2, 1]], tris), used
 
 
-_CASE_TRIS, _CASE_USED, _CASE_REF = _case_table()
+_CASE_TRIS, _CASE_USED = _case_table()
 
 
 def _march(values, rho):
     """The (nt, 3) sample-edge keys ``lo * npts + hi`` of the triangles of
-    the lattice ``values`` at ``rho``, and the (nt,) sample id of each one's
-    winding corner, in (tetrahedron, cell, slot) order.  Sample ids are
-    built only for the corners of crossed tetrahedra."""
+    the lattice ``values`` at ``rho``, wound toward the above side, in
+    (tetrahedron, cell, slot) order.  Sample ids are built only for the
+    corners of crossed tetrahedra."""
     cube = np.lib.stride_tricks.sliding_window_view(values > rho, (2, 2, 2))
     codes = np.zeros((6, *cube.shape[:3]), dtype=np.uint8)
     for code, tet in zip(codes, _TETS):
@@ -164,10 +176,9 @@ def _march(values, rho):
            + offsets[tet])                                    # (n, 4)
     lo, hi = np.array(_TET_EDGES).T
     edges = ids[:, lo] * values.size + ids[:, hi]             # (n, 6)
-    keys = np.take_along_axis(edges[:, None, :], _CASE_TRIS[case], axis=2)
-    used = _CASE_USED[case]
-    refs = ids[np.arange(len(ids)), _CASE_REF[case]]
-    return keys[used], np.repeat(refs, used.sum(axis=1))
+    keys = np.take_along_axis(edges[:, None, :], _CASE_TRIS[tet, case],
+                              axis=2)
+    return keys[_CASE_USED[case]]
 
 
 def extract(spline, request: IsoRequest) -> TriangleMesh:
@@ -178,7 +189,7 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
     values = qi.grid_values(spline, res + 1)
     area_cut = _AREA_FACTOR * (max(grid.m) * grid.h / res) ** 2
 
-    edge_keys, refs = _march(values, rho)          # (nt, 3), (nt,)
+    edge_keys = _march(values, rho)                # (nt, 3)
     if not len(edge_keys):
         return TriangleMesh(np.empty((0, 3)), np.empty((0, 3), np.int32),
                             residual=0.0)
@@ -197,17 +208,10 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
                              60 if request.refine else 1)
     verts = pa + t[:, None] * (pb - pa)
 
-    # drop degenerate triangles, normalize winding toward the above side
+    # drop degenerate triangles
     v0, v1, v2 = (verts[triangles[:, i]] for i in range(3))
-    normal = np.cross(v1 - v0, v2 - v0)
-    area2 = np.linalg.norm(normal, axis=1)
-    keep = area2 > 2.0 * area_cut
-    triangles, normal, v0, v1, v2 = (x[keep] for x in
-                                     (triangles, normal, v0, v1, v2))
-    outward = (qi.grid_points(grid, res + 1, refs[keep])
-               - (v0 + v1 + v2) / 3.0)
-    flip = (normal * outward).sum(axis=1) < 0.0
-    triangles[flip] = triangles[flip][:, [0, 2, 1]]
+    area2 = np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
+    triangles = triangles[area2 > 2.0 * area_cut]
 
     # compact to referenced vertices (keyed order kept, so deterministic)
     used = np.unique(triangles.reshape(-1))

@@ -124,7 +124,8 @@ def approximate(samples: np.ndarray, grid: DomainGrid | None = None, *,
     few ulps, not bit for bit.  Memory beyond the result is one slab buffer
     or one small gathered array.
     """
-    samples = np.ascontiguousarray(samples, dtype=np.float64)
+    samples = np.ascontiguousarray(_real(np.asarray(samples), "samples"),
+                                   dtype=np.float64)
     if samples.ndim != 3:
         raise ValueError("samples must be a 3D array over the data points")
     if grid is None:
@@ -295,11 +296,7 @@ class QISpline:
     compiled: CompiledPatches | None = None
 
     def __post_init__(self):
-        c = self.coefficients
-        if not isinstance(c, np.ndarray) or c.dtype.kind not in "iuf":
-            raise ValueError("spline coefficients must be a real integer or "
-                             "floating ndarray, got "
-                             f"{getattr(c, 'dtype', type(c).__name__)}")
+        c = _real(self.coefficients, "spline coefficients")
         expected = tuple(m + 4 for m in self.grid.m)
         if c.shape != expected:
             raise ValueError(
@@ -560,8 +557,18 @@ def grid_values(spline, n: int) -> np.ndarray:
 # small helpers
 # ---------------------------------------------------------------------------
 
+def _real(a, what: str) -> np.ndarray:
+    """``a`` if it is an ndarray of real integers or floats; anything else
+    (complex, bool, str, object or no ndarray) raises one ``ValueError``."""
+    if not isinstance(a, np.ndarray) or a.dtype.kind not in "iuf":
+        got = getattr(a, "dtype", type(a).__name__)
+        raise ValueError(f"{what} must be a real integer or floating "
+                         f"ndarray, got {got}")
+    return a
+
+
 def _as_points(points) -> tuple[np.ndarray, bool]:
-    arr = np.asarray(points, dtype=np.float64)
+    arr = np.asarray(_real(np.asarray(points), "points"), dtype=np.float64)
     scalar = arr.ndim == 1
     arr = arr.reshape(1, -1) if scalar else np.ascontiguousarray(arr)
     if arr.ndim != 2 or arr.shape[1] != 3:

@@ -41,7 +41,6 @@ __all__ = [
     "validate_library",
     "norm_bound",
     "rounded_up",
-    "stencil_table",
 ]
 
 # ---------------------------------------------------------------------------
@@ -446,22 +445,6 @@ def norm_bound() -> float:
     """max_alpha ||sigma_alpha||_1 over the library; together with the
     interior rule's smaller norm this bounds the operator sup norm."""
     return float(max(s.norm for s in library().values()))
-
-
-def stencil_table() -> list[dict]:
-    """Rows describing every stencil (for reporting/CLI dumps)."""
-    lib = library()
-    rows = []
-    for key in CLASS_KEYS:
-        s = lib[key]
-        rows.append({
-            "class": list(key),
-            "n": s.n,
-            "entries": len(s.indices),
-            "l1": float(s.norm),
-            "l1_4sf": s.norm_4sf,
-        })
-    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -91,16 +91,6 @@ def test_partition_of_unity_sample(table, rng):
     np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
 
 
-def test_translate_arguments(table, rng):
-    from boxqi import geometry
-    g = geometry.DomainGrid(11, 11, 11, 0.25)
-    alpha = (4, 2, 7)
-    pts = rng.uniform(0.0, 1.0, size=(20, 3)) * np.array(g.extent)
-    args = bs.translate_arguments(pts, alpha, g)
-    offset = np.asarray(bs.TRANSLATE_OFFSET, float)
-    np.testing.assert_allclose(args, pts / g.h - alpha + offset, atol=1e-12)
-
-
 def test_eval_derivative_matches_fd(table, rng):
     pts = _jittered_points(rng, 15)
     step = 1e-5

@@ -238,6 +238,19 @@ def test_approximate_rejects_malformed_sidecar(capsys, tmp_path, sidecar):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("dtype", [complex, bool, str])
+def test_approximate_rejects_npy_that_is_not_real(capsys, tmp_path, dtype):
+    npy = tmp_path / "c.npy"
+    np.save(npy, np.zeros((13, 13, 13)).astype(dtype))
+    out = tmp_path / "c.qis"
+    code, _, err = run(capsys, "approximate", "--in", str(npy),
+                       "--out", str(out))
+    assert code == 1 and not out.exists()
+    assert err.startswith("error: samples must be a real integer or "
+                          "floating ndarray")
+    assert err.count("\n") == 1
+
+
 def test_approximate_rejects_npy_that_is_not_3d(capsys, tmp_path):
     npy = tmp_path / "flat.npy"
     np.save(npy, np.zeros((13, 13)))

@@ -21,6 +21,20 @@ def plane_spline():
 
 
 @pytest.fixture(scope="module")
+def tilted_plane_spline():
+    """Spline reproducing s(x, y, z) = x + y - z on [0, 1]^3."""
+    grid = geometry.DomainGrid(12, 12, 12, 1 / 12)
+    pts = domain.data_points(grid)
+    return qi.approximate(pts[..., 0] + pts[..., 1] - pts[..., 2],
+                          grid).compile()
+
+
+def _normals(mesh):
+    v, t = mesh.vertices, mesh.triangles
+    return np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
+
+
+@pytest.fixture(scope="module")
 def bump_setup():
     samples, grid, fn = volume.sample_test_function("f2", 16)
     return qi.approximate(samples, grid).compile(), fn
@@ -40,9 +54,7 @@ def test_plane_isosurface_is_flat(plane_spline):
     assert len(mesh.triangles) > 0
     np.testing.assert_allclose(mesh.vertices[:, 2], rho, rtol=0, atol=1e-12)
     # winding: triangle normals face the above-isovalue side (+z here)
-    v = mesh.vertices
-    t = mesh.triangles
-    normals = np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]])
+    normals = _normals(mesh)
     assert (normals[:, 2] > 0).all()
     # the flat mesh tiles the unit square: areas sum to 1
     np.testing.assert_allclose(
@@ -51,12 +63,25 @@ def test_plane_isosurface_is_flat(plane_spline):
 
 def test_plane_isovalue_on_lattice_stays_flat(plane_spline):
     """rho = 0.5 coincides with sampling planes at this resolution; the
-    crossings degenerate onto lattice corners but the mesh must stay flat
-    and keep its edge-use invariant."""
+    crossings degenerate onto lattice corners but the mesh must stay flat,
+    keep its edge-use invariant and face the above side."""
     mesh = iso.extract(plane_spline, iso.IsoRequest(0.5, resolution=16))
     assert len(mesh.triangles) > 0
     np.testing.assert_allclose(mesh.vertices[:, 2], 0.5, rtol=0, atol=1e-12)
     assert iso.edge_use_counts(mesh).max() <= 2
+    assert (_normals(mesh)[:, 2] > 0).all()
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.25])
+@pytest.mark.parametrize("res", [12, 24])
+def test_tilted_plane_on_lattice_faces_the_gradient(tilted_plane_spline,
+                                                    rho, res):
+    """x + y - z = rho passes through lattice points, so vertices sit at
+    edge ends; every triangle must still face the gradient (1, 1, -1)."""
+    mesh = iso.extract(tilted_plane_spline,
+                       iso.IsoRequest(rho, resolution=res))
+    assert len(mesh.triangles) > 0
+    assert (_normals(mesh) @ np.array([1.0, 1.0, -1.0]) > 0).all()
 
 
 def test_mesh_invariants(bump_setup):
@@ -170,8 +195,10 @@ def test_extraction_is_deterministic(bump_setup):
 # ---------------------------------------------------------------------------
 
 def _oracle_march(values, rho):
-    """(edge keys, refs) by scanning all cells once per Kuhn tetrahedron
-    and case, with the case table as a dict of triangle lists."""
+    """The oriented edge-key triples by scanning all cells once per Kuhn
+    tetrahedron and case, with the case table as a dict of triangle lists.
+    Each triangle is wound by the integer triple product of its doubled
+    lattice edge midpoints with its doubled above corner."""
     edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     eye = np.eye(3, dtype=np.int64)
     tets = [np.stack([0 * eye[0], eye[p[0]], eye[p[0]] + eye[p[1]],
@@ -199,7 +226,11 @@ def _oracle_march(values, rho):
     origin = (base[:, None, None] * strides[0] + base[None, :, None]
               * strides[1] + base[None, None, :] * strides[2]).reshape(-1)
     flat = values.reshape(-1)
-    keys, refs = [np.zeros((0, 3), np.int64)], [np.zeros(0, np.int64)]
+
+    def coords(ids):
+        return np.stack(np.unravel_index(ids, values.shape), axis=-1)
+
+    keys = [np.zeros((0, 3), np.int64)]
     for tet in tets:
         corner_ids = origin[:, None] + (tet @ strides)[None, :]
         case = ((flat[corner_ids] > rho) << np.arange(4)).sum(axis=1)
@@ -210,15 +241,20 @@ def _oracle_march(values, rho):
             hi = ids[:, [e[1] for e in edges]]
             ek = np.minimum(lo, hi) * npts + np.maximum(lo, hi)
             for tri in tris:
-                keys.append(ek[:, list(tri)])
-                refs.append(ids[:, ref_corner])
-    return np.concatenate(keys), np.concatenate(refs)
+                k = ek[:, list(tri)]
+                m0, m1, m2 = (coords(a) + coords(b) for a, b in
+                              (np.divmod(k[:, i], npts) for i in range(3)))
+                volume = (np.cross(m1 - m0, m2 - m0)
+                          * (2 * coords(ids[:, ref_corner]) - m0)).sum(axis=1)
+                assert (volume != 0).all()
+                k[volume < 0] = k[volume < 0][:, [0, 2, 1]]
+                keys.append(k)
+    return np.concatenate(keys)
 
 
-def _rows(keys, refs):
-    """The (edge-key triple, ref) rows as a sorted array (a multiset)."""
-    rows = np.column_stack([keys, refs])
-    return rows[np.lexsort(rows.T[::-1])]
+def _rows(keys):
+    """The oriented edge-key triples as a sorted array (a multiset)."""
+    return keys[np.lexsort(keys.T[::-1])]
 
 
 def _lattice(spline, res):
@@ -231,21 +267,20 @@ def test_march_matches_per_case_oracle(bump_setup, res):
     values = _lattice(spline, res)
     on_sample = values.flat[np.abs(values - 0.3).argmin()]
     for rho in (0.3, on_sample):
-        keys, refs = iso._march(values, rho)
-        assert keys.shape == (len(refs), 3) and len(refs) > 0
-        np.testing.assert_array_equal(_rows(keys, refs),
-                                      _rows(*_oracle_march(values, rho)))
+        keys = iso._march(values, rho)
+        assert keys.shape[1:] == (3,) and len(keys) > 0
+        np.testing.assert_array_equal(_rows(keys),
+                                      _rows(_oracle_march(values, rho)))
 
 
 def test_march_matches_oracle_on_plane_and_above_maximum(plane_spline):
     values = _lattice(plane_spline, 16)
     for rho in (0.5, 17 / 32):  # on the sample planes, and between them
         np.testing.assert_array_equal(
-            _rows(*iso._march(values, rho)),
-            _rows(*_oracle_march(values, rho)))
-    keys, refs = iso._march(values, values.max() + 1.0)
-    assert keys.shape == (0, 3) and refs.shape == (0,)
-    assert _oracle_march(values, values.max() + 1.0)[0].shape == (0, 3)
+            _rows(iso._march(values, rho)),
+            _rows(_oracle_march(values, rho)))
+    assert iso._march(values, values.max() + 1.0).shape == (0, 3)
+    assert _oracle_march(values, values.max() + 1.0).shape == (0, 3)
     empty = iso.extract(plane_spline, iso.IsoRequest(2.0, resolution=16))
     assert empty.triangles.shape == (0, 3) and empty.residual == 0.0
 

@@ -560,6 +560,21 @@ def test_approximate_input_validation():
             qi.approximate(samples, h=1.0)
 
 
+def test_non_real_samples_and_points_rejected(rng):
+    """Complex, bool and str samples or points fail with one ValueError
+    instead of being cast (a complex array would lose its imaginary part)."""
+    samples = rng.normal(size=(13, 13, 13))
+    spline = qi.approximate(samples, h=1.0)
+    point = np.array([[1.5, 2.5, 3.5]])
+    for dtype in (complex, bool, str):
+        with pytest.raises(ValueError, match="samples must be a real"):
+            qi.approximate(samples.astype(dtype), h=1.0)
+        for call in (spline.eval, spline.gradient):
+            for bad in (point.astype(dtype), point[0].astype(dtype).tolist()):
+                with pytest.raises(ValueError, match="points must be a real"):
+                    call(bad)
+
+
 def test_nonfinite_coefficients_rejected(rng, tmp_path):
     """Non-finite values, and anything but a real integer or floating
     ndarray, fail with one ValueError when the spline is made."""

@@ -166,10 +166,3 @@ def test_functionals_hit_differential_target_on_cubics(grid11, rng):
         target = p(cx, cy, cz) - 5 / 24 * lap(cx, cy, cz)
         got = stencils.coefficient(alpha, grid11, data)
         assert abs(got - target) <= 1e-9 * max(1.0, abs(target)), alpha
-
-
-def test_stencil_table_shape(lib):
-    rows = stencils.stencil_table()
-    assert len(rows) == 23
-    sample = rows[0]
-    assert {"class", "n", "entries", "l1", "l1_4sf"} <= set(sample)
