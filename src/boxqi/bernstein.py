@@ -68,12 +68,16 @@ def multinomial(nu):
     return out
 
 
-#: _BASIS_TERMS[d][i] = (multinomial, ((axis, exponent), ...)) of the i-th
-#: degree-d multi-index, listing only the axes with a nonzero exponent.
-_BASIS_TERMS = {d: tuple((multinomial(nu),
-                          tuple((a, p) for a, p in enumerate(nu) if p))
-                         for nu in multi_indices(d))
-                for d in range(5)}
+def _basis_terms(degree):
+    """The multinomials (n_degree, 1) of the degree's multi-indices, and per
+    axis a the rows ``a * (degree + 1) + nu_a`` of their factors in the
+    power table of `bernstein_basis`, as (4, n_degree) intp."""
+    nus = np.array(multi_indices(degree)).reshape(-1, 4)
+    weights = np.array([[multinomial(nu)] for nu in nus], dtype=np.float64)
+    return weights, (nus + (degree + 1) * np.arange(4)).T
+
+
+_BASIS_TERMS = {d: _basis_terms(d) for d in range(5)}
 
 
 def bernstein_basis(bary, degree=4):
@@ -89,33 +93,43 @@ def bernstein_basis(bary, degree=4):
 
     Returns
     -------
-    (..., n_degree) ndarray with columns in canonical multi-index order.
+    (..., n_degree) C-contiguous ndarray with columns in canonical
+    multi-index order.
 
-    The barycentrics are copied once into four contiguous columns c_a and
-    the powers c_a ** p (p >= 2) computed once each.  Basis polynomial nu is
-    one contiguous row: its multinomial, multiplied in place by c_a ** nu_a
-    for a = 0..3, skipping the factors with nu_a = 0 (they are exactly 1).
-    That is the product order of the formula, so every value is rounded the
-    same way whatever the layout.  One contiguous copy transposes the
-    (n_degree, n) rows into the result; an ``einsum`` over the transposed
-    view would sum in another order and change the last digits.
+    One power table holds c_a ** p for the four barycentric columns c_a and
+    p = 0..degree, row a * (degree + 1) + p, each row contiguous (power 0 is
+    1 and power 1 the column itself, as ``c ** p`` gives them).  All basis
+    rows are then formed at once: the multinomials times the gathered rows
+    of c_0 ** nu_0, then in place times those of c_1 ** nu_1, c_2 ** nu_2
+    and c_3 ** nu_3, about 20 NumPy calls in all.  That is the product
+    order of the formula, so every value is rounded the same way whatever
+    the layout.  The result's memory holds the gathered rows until one
+    contiguous copy transposes the (n_degree, n) rows into it; an
+    ``einsum`` over the transposed view would sum in another order and
+    change the last digits.
     """
     if (not isinstance(degree, Integral) or isinstance(degree, bool)
             or degree not in _BASIS_TERMS):
         raise ValueError(f"Bernstein degree must be an integer in 0..4, "
                          f"got {degree!r}")
     bary = np.asarray(bary, dtype=np.float64)
-    cols = np.array(bary.reshape(-1, 4).T)
-    # powers[a][p] = cols[a] ** p for p = 1..degree (index 0 unused)
-    powers = [[None, c, *(c ** p for p in range(2, degree + 1))]
-              for c in cols]
-    rows = np.empty((DIMENSION[degree], cols.shape[1]))
-    for row, (k, factors) in zip(rows, _BASIS_TERMS[degree]):
-        row.fill(k)
-        for a, p in factors:
-            row *= powers[a][p]
-    return np.ascontiguousarray(rows.T).reshape(
-        bary.shape[:-1] + (DIMENSION[degree],))
+    cols = bary.reshape(-1, 4).T
+    powers = np.empty((4, degree + 1, cols.shape[1]))
+    powers[:, 0] = 1.0
+    if degree:
+        powers[:, 1] = cols
+    for p in range(2, degree + 1):
+        powers[:, p] = powers[:, 1] ** p
+    powers = powers.reshape(4 * (degree + 1), -1)
+    weights, factors = _BASIS_TERMS[degree]
+    rows = powers[factors[0]]
+    rows *= weights
+    out = np.empty((powers.shape[1], len(weights)))
+    part = out.reshape(rows.shape)  # the result's memory, until the copy
+    for axis in factors[1:]:
+        rows *= np.take(powers, axis, axis=0, out=part, mode="clip")
+    out[...] = rows.T
+    return out.reshape(bary.shape[:-1] + (len(weights),))
 
 
 def domain_point_barycentrics(degree=4):

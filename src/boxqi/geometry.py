@@ -17,6 +17,11 @@ increasing axis order.  Each tetrahedron lists its vertices as
 so BB multi-index position 0 always sits at the cube center.  All BB tables
 in this package index against this order.
 
+The 24 tetrahedra are one tetrahedron under the cube's symmetries: for each
+t exactly one signed axis permutation g_t about the cube center maps
+tetrahedron 0 onto t, vertex by vertex (``SYMMETRY_PERM``,
+``SYMMETRY_SIGN``).
+
 Internally coordinates are kept in grid units u = x/h; cube vertices then
 have half-integer coordinates, which this module doubles to integers where
 exactness matters.
@@ -38,6 +43,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations, product
 from numbers import Integral, Real
 
 import numpy as np
@@ -46,7 +52,8 @@ from .bernstein import domain_points as _bb_domain_points
 
 __all__ = [
     "DomainGrid", "TET_VERTICES_UNIT", "tetrahedra_of_cube", "locate",
-    "domain_points", "barycentric_direction",
+    "domain_points", "barycentric_direction", "SYMMETRY_PERM",
+    "SYMMETRY_SIGN",
 ]
 
 
@@ -122,6 +129,28 @@ TET_VERTICES_UNIT_2X = _build_unit_tets()
 TET_VERTICES_UNIT = TET_VERTICES_UNIT_2X / 2.0
 
 
+def _build_symmetries():
+    """The signed axis permutation g_t taking tetrahedron 0 onto t.
+
+    In centred doubled coordinates d = 2u - 1, g_t(d)[perm[i]] =
+    sign[i] * d[i]; exactly one of the 48 maps every vertex of tetrahedron
+    0 onto the same-numbered vertex of t."""
+    perm, sign = (np.array(a) for a in zip(*product(
+        permutations(range(3)), product((1, -1), repeat=3))))
+    centred = TET_VERTICES_UNIT_2X - 1
+    images = np.empty((48, 4, 3), dtype=np.int64)
+    np.put_along_axis(images, perm[:, None], centred[0] * sign[:, None],
+                      axis=2)
+    g = (images == centred[:, None]).all(axis=(2, 3)).argmax(axis=1)
+    return perm[g], sign[g]
+
+
+#: (24, 3) axis permutations and (24, 3) signs of g_t (see above): axis i
+#: of tetrahedron 0 goes to axis ``SYMMETRY_PERM[t, i]`` of t, scaled by
+#: ``SYMMETRY_SIGN[t, i]``.
+SYMMETRY_PERM, SYMMETRY_SIGN = _build_symmetries()
+
+
 def _exact_inverse_4x4(mat):
     """Inverse of a 4x4 Fraction matrix by Gauss-Jordan elimination."""
     n = 4
@@ -179,9 +208,17 @@ def _plane_values(hom):
     summed in the pairing (p0 + p2) + (p1 + p3) that np.einsum uses for a
     barycentric row, so each barycentric plane row gives exactly s * P_k."""
     x, y, z = hom[:, 0], hom[:, 1], hom[:, 2]
-    y2 = y - 2.0
+    out = np.empty((6, len(hom)))
     with np.errstate(invalid="ignore"):  # inf - inf for non-finite points
-        return np.stack([x - y, x + y2, x - z, (x + z) - 2.0, y - z, z + y2])
+        np.subtract(x, y, out=out[0])
+        np.subtract(y, 2.0, out=out[1])
+        np.add(z, out[1], out=out[5])  # z + (y - 2)
+        out[1] += x                    # x + (y - 2)
+        np.subtract(x, z, out=out[2])
+        np.add(x, z, out=out[3])
+        out[3] -= 2.0
+        np.subtract(y, z, out=out[4])
+    return out
 
 
 def _band_containment():
@@ -329,7 +366,8 @@ def locate(points, grid):
         bad = pts[np.any((u < -tol) | (u > m + tol), axis=1)][0]
         raise ValueError(f"point {tuple(bad.tolist())} outside the domain")
     cube = np.ceil(u).astype(np.int64) - 1
-    np.clip(cube, 0, np.array(grid.m, dtype=np.int64) - 1, out=cube)
+    np.maximum(cube, 0, out=cube)
+    np.minimum(cube, np.array(grid.m) - 1, out=cube)
     tet, bary = locate_unit(u - cube)
     return cube, tet, bary
 

@@ -18,10 +18,14 @@ The sample lattice comes from `qi.grid_values`: read by correlation
 evaluated in streamed chunks, with no (R+1)^3 x 3 point array.
 
 Vertices are merged by their undirected sample-edge key, so the mesh is
-deterministic.  An optional refinement moves each vertex along its edge by
-Illinois regula falsi, starting from the linear estimate and reusing the
-sampled end values, until |s(v) - rho| <= 1e-8.  Each vertex is evaluated
-once at its final point, for the residual and the scalars.
+deterministic.  A sample within 1e-12 max|sample| of the isovalue is set to
+it, and a vertex at an edge end is keyed by that sample instead, so every
+edge ending there shares it and a surface through lattice points stays one
+connected sheet; the triangles it collapses are dropped.  An optional
+refinement moves each vertex along its edge by Illinois regula falsi,
+starting from the linear estimate and reusing the sampled end values, until
+|s(v) - rho| <= 1e-8.  Each vertex is evaluated once at its final point,
+for the residual and the scalars.
 
 Export formats: ASCII OBJ (v/f records, 1-based indices, coordinates in
 shortest round-trip ``repr`` form) and binary little-endian PLY (float64
@@ -51,7 +55,9 @@ __all__ = [
 ]
 
 REFINE_TOLERANCE = 1e-8
-_AREA_FACTOR = 1e-12  # zero-area cutoff: _AREA_FACTOR * (max cell extent)^2
+# relative zero: of triangle areas (times the max cell extent squared) and
+# of sample - isovalue differences (times the max |sample|)
+_ZERO = 1e-12
 _MESH_CHUNK = 1 << 14  # export records formatted, and held, at a time
 
 
@@ -187,7 +193,12 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
     res = request.resolution
     grid = spline.grid
     values = qi.grid_values(spline, res + 1)
-    area_cut = _AREA_FACTOR * (max(grid.m) * grid.h / res) ** 2
+    area_cut = _ZERO * (max(grid.m) * grid.h / res) ** 2
+    # a sample within rounding of rho lies on the surface: it is set to rho,
+    # so every edge ending there puts its vertex there (t = 0 or 1)
+    tie = _ZERO * max(values.max(), -values.min())
+    for plane in values:
+        plane[np.abs(plane - rho) <= tie] = rho
 
     edge_keys = _march(values, rho)                # (nt, 3)
     if not len(edge_keys):
@@ -197,13 +208,25 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
 
     unique_keys, inverse = np.unique(edge_keys.reshape(-1),
                                      return_inverse=True)
-    triangles = inverse.reshape(-1, 3).astype(np.int32)
+    triangles = inverse.reshape(-1, 3)
 
     ia, ib = np.divmod(unique_keys, values.size)
-    pa, pb = (qi.grid_points(grid, res + 1, i) for i in (ia, ib))
     va, vb = flat[ia], flat[ib]
     t = np.where(vb == va, 0.5, (rho - va) / np.where(vb == va, 1.0, vb - va))
     t = np.clip(t, 0.0, 1.0)
+    # a vertex at an edge end (t = 0 or 1) is that sample's: turned to
+    # start there and keyed as the edge (s, s), it is shared by every edge
+    # ending there, and the triangles it collapses fall to the area cut
+    flip = t == 1.0
+    ia, ib = np.where(flip, ib, ia), np.where(flip, ia, ib)
+    t[flip] = 0.0
+    _, first, inverse = np.unique(
+        np.where(t == 0.0, ia * (values.size + 1), unique_keys),
+        return_index=True, return_inverse=True)
+    triangles = inverse[triangles].astype(np.int32)
+    ia, ib, t = ia[first], ib[first], t[first]
+    va, vb = flat[ia], flat[ib]
+    pa, pb = (qi.grid_points(grid, res + 1, i) for i in (ia, ib))
     svals = _refine_vertices(spline, t, pa, pb, va - rho, vb - rho, rho,
                              60 if request.refine else 1)
     verts = pa + t[:, None] * (pb - pa)

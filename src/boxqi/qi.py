@@ -17,14 +17,17 @@ contracted with ``@ w``.
 ``QISpline`` evaluates values and derivatives straight from the
 coefficients: on one tetrahedron of the type-6 partition only 53 of the 125
 translates of a cube's window are nonzero, so each BB patch is a fixed
-(53, 35) linear map of 53 gathered coefficients, and the patches of a
-derivative or of the gradient are fixed maps too (the gradient's three cubic
-patches: (53, 60)).  Points are processed in blocks of ``_EVAL_BLOCK``,
-located once per block and sorted by tetrahedron; each tetrahedron's run
-fills its rows of one patch array, and one ``einsum`` contracts the whole
-block with its Bernstein basis, so an evaluation's working set does not grow
-with the call.  On an aligned lattice (``eval_lattice``) each local offset
-is one 53-tap kernel, correlated into one contiguous block.
+(53, 35) linear map of 53 gathered coefficients.  The 24 tetrahedra are one
+under the cube's signed axis permutations g_t, so one map serves them all:
+tetrahedron t gathers its coefficients at the slots g_t(w) of tetrahedron
+0's slots w and applies tetrahedron 0's map.  A derivative's map covers the
+axis permutations of its multi-indices (the gradient's three cubic patches:
+(53, 60)), and each tetrahedron picks its column and sign.  Points are
+processed in blocks of ``_EVAL_BLOCK``, in point order: one gather, one
+product and one ``einsum`` with the block's Bernstein basis per block, so
+an evaluation's working set does not grow with the call.  On an aligned
+lattice (``eval_lattice``) each local offset is one 53-tap kernel,
+correlated into one contiguous block.
 ``mode="direct"`` sums the basis translates instead and serves as an
 independent oracle.  ``compile`` is an optional export of the
 per-tetrahedron patches (dense, within ``DEFAULT_COMPILE_BUDGET``) or, above
@@ -59,7 +62,8 @@ from . import stencils
 from .bernstein import DIMENSION, bernstein_basis, derivative_reduce
 from .boxspline import TRANSLATE_OFFSET, derivative_order, get_table
 from .domain import class_runs, label_class
-from .geometry import AXIS_DIRECTIONS, DomainGrid, locate, locate_unit
+from .geometry import (AXIS_DIRECTIONS, SYMMETRY_PERM, SYMMETRY_SIGN,
+                       DomainGrid, locate, locate_unit)
 
 __all__ = [
     "QISpline",
@@ -88,7 +92,7 @@ _GATHER_CHUNK = 1 << 20  # float64 elements per window slab in `compile`
 # under 1024 x 23 elements.
 _SLICED_REGION = 1024
 _SLAB = 1 << 15  # float64 elements per slab of a sliced box (256 KiB)
-_EVAL_BLOCK = 4096  # points per located, sorted and contracted block
+_EVAL_BLOCK = 4096  # points per located, gathered and contracted block
 _GRID_CHUNK = 16 * _EVAL_BLOCK  # uniform-grid points per streamed chunk
 
 
@@ -243,30 +247,45 @@ _WINDOW = np.array(list(np.ndindex(5, 5, 5)))
 
 
 @lru_cache(maxsize=None)
-def _tet_blocks(gammas: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Per-tetrahedron maps from window coefficients to derivative patches.
+def _tet_blocks(gammas: tuple) -> tuple:
+    """Maps from window coefficients to the derivative patches of every
+    tetrahedron, through tetrahedron 0 and the symmetries g_t.
 
-    ``rows[t]`` lists the 53 window slots whose translates are nonzero on
-    tetrahedron t; ``blocks[t]`` (53, q*d) maps their coefficients to the
-    degree 4-|gamma| BB coefficients (d of them) of D^gamma Qf in grid
-    units, for each of the q multi-indices in ``gammas``, side by side.
+    Window slot w of tetrahedron 0 contributes to its patch exactly what
+    slot g_t(w) contributes to tetrahedron t's (about the window centre
+    2), so ``slots[t]`` (24, 53) lists g_t of tetrahedron 0's 53 nonzero
+    slots, and ``block`` (53, Q*d) maps their coefficients to the degree
+    4-|gamma| BB coefficients (d of them) of D^gamma' on tetrahedron 0, in
+    grid units, for the Q multi-indices gamma' of the orbit of ``gammas``
+    under axis permutations, side by side (``gammas`` first).  As
+    g_t takes axis i to axis perm[i] with sign s_i, D^gamma on t is
+    ``sign[t, k] * D^gamma'`` with gamma'_i = gamma_perm[i] and sign
+    prod_i s_i^gamma'_i, read from column ``pick[t, k]`` for ``gammas[k]``.
     """
     matrix = _patch_matrix().reshape(125, 24, _NC)
-    rows = np.array([np.flatnonzero(matrix[:, t].any(axis=1))
-                     for t in range(24)])
-    value = matrix[rows, np.arange(24)[:, None]]  # (24, 53, 35)
+    rows = np.flatnonzero(matrix[:, 0].any(axis=1))
+    perm, signs = SYMMETRY_PERM[:, None], SYMMETRY_SIGN[:, None]
+    mapped = np.empty((24, len(rows), 3), dtype=np.intp)
+    np.put_along_axis(mapped, perm, signs * (_WINDOW[rows] - 2) + 2, axis=2)
+    slots = mapped @ (25, 5, 1)
+    primed = np.take_along_axis(np.array(gammas)[None], perm, axis=2)
+    orbit = list(dict.fromkeys(map(tuple, primed.reshape(-1, 3).tolist())))
+    pick = np.array([[orbit.index(tuple(g)) for g in tet]
+                     for tet in primed.tolist()])
+    sign = np.prod(signs.astype(np.float64) ** primed, axis=2)
     parts = []
-    for gamma in gammas:
-        coeffs, degree = value, 4
+    for gamma in orbit:
+        coeffs, degree = matrix[rows, 0], 4
         for axis in range(3):
             for _ in range(gamma[axis]):
-                coeffs = derivative_reduce(
-                    coeffs, AXIS_DIRECTIONS[:, None, axis], degree)
+                coeffs = derivative_reduce(coeffs, AXIS_DIRECTIONS[0, axis],
+                                           degree)
                 degree -= 1
         parts.append(coeffs)
-    blocks = np.concatenate(parts, axis=-1)
-    blocks.setflags(write=False)  # shared by every caller of the cache
-    return rows, blocks
+    block = np.concatenate(parts, axis=-1)
+    for a in (slots, block, pick, sign):
+        a.setflags(write=False)  # shared by every caller of the cache
+    return slots, block, pick, sign
 
 
 @dataclass(frozen=True)
@@ -348,7 +367,7 @@ class QISpline:
         """Spline values at points inside the closed domain.
 
         ``mode``: "auto" and "compiled" contract gathered coefficients with
-        per-tetrahedron blocks; "direct" sums the <=125 basis translates
+        tetrahedron 0's map; "direct" sums the <=125 basis translates
         covering each point (the independent oracle).
         """
         points, scalar = _as_points(points)
@@ -381,10 +400,11 @@ class QISpline:
         `locate`'s rule, cube clamp(ceil(u) - 1), so every cube holds the
         local offsets k / r_a, k = 1..r_a, and cube 0 also the plane
         u_a = 0; each point uses the patch `eval` would use.  One offset is
-        one 53-tap kernel, ``blocks[t] @ bernstein_basis(bary)``, whose
-        nonzero taps (32 at a cube's corner offset) ``_correlate`` applies
-        into one contiguous block, then copied into the result: no point is
-        located, gathered or sorted.
+        one 53-tap kernel, tetrahedron 0's map times its Bernstein basis on
+        the slots g_t(w) of its tetrahedron t, sorted into window order.
+        ``_correlate`` applies its nonzero taps (32 at a cube's corner
+        offset) into one contiguous block, then copied into the result: no
+        point is located or gathered.
         """
         r = (r,) * 3 if np.ndim(r) == 0 else tuple(r)
         if len(r) != 3 or not all(isinstance(x, Integral)
@@ -392,11 +412,13 @@ class QISpline:
                                   for x in r):
             raise ValueError(
                 f"lattice factors must be positive integers, got {r!r}")
-        rows, blocks = _tet_blocks(((0, 0, 0),))
+        slots, block, _, _ = _tet_blocks(((0, 0, 0),))
         offsets = list(np.ndindex(*(x + 1 for x in r)))
         tet, bary = locate_unit(np.array(offsets) / np.array(r))
-        kernels = np.einsum("nsj,nj->ns", blocks[tet], bernstein_basis(bary))
-        taps = _WINDOW[rows[tet]]  # (n, 53, 3)
+        kernels = np.einsum("sj,nj->ns", block, bernstein_basis(bary))
+        order = np.argsort(slots[tet], axis=1)  # taps in window order
+        kernels = np.take_along_axis(kernels, order, axis=1)
+        taps = _WINDOW[np.take_along_axis(slots[tet], order, axis=1)]
         m = self.grid.m
         out = np.empty(tuple(x * n + 1 for x, n in zip(r, m)))
         buf = np.empty(m[0] * m[1] * m[2])  # every offset's block, reused
@@ -427,40 +449,37 @@ class QISpline:
         """(n, q) values of D^gamma Qf for the q multi-indices ``gammas``,
         all of one order, block by block of ``_EVAL_BLOCK`` points.
 
-        A block is located once and sorted by tetrahedron.  Each
-        tetrahedron's run of points gathers its 53 window coefficients and
-        maps them by ``blocks[t]`` into its rows of one (block, q*d) patch
-        array; one ``einsum`` then contracts every patch with the block's
-        Bernstein basis.  ``locate`` and ``bernstein_basis`` are called
-        through this module's globals, which the benchmark's tracer wraps.
+        Every tetrahedron is read as tetrahedron 0 (`_tet_blocks`): a
+        block is located once, each point gathers the 53 coefficients of
+        its tetrahedron's slots in one (block, 53) ``take``, one product
+        with the canonical block gives all its patches, and one ``einsum``
+        contracts them with the block's Bernstein basis; a derivative then
+        picks each point's column and sign.  ``locate`` and
+        ``bernstein_basis`` are called through this module's globals,
+        which the benchmark's tracer wraps.
         """
         order = sum(gammas[0])
         degree = 4 - order
-        rows, blocks = _tet_blocks(gammas)
+        slots, block, pick, sign = _tet_blocks(gammas)
         flat = np.ravel(self.coefficients)
         _, m2, m3 = self.coefficients.shape
-        offsets = (_WINDOW @ (m2 * m3, m3, 1))[rows]
+        offsets = (_WINDOW @ (m2 * m3, m3, 1))[slots]
         out = np.empty((len(points), len(gammas)))
-        patches = np.empty((min(len(points), _EVAL_BLOCK), blocks.shape[-1]))
         for start in range(0, len(points), _EVAL_BLOCK):
             cube, tet, bary = locate(points[start:start + _EVAL_BLOCK],
                                      self.grid)
-            perm = np.argsort(tet.astype(np.uint8), kind="stable")
-            tet, cube = tet[perm], cube[perm]
-            base = (cube[:, 0] * m2 + cube[:, 1]) * m3 + cube[:, 2]
-            basis = bernstein_basis(bary[perm], degree)
-            patch = patches[:len(perm)]
-            edges = np.flatnonzero(np.diff(tet)) + 1
-            for lo, hi in zip([0, *edges], [*edges, len(tet)]):
-                t = tet[lo]
-                np.matmul(flat.take(base[lo:hi, None] + offsets[t]),
-                          blocks[t], out=patch[lo:hi])
+            index = offsets[tet]
+            index += ((cube[:, :1] * m2 + cube[:, 1:2]) * m3
+                      + cube[:, 2:])
+            patch = flat.take(index) @ block
             values = np.einsum("iqj,ij->iq",
-                               patch.reshape(len(perm), len(gammas), -1),
-                               basis)
+                               patch.reshape(len(tet), -1, DIMENSION[degree]),
+                               bernstein_basis(bary, degree))
             if order:
+                values = np.take_along_axis(values, pick[tet], axis=1)
+                values *= sign[tet]
                 values /= self.grid.h ** order
-            out[start:start + _EVAL_BLOCK][perm] = values
+            out[start:start + _EVAL_BLOCK] = values
         return out
 
     # -- persistence --------------------------------------------------------

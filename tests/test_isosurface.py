@@ -72,6 +72,27 @@ def test_plane_isovalue_on_lattice_stays_flat(plane_spline):
     assert (_normals(mesh)[:, 2] > 0).all()
 
 
+@pytest.mark.parametrize("spline, rho, res", [
+    ("plane_spline", 0.5, 16), ("plane_spline", 0.25, 12),
+    ("tilted_plane_spline", 0.25, 24)])
+def test_on_lattice_isosurface_is_one_connected_sheet(request, spline, rho,
+                                                      res):
+    """Where the surface passes through lattice points, every edge ending
+    at one shares its vertex: positions are distinct, and every edge off
+    the domain boundary is used by exactly two triangles."""
+    mesh = iso.extract(request.getfixturevalue(spline),
+                       iso.IsoRequest(rho, resolution=res))
+    v, t = mesh.vertices, mesh.triangles.astype(np.int64)
+    assert len(np.unique(v, axis=0)) == len(v) > 0
+    pairs = np.sort(np.concatenate([t[:, [0, 1]], t[:, [1, 2]],
+                                    t[:, [2, 0]]]), axis=1)
+    edges, uses = np.unique(pairs, axis=0, return_counts=True)
+    ends = v[edges]  # (n, 2, 3): an edge on a domain face has both ends on it
+    boundary = (((ends == 0.0) | (ends == 1.0)).all(axis=1)).any(axis=1)
+    assert (uses[~boundary] == 2).all()
+    assert (uses[boundary] == 1).all()
+
+
 @pytest.mark.parametrize("rho", [0.0, 0.25])
 @pytest.mark.parametrize("res", [12, 24])
 def test_tilted_plane_on_lattice_faces_the_gradient(tilted_plane_spline,

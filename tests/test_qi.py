@@ -3,7 +3,7 @@ spline persistence."""
 
 import struct
 import tracemalloc
-from itertools import product
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -680,6 +680,34 @@ def test_blocked_derivatives_match_translate_sums(spline_and_points, gamma):
                                    err_msg=name)
 
 
+@pytest.mark.parametrize("gamma", GAMMAS,
+                         ids=lambda g: "".join(map(str, g)))
+def test_derivatives_on_the_tie_lattice_match_direct_sums(spline_and_points,
+                                                          gamma):
+    """On the lattice of spacing h / 4 every point lies on cube faces or
+    diagonal planes, where tetrahedra meet; each derivative still equals
+    the sum of translates (``mode="direct"`` for values), on 2000 of its
+    points.  A third derivative jumps there, so it is taken on the
+    tetrahedron `locate` picks: it is affine on each tetrahedron, hence
+    2 D(p + d) - D(p + 2d) with d a quarter of the way to its centroid."""
+    spline, _ = spline_and_points
+    pts = _lattice_points(spline.grid, (4, 4, 4))
+    pts = pts[np.random.default_rng(46).permutation(len(pts))[:2000]]
+    if gamma == (0, 0, 0):
+        got, expected = spline.eval(pts), spline.eval(pts, mode="direct")
+    elif sum(gamma) < 3:
+        got = spline.eval_derivative(pts, gamma)
+        expected = _translate_sum(spline, pts, gamma)
+    else:
+        got = spline.eval_derivative(pts, gamma)
+        cube, tet, _ = geometry.locate(pts, spline.grid)
+        centroid = (cube + geometry.TET_VERTICES_UNIT[tet].mean(axis=1))
+        step = (centroid * spline.grid.h - pts) / 4
+        expected = (2 * _translate_sum(spline, pts + step, gamma)
+                    - _translate_sum(spline, pts + 2 * step, gamma))
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-11)
+
+
 def test_blocked_gradient_matches_translate_sums(spline_and_points):
     spline, sets = spline_and_points
     for name, pts in sets.items():
@@ -720,36 +748,158 @@ def test_eval_memory_does_not_grow_with_n(rng):
     assert peak - out.nbytes < 16 << 20
 
 
-# -- bit for bit against the per-segment loop ---------------------------------
+# -- per-tetrahedron blocks, canonical tetrahedron and symmetries ------------
 
-def _oracle_evaluate(spline, points, gammas):
-    """`QISpline._evaluate` as a loop over each block's tetrahedron runs,
-    with a product and an ``einsum`` per run and the per-column basis."""
+def _per_tet_blocks(gammas):
+    """Every tetrahedron's own maps, independent of `qi._tet_blocks`:
+    ``rows[t]`` its 53 nonzero window slots, ascending, and ``blocks[t]``
+    (53, q*d) the D^gamma patches read from `qi._patch_matrix` and reduced
+    along tetrahedron t's own axis directions."""
+    matrix = qi._patch_matrix().reshape(125, 24, -1)
+    rows = np.array([np.flatnonzero(matrix[:, t].any(axis=1))
+                     for t in range(24)])
+    value = matrix[rows, np.arange(24)[:, None]]  # (24, 53, 35)
+    parts = []
+    for gamma in gammas:
+        coeffs, degree = value, 4
+        for axis in range(3):
+            for _ in range(gamma[axis]):
+                coeffs = bernstein.derivative_reduce(
+                    coeffs, geometry.AXIS_DIRECTIONS[:, None, axis], degree)
+                degree -= 1
+        parts.append(coeffs)
+    return rows, np.concatenate(parts, axis=-1)
+
+
+def _slot_image(t, slots):
+    """g_t of flat window slots, about the window centre 2."""
+    w = np.stack(np.unravel_index(slots, (5, 5, 5)), axis=-1) - 2
+    image = np.empty_like(w)
+    image[:, geometry.SYMMETRY_PERM[t]] = w * geometry.SYMMETRY_SIGN[t] + 2
+    return np.ravel_multi_index(image.T, (5, 5, 5))
+
+
+def test_symmetries_map_tetrahedron_0_onto_every_tetrahedron():
+    """g_t takes tetrahedron 0's doubled vertices onto t's, in order, and
+    slot w of tetrahedron 0's patch map onto slot g_t(w) of t's, bit for
+    bit in the float table and exactly in the rational one."""
+    centred = geometry.TET_VERTICES_UNIT_2X - 1
+    matrix = qi._patch_matrix().reshape(125, 24, -1)
+    exact = boxspline.get_table().numerators[::-1].reshape(125, 24, -1)
+    assert sorted(map(tuple, geometry.SYMMETRY_PERM.tolist())) == sorted(
+        [p for p in permutations(range(3))] * 4)
+    for t in range(24):
+        perm, sign = geometry.SYMMETRY_PERM[t], geometry.SYMMETRY_SIGN[t]
+        image = np.empty_like(centred[0])
+        image[:, perm] = centred[0] * sign
+        np.testing.assert_array_equal(image, centred[t])
+        slots = _slot_image(t, np.arange(125))
+        assert sorted(slots) == list(range(125))
+        np.testing.assert_array_equal(_bits(matrix[slots, t]),
+                                      _bits(matrix[:, 0]))
+        np.testing.assert_array_equal(exact[slots, t], exact[:, 0])
+
+
+@pytest.mark.parametrize("gammas", [
+    ((0, 0, 0),), ((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((2, 0, 0),),
+    ((1, 1, 0),), ((1, 1, 1),), ((2, 0, 1),), ((0, 0, 3),)],
+    ids=lambda g: "-".join("".join(map(str, x)) for x in g))
+def test_tet_blocks_hold_one_block_per_orbit(gammas):
+    """One canonical block for the permutations of ``gammas``; its columns
+    are tetrahedron 0's own derivative patches, and each tetrahedron's
+    slots, pick and sign give the per-tetrahedron blocks."""
+    slots, block, pick, sign = qi._tet_blocks(gammas)
+    orbit = {tuple(g[list(p)]) for g in np.array(gammas)
+             for p in permutations(range(3))}
+    degree = 4 - sum(gammas[0])
+    d = bernstein.DIMENSION[degree]
+    assert block.shape == (53, len(orbit) * d)
+    rows, blocks = _per_tet_blocks(gammas)
+    np.testing.assert_array_equal(slots[0], rows[0])
+    canonical = block.reshape(53, -1, d)
+    for t in range(24):
+        np.testing.assert_array_equal(slots[t], _slot_image(t, rows[0]))
+        place = np.searchsorted(rows[t], slots[t])
+        assert np.array_equal(rows[t][place], slots[t])
+        for k in range(len(gammas)):
+            own = blocks[t][place, k * d:(k + 1) * d]
+            mapped = sign[t, k] * canonical[:, pick[t, k]]
+            scale = np.abs(own).max()
+            assert np.abs(own - mapped).max() <= 1e-13 * scale, (t, k)
+
+
+def _per_tet_evaluate(spline, points, gammas):
+    """D^gamma Qf point by point through each tetrahedron's own block and
+    the per-column basis, and the sum of the absolute values of the terms
+    each value adds up, the scale of its rounding."""
     order = sum(gammas[0])
-    rows, blocks = qi._tet_blocks(gammas)
+    rows, blocks = _per_tet_blocks(gammas)
     flat = np.ravel(spline.coefficients)
     _, m2, m3 = spline.coefficients.shape
     offsets = ((_WINDOW_OFFSETS[0] * m2 + _WINDOW_OFFSETS[1]) * m3
                + _WINDOW_OFFSETS[2])[rows]
+    cube, tet, bary = geometry.locate(points, spline.grid)
+    base = (cube[:, 0] * m2 + cube[:, 1]) * m3 + cube[:, 2]
+    coeffs = flat[base[:, None] + offsets[tet]][:, None]
+    basis = oracle_basis(bary, 4 - order)
+    shape = (len(points), len(gammas), -1)
+    values = np.einsum("iqj,ij->iq", (coeffs @ blocks[tet]).reshape(shape),
+                       basis)
+    terms = np.einsum("iqj,ij->iq",
+                      (np.abs(coeffs) @ np.abs(blocks[tet])).reshape(shape),
+                      np.abs(basis))
+    scale = spline.grid.h ** order
+    return values / scale, terms / scale
+
+
+def _orbit(gammas):
+    """The orbit of ``gammas`` under the symmetries, in the order of first
+    appearance over tetrahedra 0..23."""
+    seen = []
+    for perm in geometry.SYMMETRY_PERM:
+        for gamma in gammas:
+            primed = tuple(gamma[i] for i in perm)
+            if primed not in seen:
+                seen.append(primed)
+    return seen
+
+
+def _canonical_evaluate(spline, points, gammas):
+    """`QISpline._evaluate` as a loop over each block's tetrahedra: the
+    slots of tetrahedron t from `geometry`'s g_t, the canonical block, the
+    per-column basis, and each tetrahedron's column and sign picked in
+    turn."""
+    order = sum(gammas[0])
+    _, block, _, _ = qi._tet_blocks(gammas)
+    d = bernstein.DIMENSION[4 - order]
+    orbit = _orbit(gammas)
+    rows = _per_tet_blocks(((0, 0, 0),))[0][0]
+    flat = np.ravel(spline.coefficients)
+    _, m2, m3 = spline.coefficients.shape
+    window = ((_WINDOW_OFFSETS[0] * m2 + _WINDOW_OFFSETS[1]) * m3
+              + _WINDOW_OFFSETS[2])
     out = np.empty((len(points), len(gammas)))
     for start in range(0, len(points), qi._EVAL_BLOCK):
         cube, tet, bary = geometry.locate(
             points[start:start + qi._EVAL_BLOCK], spline.grid)
-        perm = np.argsort(tet.astype(np.uint8), kind="stable")
-        tet, cube = tet[perm], cube[perm]
         base = (cube[:, 0] * m2 + cube[:, 1]) * m3 + cube[:, 2]
-        basis = oracle_basis(bary[perm], 4 - order)
-        values = np.empty((len(perm), len(gammas)))
-        edges = np.flatnonzero(np.diff(tet)) + 1
-        for lo, hi in zip([0, *edges], [*edges, len(tet)]):
-            t = tet[lo]
-            patch = flat.take(base[lo:hi, None] + offsets[t]) @ blocks[t]
-            values[lo:hi] = np.einsum(
-                "iqj,ij->iq", patch.reshape(hi - lo, len(gammas), -1),
-                basis[lo:hi])
+        index = np.empty((len(tet), len(rows)), dtype=np.intp)
+        for t in range(24):
+            index[tet == t] = base[tet == t, None] + window[_slot_image(
+                t, rows)]
+        patch = flat[index] @ block
+        values = np.einsum("iqj,ij->iq", patch.reshape(len(tet), -1, d),
+                           oracle_basis(bary, 4 - order))
+        part = out[start:start + qi._EVAL_BLOCK]
+        for t in range(24):
+            perm = geometry.SYMMETRY_PERM[t]
+            for k, gamma in enumerate(gammas):
+                primed = tuple(gamma[i] for i in perm)
+                sign = np.prod(geometry.SYMMETRY_SIGN[t] ** np.array(primed))
+                part[tet == t, k] = (values[tet == t, orbit.index(primed)]
+                                     * float(sign))
         if order:
-            values /= spline.grid.h ** order
-        out[start:start + qi._EVAL_BLOCK][perm] = values
+            part /= spline.grid.h ** order
     return out
 
 
@@ -759,6 +909,11 @@ def _bits(a):
 
 @pytest.mark.parametrize("which", ["m=(11,12,13)", "f2 m=32"])
 def test_evaluation_is_bitwise_the_per_segment_oracle(f2_m32, which):
+    """Bit for bit the canonical-tetrahedron loop.  The per-tetrahedron
+    blocks sum in another order, so they agree within 1e-14 of the largest
+    sum of absolute terms: f2's smooth field cancels its mixed third
+    derivatives about 1e4-fold, so its largest value is no scale for
+    rounding."""
     rng = np.random.default_rng(45)
     if which == "f2 m=32":
         spline = f2_m32
@@ -771,18 +926,20 @@ def test_evaluation_is_bitwise_the_per_segment_oracle(f2_m32, which):
              *_point_sets(rng, grid).values()]
     second = [(2, 0, 0), (1, 1, 0), (0, 1, 1)]
     third = [(1, 1, 1), (0, 0, 3), (2, 0, 1)]
+    calls = [((0, 0, 0),), ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    calls += [(gamma,) for gamma in second + third]
     for pts in sets:
-        np.testing.assert_array_equal(
-            _bits(spline.eval(pts)),
-            _bits(_oracle_evaluate(spline, pts, ((0, 0, 0),))[:, 0]))
-        np.testing.assert_array_equal(
-            _bits(spline.gradient(pts)),
-            _bits(_oracle_evaluate(spline, pts,
-                                   ((1, 0, 0), (0, 1, 0), (0, 0, 1)))))
-        for gamma in second + third:
+        for gammas in calls:
+            if gammas == ((0, 0, 0),):
+                got = spline.eval(pts)[:, None]
+            elif len(gammas) == 3:
+                got = spline.gradient(pts)
+            else:
+                got = spline.eval_derivative(pts, gammas[0])[:, None]
             np.testing.assert_array_equal(
-                _bits(spline.eval_derivative(pts, gamma)),
-                _bits(_oracle_evaluate(spline, pts, (gamma,))[:, 0]))
+                _bits(got), _bits(_canonical_evaluate(spline, pts, gammas)))
+            oracle, terms = _per_tet_evaluate(spline, pts, gammas)
+            assert np.abs(got - oracle).max() <= 1e-14 * terms.max(), gammas
 
 
 # --------------------------------------------------------------------------
@@ -825,7 +982,7 @@ def test_eval_lattice_reproduces_cubics():
 def _lattice_per_tap(spline, r):
     """The oracle: each offset's 53 taps added one at a time into a
     zeroed block of whole-axis slices, one temporary per tap."""
-    rows, blocks = qi._tet_blocks(((0, 0, 0),))
+    rows, blocks = _per_tet_blocks(((0, 0, 0),))
     offsets = list(np.ndindex(*(x + 1 for x in r)))
     tet, bary = geometry.locate_unit(np.array(offsets) / np.array(r))
     kernels = np.einsum("nsj,nj->ns", blocks[tet],
