@@ -208,17 +208,9 @@ def _plane_values(hom):
     summed in the pairing (p0 + p2) + (p1 + p3) that np.einsum uses for a
     barycentric row, so each barycentric plane row gives exactly s * P_k."""
     x, y, z = hom[:, 0], hom[:, 1], hom[:, 2]
-    out = np.empty((6, len(hom)))
+    y2 = y - 2.0
     with np.errstate(invalid="ignore"):  # inf - inf for non-finite points
-        np.subtract(x, y, out=out[0])
-        np.subtract(y, 2.0, out=out[1])
-        np.add(z, out[1], out=out[5])  # z + (y - 2)
-        out[1] += x                    # x + (y - 2)
-        np.subtract(x, z, out=out[2])
-        np.add(x, z, out=out[3])
-        out[3] -= 2.0
-        np.subtract(y, z, out=out[4])
-    return out
+        return np.stack([x - y, x + y2, x - z, (x + z) - 2.0, y - z, z + y2])
 
 
 def _band_containment():

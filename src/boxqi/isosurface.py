@@ -18,10 +18,10 @@ The sample lattice comes from `qi.grid_values`: read by correlation
 evaluated in streamed chunks, with no (R+1)^3 x 3 point array.
 
 Vertices are merged by their undirected sample-edge key, so the mesh is
-deterministic.  A sample within 1e-12 max|sample| of the isovalue is set to
-it, and a vertex at an edge end is keyed by that sample instead, so every
-edge ending there shares it and a surface through lattice points stays one
-connected sheet; the triangles it collapses are dropped.  An optional
+deterministic.  A sample within ``_TIE_FACTOR`` max|sample| of the isovalue
+is set to it, and a vertex at an edge end is keyed by that sample instead,
+so every edge ending there shares it and a surface through lattice points
+stays one connected sheet; the triangles it collapses are dropped.  An optional
 refinement moves each vertex along its edge by Illinois regula falsi,
 starting from the linear estimate and reusing the sampled end values, until
 |s(v) - rho| <= 1e-8.  Each vertex is evaluated once at its final point,
@@ -55,9 +55,11 @@ __all__ = [
 ]
 
 REFINE_TOLERANCE = 1e-8
-# relative zero: of triangle areas (times the max cell extent squared) and
-# of sample - isovalue differences (times the max |sample|)
-_ZERO = 1e-12
+_AREA_FACTOR = 1e-12  # zero-area cutoff: _AREA_FACTOR * (max cell extent)^2
+# a sample within _TIE_FACTOR * max |sample| (about 4500 ulps) of the
+# isovalue is taken to lie on the surface; on the planes s = z and
+# s = x + y - z a lattice sample misses its exact value by at most 1 ulp
+_TIE_FACTOR = 1e-12
 _MESH_CHUNK = 1 << 14  # export records formatted, and held, at a time
 
 
@@ -193,10 +195,10 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
     res = request.resolution
     grid = spline.grid
     values = qi.grid_values(spline, res + 1)
-    area_cut = _ZERO * (max(grid.m) * grid.h / res) ** 2
+    area_cut = _AREA_FACTOR * (max(grid.m) * grid.h / res) ** 2
     # a sample within rounding of rho lies on the surface: it is set to rho,
     # so every edge ending there puts its vertex there (t = 0 or 1)
-    tie = _ZERO * max(values.max(), -values.min())
+    tie = _TIE_FACTOR * max(values.max(), -values.min())
     for plane in values:
         plane[np.abs(plane - rho) <= tie] = rho
 

@@ -22,10 +22,12 @@ under the cube's signed axis permutations g_t, so one map serves them all:
 tetrahedron t gathers its coefficients at the slots g_t(w) of tetrahedron
 0's slots w and applies tetrahedron 0's map.  A derivative's map covers the
 axis permutations of its multi-indices (the gradient's three cubic patches:
-(53, 60)), and each tetrahedron picks its column and sign.  Points are
-processed in blocks of ``_EVAL_BLOCK``, in point order: one gather, one
-product and one ``einsum`` with the block's Bernstein basis per block, so
-an evaluation's working set does not grow with the call.  On an aligned
+(53, 60)), is taken exactly on the table's integers and rounded once, and
+each tetrahedron picks its column and sign.  Points are processed in blocks
+of ``_EVAL_BLOCK``, in point order, each located once and given its
+Bernstein basis, then gathered, multiplied and contracted by one ``take``,
+one product and one ``einsum`` per cache-sized run, so an evaluation's
+working set does not grow with the call.  On an aligned
 lattice (``eval_lattice``) each local offset is one 53-tap kernel,
 correlated into one contiguous block.
 ``mode="direct"`` sums the basis translates instead and serves as an
@@ -91,8 +93,10 @@ _GATHER_CHUNK = 1 << 20  # float64 elements per window slab in `compile`
 # slices its 3249-coefficient faces, and every gathered temporary stays
 # under 1024 x 23 elements.
 _SLICED_REGION = 1024
-_SLAB = 1 << 15  # float64 elements per slab of a sliced box (256 KiB)
-_EVAL_BLOCK = 4096  # points per located, gathered and contracted block
+# float64 elements per cache-sized slab (256 KiB): of `_correlate`'s output,
+# and of the coefficients `_evaluate` gathers at a time
+_SLAB = 1 << 15
+_EVAL_BLOCK = 4096  # points per located and contracted block
 _GRID_CHUNK = 16 * _EVAL_BLOCK  # uniform-grid points per streamed chunk
 
 
@@ -261,9 +265,13 @@ def _tet_blocks(gammas: tuple) -> tuple:
     g_t takes axis i to axis perm[i] with sign s_i, D^gamma on t is
     ``sign[t, k] * D^gamma'`` with gamma'_i = gamma_perm[i] and sign
     prod_i s_i^gamma'_i, read from column ``pick[t, k]`` for ``gammas[k]``.
+    The derivatives are taken on the table's integer numerators, exactly,
+    and divided by its denominator once, so every entry is correctly
+    rounded (for gamma = 0 it is `_patch_matrix`'s, bit for bit).
     """
-    matrix = _patch_matrix().reshape(125, 24, _NC)
-    rows = np.flatnonzero(matrix[:, 0].any(axis=1))
+    table = get_table()
+    numerators = table.numerators[::-1].reshape(125, 24, _NC)[:, 0]
+    rows = np.flatnonzero(numerators.any(axis=1))
     perm, signs = SYMMETRY_PERM[:, None], SYMMETRY_SIGN[:, None]
     mapped = np.empty((24, len(rows), 3), dtype=np.intp)
     np.put_along_axis(mapped, perm, signs * (_WINDOW[rows] - 2) + 2, axis=2)
@@ -275,13 +283,13 @@ def _tet_blocks(gammas: tuple) -> tuple:
     sign = np.prod(signs.astype(np.float64) ** primed, axis=2)
     parts = []
     for gamma in orbit:
-        coeffs, degree = matrix[rows, 0], 4
+        coeffs, degree = numerators[rows].astype(np.float64), 4
         for axis in range(3):
             for _ in range(gamma[axis]):
                 coeffs = derivative_reduce(coeffs, AXIS_DIRECTIONS[0, axis],
                                            degree)
                 degree -= 1
-        parts.append(coeffs)
+        parts.append(coeffs / table.denominator)
     block = np.concatenate(parts, axis=-1)
     for a in (slots, block, pick, sign):
         a.setflags(write=False)  # shared by every caller of the cache
@@ -450,13 +458,15 @@ class QISpline:
         all of one order, block by block of ``_EVAL_BLOCK`` points.
 
         Every tetrahedron is read as tetrahedron 0 (`_tet_blocks`): a
-        block is located once, each point gathers the 53 coefficients of
-        its tetrahedron's slots in one (block, 53) ``take``, one product
-        with the canonical block gives all its patches, and one ``einsum``
-        contracts them with the block's Bernstein basis; a derivative then
-        picks each point's column and sign.  ``locate`` and
-        ``bernstein_basis`` are called through this module's globals,
-        which the benchmark's tracer wraps.
+        block is located once and given its Bernstein basis; then, in runs
+        of ``_SLAB // 53`` points (256 KiB of gathered coefficients, so the
+        run's arrays stay in cache), each point gathers the 53 coefficients
+        of its tetrahedron's slots in one ``take``, one product with the
+        canonical block gives all its patches, and one ``einsum``
+        contracts them with the basis; a derivative then picks each
+        point's column and sign.  ``locate`` and ``bernstein_basis`` are
+        called through this module's globals, which the benchmark's tracer
+        wraps.
         """
         order = sum(gammas[0])
         degree = 4 - order
@@ -464,22 +474,27 @@ class QISpline:
         flat = np.ravel(self.coefficients)
         _, m2, m3 = self.coefficients.shape
         offsets = (_WINDOW @ (m2 * m3, m3, 1))[slots]
+        run = _SLAB // slots.shape[1]
         out = np.empty((len(points), len(gammas)))
         for start in range(0, len(points), _EVAL_BLOCK):
             cube, tet, bary = locate(points[start:start + _EVAL_BLOCK],
                                      self.grid)
-            index = offsets[tet]
-            index += ((cube[:, :1] * m2 + cube[:, 1:2]) * m3
-                      + cube[:, 2:])
-            patch = flat.take(index) @ block
-            values = np.einsum("iqj,ij->iq",
-                               patch.reshape(len(tet), -1, DIMENSION[degree]),
-                               bernstein_basis(bary, degree))
+            base = (cube[:, 0] * m2 + cube[:, 1]) * m3 + cube[:, 2]
+            basis = bernstein_basis(bary, degree)
+            values = out[start:start + _EVAL_BLOCK]
+            for lo in range(0, len(tet), run):
+                t = tet[lo:lo + run]
+                index = offsets[t]
+                index += base[lo:lo + run, None]
+                patch = (flat.take(index) @ block).reshape(
+                    len(t), -1, DIMENSION[degree])
+                part = np.einsum("iqj,ij->iq", patch, basis[lo:lo + run])
+                if order:
+                    part = np.take_along_axis(part, pick[t], axis=1)
+                values[lo:lo + run] = part
             if order:
-                values = np.take_along_axis(values, pick[tet], axis=1)
                 values *= sign[tet]
                 values /= self.grid.h ** order
-            out[start:start + _EVAL_BLOCK] = values
         return out
 
     # -- persistence --------------------------------------------------------

@@ -751,10 +751,11 @@ def test_eval_memory_does_not_grow_with_n(rng):
 # -- per-tetrahedron blocks, canonical tetrahedron and symmetries ------------
 
 def _per_tet_blocks(gammas):
-    """Every tetrahedron's own maps, independent of `qi._tet_blocks`:
-    ``rows[t]`` its 53 nonzero window slots, ascending, and ``blocks[t]``
-    (53, q*d) the D^gamma patches read from `qi._patch_matrix` and reduced
-    along tetrahedron t's own axis directions."""
+    """Every tetrahedron's own float maps, as evaluation built them before
+    the canonical tetrahedron: ``rows[t]`` its 53 nonzero window slots,
+    ascending, and ``blocks[t]`` (53, q*d) the D^gamma patches read from
+    `qi._patch_matrix` and reduced in float64 along tetrahedron t's own
+    axis directions."""
     matrix = qi._patch_matrix().reshape(125, 24, -1)
     rows = np.array([np.flatnonzero(matrix[:, t].any(axis=1))
                      for t in range(24)])
@@ -771,12 +772,61 @@ def _per_tet_blocks(gammas):
     return rows, np.concatenate(parts, axis=-1)
 
 
+def _reduce_exact(coeffs, direction, degree):
+    """D_a of integer BB coefficients (..., n_degree) of one degree, in
+    int64: c'_nu = degree * sum_m a_m c_{nu + e_m}."""
+    column = {nu: i for i, nu in enumerate(bernstein.multi_indices(degree))}
+    lower = bernstein.multi_indices(degree - 1)
+    out = np.zeros(coeffs.shape[:-1] + (len(lower),), dtype=np.int64)
+    for j, nu in enumerate(lower):
+        for m in range(4):
+            up = tuple(n + (i == m) for i, n in enumerate(nu))
+            out[..., j] += int(direction[m]) * coeffs[..., column[up]]
+    return degree * out
+
+
+def _exact_blocks(gammas):
+    """Every tetrahedron's own maps in exact integers: ``rows[t]`` as in
+    `_per_tet_blocks`, and ``blocks[t]`` (53, q*d) the D^gamma patches of
+    the table's numerators, over the returned common denominator, reduced
+    along t's own (integer) axis directions."""
+    table = boxspline.get_table()
+    numerators = table.numerators[::-1].reshape(125, 24, -1)
+    rows = np.array([np.flatnonzero(numerators[:, t].any(axis=1))
+                     for t in range(24)])
+    blocks = []
+    for t in range(24):
+        parts = []
+        for gamma in gammas:
+            coeffs, degree = numerators[rows[t], t], 4
+            for axis in range(3):
+                for _ in range(gamma[axis]):
+                    coeffs = _reduce_exact(
+                        coeffs, geometry.AXIS_DIRECTIONS[t, axis], degree)
+                    degree -= 1
+            parts.append(coeffs)
+        blocks.append(np.concatenate(parts, axis=-1))
+    return rows, np.array(blocks), table.denominator
+
+
 def _slot_image(t, slots):
     """g_t of flat window slots, about the window centre 2."""
     w = np.stack(np.unravel_index(slots, (5, 5, 5)), axis=-1) - 2
     image = np.empty_like(w)
     image[:, geometry.SYMMETRY_PERM[t]] = w * geometry.SYMMETRY_SIGN[t] + 2
     return np.ravel_multi_index(image.T, (5, 5, 5))
+
+
+def _orbit(gammas):
+    """The orbit of ``gammas`` under the symmetries, in the order of first
+    appearance over tetrahedra 0..23."""
+    seen = []
+    for perm in geometry.SYMMETRY_PERM:
+        for gamma in gammas:
+            primed = tuple(gamma[i] for i in perm)
+            if primed not in seen:
+                seen.append(primed)
+    return seen
 
 
 def test_symmetries_map_tetrahedron_0_onto_every_tetrahedron():
@@ -805,91 +855,114 @@ def test_symmetries_map_tetrahedron_0_onto_every_tetrahedron():
     ((1, 1, 0),), ((1, 1, 1),), ((2, 0, 1),), ((0, 0, 3),)],
     ids=lambda g: "-".join("".join(map(str, x)) for x in g))
 def test_tet_blocks_hold_one_block_per_orbit(gammas):
-    """One canonical block for the permutations of ``gammas``; its columns
-    are tetrahedron 0's own derivative patches, and each tetrahedron's
-    slots, pick and sign give the per-tetrahedron blocks."""
+    """One canonical block for the permutations of ``gammas``: tetrahedron
+    0's exact derivative patches, each rounded once; each tetrahedron's
+    slots, pick and sign give its own exact patches, integer for
+    integer."""
     slots, block, pick, sign = qi._tet_blocks(gammas)
-    orbit = {tuple(g[list(p)]) for g in np.array(gammas)
-             for p in permutations(range(3))}
-    degree = 4 - sum(gammas[0])
-    d = bernstein.DIMENSION[degree]
-    assert block.shape == (53, len(orbit) * d)
-    rows, blocks = _per_tet_blocks(gammas)
+    orbit = _orbit(gammas)
+    assert set(orbit) == {tuple(g[list(p)]) for g in np.array(gammas)
+                          for p in permutations(range(3))}
+    d = bernstein.DIMENSION[4 - sum(gammas[0])]
+    rows, canonical, den = _exact_blocks(orbit)
     np.testing.assert_array_equal(slots[0], rows[0])
-    canonical = block.reshape(53, -1, d)
+    np.testing.assert_array_equal(_bits(block), _bits(canonical[0] / den))
+    canonical = canonical[0].reshape(53, -1, d)
+    rows, blocks, _ = _exact_blocks(gammas)
     for t in range(24):
         np.testing.assert_array_equal(slots[t], _slot_image(t, rows[0]))
         place = np.searchsorted(rows[t], slots[t])
         assert np.array_equal(rows[t][place], slots[t])
         for k in range(len(gammas)):
-            own = blocks[t][place, k * d:(k + 1) * d]
-            mapped = sign[t, k] * canonical[:, pick[t, k]]
-            scale = np.abs(own).max()
-            assert np.abs(own - mapped).max() <= 1e-13 * scale, (t, k)
+            np.testing.assert_array_equal(
+                blocks[t][place, k * d:(k + 1) * d],
+                sign[t, k] * canonical[:, pick[t, k]], err_msg=f"{t} {k}")
+
+
+def _window_index(spline, points):
+    """Located tetrahedra, barycentrics and the flat index of each point's
+    window slot 0."""
+    _, m2, m3 = spline.coefficients.shape
+    cube, tet, bary = geometry.locate(points, spline.grid)
+    return tet, bary, (cube[:, 0] * m2 + cube[:, 1]) * m3 + cube[:, 2]
+
+
+def _flat_window(spline):
+    _, m2, m3 = spline.coefficients.shape
+    return ((_WINDOW_OFFSETS[0] * m2 + _WINDOW_OFFSETS[1]) * m3
+            + _WINDOW_OFFSETS[2])
 
 
 def _per_tet_evaluate(spline, points, gammas):
-    """D^gamma Qf point by point through each tetrahedron's own block and
-    the per-column basis, and the sum of the absolute values of the terms
-    each value adds up, the scale of its rounding."""
-    order = sum(gammas[0])
+    """D^gamma Qf through each tetrahedron's own float block
+    (`_per_tet_blocks`) and the per-column basis."""
     rows, blocks = _per_tet_blocks(gammas)
-    flat = np.ravel(spline.coefficients)
-    _, m2, m3 = spline.coefficients.shape
-    offsets = ((_WINDOW_OFFSETS[0] * m2 + _WINDOW_OFFSETS[1]) * m3
-               + _WINDOW_OFFSETS[2])[rows]
-    cube, tet, bary = geometry.locate(points, spline.grid)
-    base = (cube[:, 0] * m2 + cube[:, 1]) * m3 + cube[:, 2]
-    coeffs = flat[base[:, None] + offsets[tet]][:, None]
+    tet, bary, base = _window_index(spline, points)
+    coeffs = np.ravel(spline.coefficients)[
+        base[:, None] + _flat_window(spline)[rows[tet]]]
+    out = np.empty((len(points), len(gammas)))
+    order = sum(gammas[0])
     basis = oracle_basis(bary, 4 - order)
-    shape = (len(points), len(gammas), -1)
-    values = np.einsum("iqj,ij->iq", (coeffs @ blocks[tet]).reshape(shape),
-                       basis)
-    terms = np.einsum("iqj,ij->iq",
-                      (np.abs(coeffs) @ np.abs(blocks[tet])).reshape(shape),
-                      np.abs(basis))
-    scale = spline.grid.h ** order
-    return values / scale, terms / scale
+    for t in np.unique(tet):
+        on = tet == t
+        patch = (coeffs[on] @ blocks[t]).reshape(on.sum(), len(gammas), -1)
+        out[on] = np.einsum("iqj,ij->iq", patch, basis[on])
+    return out / spline.grid.h ** order
 
 
-def _orbit(gammas):
-    """The orbit of ``gammas`` under the symmetries, in the order of first
-    appearance over tetrahedra 0..23."""
-    seen = []
-    for perm in geometry.SYMMETRY_PERM:
-        for gamma in gammas:
-            primed = tuple(gamma[i] for i in perm)
-            if primed not in seen:
-                seen.append(primed)
-    return seen
+def _exact_evaluate(spline, points, gammas):
+    """D^gamma Qf at `locate`'s barycentrics through each tetrahedron's
+    exact integer block (`_exact_blocks`), the products and sums in
+    extended precision: their rounding is 2^11 times finer than
+    float64's, so its error is negligible beside a float64 evaluation's."""
+    order = sum(gammas[0])
+    rows, blocks, den = _exact_blocks(gammas)
+    tet, bary, base = _window_index(spline, points)
+    coeffs = np.ravel(spline.coefficients).astype(np.longdouble)[
+        base[:, None] + _flat_window(spline)[rows[tet]]]
+    lam = bary.astype(np.longdouble)
+    basis = np.stack([bernstein.multinomial(nu)
+                      * np.prod(lam ** np.array(nu), axis=1)
+                      for nu in bernstein.multi_indices(4 - order)], axis=1)
+    out = np.empty((len(points), len(gammas)), dtype=np.longdouble)
+    for t in np.unique(tet):
+        on = tet == t
+        patch = (coeffs[on] @ blocks[t].astype(np.longdouble)).reshape(
+            on.sum(), len(gammas), -1)
+        out[on] = (patch * basis[on, None]).sum(axis=2)
+    return out / (den * np.longdouble(spline.grid.h) ** order)
 
 
 def _canonical_evaluate(spline, points, gammas):
     """`QISpline._evaluate` as a loop over each block's tetrahedra: the
-    slots of tetrahedron t from `geometry`'s g_t, the canonical block, the
-    per-column basis, and each tetrahedron's column and sign picked in
-    turn."""
+    slots of tetrahedron t from `geometry`'s g_t, tetrahedron 0's exact
+    block rounded once, one product and ``einsum`` per run of
+    ``_SLAB // 53`` points with the per-column basis, and each
+    tetrahedron's column and sign picked in turn."""
     order = sum(gammas[0])
-    _, block, _, _ = qi._tet_blocks(gammas)
-    d = bernstein.DIMENSION[4 - order]
     orbit = _orbit(gammas)
-    rows = _per_tet_blocks(((0, 0, 0),))[0][0]
+    rows, block, den = _exact_blocks(orbit)
+    rows, block = rows[0], block[0] / den
+    d = bernstein.DIMENSION[4 - order]
+    window = _flat_window(spline)
     flat = np.ravel(spline.coefficients)
-    _, m2, m3 = spline.coefficients.shape
-    window = ((_WINDOW_OFFSETS[0] * m2 + _WINDOW_OFFSETS[1]) * m3
-              + _WINDOW_OFFSETS[2])
+    run = qi._SLAB // 53
     out = np.empty((len(points), len(gammas)))
     for start in range(0, len(points), qi._EVAL_BLOCK):
-        cube, tet, bary = geometry.locate(
-            points[start:start + qi._EVAL_BLOCK], spline.grid)
-        base = (cube[:, 0] * m2 + cube[:, 1]) * m3 + cube[:, 2]
+        tet, bary, base = _window_index(
+            spline, points[start:start + qi._EVAL_BLOCK])
         index = np.empty((len(tet), len(rows)), dtype=np.intp)
         for t in range(24):
             index[tet == t] = base[tet == t, None] + window[_slot_image(
                 t, rows)]
-        patch = flat[index] @ block
-        values = np.einsum("iqj,ij->iq", patch.reshape(len(tet), -1, d),
-                           oracle_basis(bary, 4 - order))
+        coeffs = flat[index]
+        basis = oracle_basis(bary, 4 - order)
+        values = np.empty((len(tet), len(orbit)))
+        for lo in range(0, len(tet), run):
+            patch = coeffs[lo:lo + run] @ block
+            values[lo:lo + run] = np.einsum(
+                "iqj,ij->iq", patch.reshape(len(patch), -1, d),
+                basis[lo:lo + run])
         part = out[start:start + qi._EVAL_BLOCK]
         for t in range(24):
             perm = geometry.SYMMETRY_PERM[t]
@@ -907,13 +980,15 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-@pytest.mark.parametrize("which", ["m=(11,12,13)", "f2 m=32"])
-def test_evaluation_is_bitwise_the_per_segment_oracle(f2_m32, which):
-    """Bit for bit the canonical-tetrahedron loop.  The per-tetrahedron
-    blocks sum in another order, so they agree within 1e-14 of the largest
-    sum of absolute terms: f2's smooth field cancels its mixed third
-    derivatives about 1e4-fold, so its largest value is no scale for
-    rounding."""
+_CALLS = [((0, 0, 0),), ((1, 0, 0), (0, 1, 0), (0, 0, 1)),
+          *[(gamma,) for gamma in [(2, 0, 0), (1, 1, 0), (0, 1, 1),
+                                   (1, 1, 1), (0, 0, 3), (2, 0, 1)]]]
+
+
+def _evaluation_cases(which, f2_m32):
+    """The spline, its point sets (block edges, the tie lattice, diagonal
+    planes and domain faces) and, per set, the result of each call in
+    `_CALLS`."""
     rng = np.random.default_rng(45)
     if which == "f2 m=32":
         spline = f2_m32
@@ -924,22 +999,46 @@ def test_evaluation_is_bitwise_the_per_segment_oracle(f2_m32, which):
     sets = [_probe_points(rng, grid, n) for n in (1, 32, 4095, 4096, 4097)]
     sets += [ties[rng.permutation(len(ties))[:4097]],
              *_point_sets(rng, grid).values()]
-    second = [(2, 0, 0), (1, 1, 0), (0, 1, 1)]
-    third = [(1, 1, 1), (0, 0, 3), (2, 0, 1)]
-    calls = [((0, 0, 0),), ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    calls += [(gamma,) for gamma in second + third]
     for pts in sets:
-        for gammas in calls:
-            if gammas == ((0, 0, 0),):
-                got = spline.eval(pts)[:, None]
-            elif len(gammas) == 3:
-                got = spline.gradient(pts)
-            else:
-                got = spline.eval_derivative(pts, gammas[0])[:, None]
+        got = [spline.eval(pts)[:, None], spline.gradient(pts)]
+        got += [spline.eval_derivative(pts, gammas[0])[:, None]
+                for gammas in _CALLS[2:]]
+        yield spline, pts, got
+
+
+@pytest.mark.parametrize("which", ["m=(11,12,13)", "f2 m=32"])
+def test_evaluation_is_bitwise_the_per_segment_oracle(f2_m32, which):
+    """Values, gradients and derivatives are bit for bit the
+    canonical-tetrahedron loop, whose block comes from the exact table."""
+    for spline, pts, got in _evaluation_cases(which, f2_m32):
+        for gammas, values in zip(_CALLS, got):
             np.testing.assert_array_equal(
-                _bits(got), _bits(_canonical_evaluate(spline, pts, gammas)))
-            oracle, terms = _per_tet_evaluate(spline, pts, gammas)
-            assert np.abs(got - oracle).max() <= 1e-14 * terms.max(), gammas
+                _bits(values), _bits(_canonical_evaluate(spline, pts,
+                                                         gammas)))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="needs an extended-precision long double")
+@pytest.mark.parametrize("which", ["m=(11,12,13)", "f2 m=32"])
+def test_evaluation_is_within_1e_14_of_exact_sums(f2_m32, which):
+    """Over all point sets of a spline, every call is within 1e-14 of
+    max |D^gamma| of the exact per-tetrahedron sums, except f2's third
+    derivatives.  There the 53 terms of a patch coefficient cancel about
+    1e3 to 5e3-fold, and the float64 sums reach 1.8e-13 (D^111), 2.4e-14
+    (D^003) and 3.8e-14 (D^201) of max; they are held to be no farther
+    from the exact sums than the per-tetrahedron float blocks evaluation
+    used before (2.1e-12, 2.0e-12 and 3.4e-12)."""
+    cases = list(_evaluation_cases(which, f2_m32))
+    pts = np.concatenate([case[1] for case in cases])
+    spline = cases[0][0]
+    for k, gammas in enumerate(_CALLS):
+        values = np.concatenate([case[2][k] for case in cases])
+        exact = _exact_evaluate(spline, pts, gammas)
+        bound = 1e-14 * float(np.abs(exact).max())
+        if which == "f2 m=32" and sum(gammas[0]) == 3:
+            before = _per_tet_evaluate(spline, pts, gammas)
+            bound = max(bound, float(np.abs(before - exact).max()))
+        assert float(np.abs(values - exact).max()) <= bound, gammas
 
 
 # --------------------------------------------------------------------------
