@@ -71,9 +71,11 @@ def _parse_n_values(text: str):
     if ".." in text:
         lo, hi = text.split("..", 1)
         values = list(range(int(lo), int(hi) + 1))
+        if not values:
+            raise ValueError(f"--n range {text!r} is empty")
     else:
         values = [int(p) for p in text.split(",")]
-    if not values or min(values) < 1:
+    if min(values) < 1:
         raise ValueError(f"--n values must be >= 1, got {text!r}")
     return values
 

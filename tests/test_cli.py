@@ -311,6 +311,13 @@ def test_derivations_take_no_cell_width_or_tie_option(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_norm_table_rejects_an_empty_n_range(capsys):
+    code, out, err = run(capsys, "norm-table", "--class", "3,3,3",
+                         "--n", "8..3")
+    assert code == 1 and out == ""
+    assert err == "error: --n range '8..3' is empty\n"
+
+
 def test_eval_rejects_empty_grid(capsys, tmp_path):
     spline_path = tmp_path / "f2.qis"
     run(capsys, "approximate", "--fn", "f2", "--m", "11",

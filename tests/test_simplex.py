@@ -170,14 +170,25 @@ def _ref_solve_lp(A, b, c):
     return simplex.LPResult("optimal", x=x, objective=objective)
 
 
-def _record_pivots(monkeypatch, module, name, log):
-    """Wrap module.<name> so every call appends its pivot entry to log."""
+def _record_pivots(monkeypatch, module, name, log, at=None):
+    """Wrap module.<name> so every call appends its pivot entry and
+    right-hand side to log, and its (row, column) to ``at`` if given.
+
+    The integer tableau stores a mirrored column once, so its pivot entry
+    is read through the column map that ``simplex._pivot`` receives.
+    """
     pivot = getattr(module, name)
 
-    def counted(T, basis, *rest):
+    def counted(T, *rest):
         row, col = rest[-2:]
-        log.append((T[row][col], T[row][-1]))
-        return pivot(T, basis, *rest)
+        if module is simplex:
+            s, sign, _ = rest[0][col]
+            log.append((sign * T[row][s], T[row][-1]))
+        else:
+            log.append((T[row][col], T[row][-1]))
+        if at is not None:
+            at.append((row, col))
+        return pivot(T, *rest)
 
     monkeypatch.setattr(module, name, counted)
 
@@ -239,3 +250,89 @@ def test_minimize_l1_matches_fraction_oracle(monkeypatch, grid11, n):
     assert got.status == want.status == "optimal"
     assert got.weights == want.weights
     assert got.norm == want.norm
+
+
+def _mirrored_lp(rng):
+    """A random LP in which some columns negate earlier ones."""
+    A, b, c = _random_lp(rng)
+    n = len(c)
+    for j in range(1, n):
+        if rng.random() < 0.4:
+            s = rng.randrange(j)
+            for row in A:
+                row[j] = -row[s]
+    if rng.random() < 0.7:
+        # feasible again after the column change
+        x = [F(rng.randint(0, 2)) if rng.random() < 0.5 else F(0)
+             for _ in range(n)]
+        b = [sum(a * xi for a, xi in zip(row, x)) for row in A]
+    return A, b, c
+
+
+def _l1_lp(rng):
+    """The split LP [V | -V] that minimize_l1_exact builds."""
+    m, k = rng.randint(1, 5), rng.randint(1, 8)
+    V = [[F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(k)]
+         for _ in range(m)]
+    b = [F(rng.randint(-4, 4)) for _ in range(m)]
+    w = [F(rng.randint(1, 4)) for _ in range(k)]
+    return [row + [-v for v in row] for row in V], b, w * 2
+
+
+def test_mirrored_columns_pivot_like_the_full_tableau(monkeypatch):
+    ours, ref, ours_at, ref_at = [], [], [], []
+    _record_pivots(monkeypatch, simplex, "_pivot", ours, ours_at)
+    _record_pivots(monkeypatch, sys.modules[__name__], "_ref_pivot", ref,
+                   ref_at)
+    rng = random.Random(5151)
+    statuses = set()
+    negative = degenerate = mirrored = 0
+    for i in range(2000):
+        A, b, c = _mirrored_lp(rng) if i % 2 else _l1_lp(rng)
+        del ours[:], ref[:], ours_at[:], ref_at[:]
+        got = simplex.solve_lp(A, b, c)
+        want = _ref_solve_lp(A, b, c)
+        assert (got.status, got.x, got.objective) == \
+            (want.status, want.x, want.objective), (A, b, c)
+        assert ours_at == ref_at, (A, b, c)
+        for (p, rhs), (q, rhs_ref) in zip(ours, ref):
+            assert (p > 0) == (q > 0) and (rhs == 0) == (rhs_ref == 0)
+        statuses.add(got.status)
+        negative += sum(p < 0 for p, _ in ours)
+        degenerate += sum(rhs == 0 for _, rhs in ours)
+        mirrored += sum(col < len(c) and any(
+            all(row[col] == -row[s] for row in A) for s in range(col))
+            for _, col in ours_at)
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+    assert negative > 0 and degenerate > 0 and mirrored > 0
+
+
+def test_split_lp_stores_each_mirrored_column_once(monkeypatch, grid11):
+    system = nearbest.constraint_system((0, 0, -1), 8, grid11)
+    m, k = len(system.V), len(system.V[0])
+    widths = []
+    pivot = simplex._pivot
+
+    def record(M, *rest):
+        widths.append(len(M[0]))
+        return pivot(M, *rest)
+
+    monkeypatch.setattr(simplex, "_pivot", record)
+    assert nearbest.minimize_l1(system).status == "optimal"
+    # phase one stores k structural + m artificial + rhs columns, not 2k
+    assert widths[0] == k + m + 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda: simplex.minimize_l1_exact([[1, 2]], [1, 3]),
+    lambda: simplex.minimize_l1_exact([[1, 2], [3]], [1, 1]),
+    lambda: simplex.minimize_l1_exact([[1, 2], [3, 4]], [1]),
+    lambda: simplex.minimize_l1_exact([[1, 2]], [1], weights=[1]),
+    lambda: simplex.solve_lp([[1, 2]], [1], [1]),
+    lambda: simplex.solve_lp([[1, 2], [3]], [1, 1], [1, 1]),
+    lambda: simplex.solve_lp([[1, 2]], [1, 2], [1, 1]),
+], ids=["b-too-long", "ragged-V", "b-too-short", "weights-too-short",
+        "c-too-short", "ragged-A", "b-too-long-lp"])
+def test_malformed_lp_input_raises_value_error(call):
+    with pytest.raises(ValueError, match="one row per entry of b"):
+        call()
