@@ -204,7 +204,3 @@ def derivative_reduce(coeffs, direction, degree=4):
         out += direction[..., m:m + 1] * coeffs[..., rmap[m]]
     return degree * out
 
-
-def collocation_matrix(bary_points, degree=4):
-    """Bernstein collocation matrix M[p, nu] = B_nu(bary_points[p])."""
-    return bernstein_basis(np.asarray(bary_points, dtype=np.float64), degree)

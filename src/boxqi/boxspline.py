@@ -21,7 +21,9 @@ Two independent evaluation routes are provided:
   rationals, kept as int64 numerators over one common denominator (1536),
   and are then verified exactly: partition of unity and linear precision on
   every build and load, all C^0/C^1/C^2 face conditions on request
-  (`BoxSplineTable.verify_smoothness_exact`).
+  (`BoxSplineTable.verify_smoothness_exact`, in `Fraction`s; it reads the
+  barycentric maps of `geometry.BARYCENTRIC_MATRICES`, whose entries are
+  exact halves checked at import).
 
 Scaled translates on a grid follow  B_a(x, y, z) =
 B(x/h - i + 1, y/h - j + 1, z/h - k + 3)  for a = (i, j, k), with support
@@ -46,7 +48,7 @@ import numpy as np
 
 from . import bernstein, geometry
 from .bernstein import MULTI_INDICES_4
-from .geometry import BARYCENTRIC_MATRICES_EXACT, TET_VERTICES_UNIT_2X
+from .geometry import BARYCENTRIC_MATRICES, TET_VERTICES_UNIT_2X
 
 __all__ = [
     "DIRECTIONS", "SUPPORT_LO", "SUPPORT_HI", "SUPPORT_CENTER",
@@ -280,7 +282,7 @@ class BoxSplineTable:
         _assert_samples_off_knot_planes()
         lam_f = np.array([[float(v) for v in row]
                           for row in _shrunk_barycentrics_exact()])
-        M = bernstein.collocation_matrix(lam_f)
+        M = bernstein.bernstein_basis(lam_f)
 
         cubes = support_cubes()
         pts = np.empty((_N_CUBES, 24, 35, 3))
@@ -511,10 +513,11 @@ def _check_face_smoothness(cube_a, tet_a, patch_a, cube_b, tet_b, patch_b):
     # position map: for each B-vertex slot (not apex_b), the slot in A
     slot_in_a = {i: verts_a.index(v) for i, v in enumerate(verts_b)
                  if i != apex_b}
-    # barycentric coordinates mu of B's apex with respect to A's tetrahedron
+    # barycentric coordinates mu of B's apex with respect to A's tetrahedron;
+    # the map's entries are exact halves, so 2M @ local is an exact integer
     local = [v - 2 * c for v, c in zip(verts_b[apex_b], cube_a)] + [1]
-    mu = [sum(w * x for w, x in zip(row, local))
-          for row in BARYCENTRIC_MATRICES_EXACT[tet_a]]
+    mu = [Fraction(int(v), 2)
+          for v in 2 * BARYCENTRIC_MATRICES[tet_a] @ local]
 
     pos4 = {nu: i for i, nu in enumerate(MULTI_INDICES_4)}
     for r in range(3):

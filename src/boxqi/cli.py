@@ -49,14 +49,23 @@ def _human_bytes(n: int) -> str:
     raise AssertionError
 
 
-def _parse_triple(text: str, kind=int, name="value"):
+def _ints(parts, flag: str, text: str):
+    """`parts` as ints; a part that is not an integer is one error naming
+    `flag` and its whole value `text`."""
+    try:
+        return [int(p) for p in parts]
+    except ValueError:
+        raise ValueError(f"{flag} takes integers, got {text!r}") from None
+
+
+def _parse_triple(text: str, name: str):
     parts = text.split(",")
     if len(parts) == 1:
         parts = parts * 3
     if len(parts) != 3:
         raise ValueError(f"{name} must be one value or three "
                          f"comma-separated values, got {text!r}")
-    return tuple(kind(p) for p in parts)
+    return tuple(_ints(parts, name, text))
 
 
 def _parse_class(text: str):
@@ -64,31 +73,28 @@ def _parse_class(text: str):
     if len(parts) != 3:
         raise ValueError(f"--class takes three comma-separated integers, "
                          f"got {text!r}")
-    return tuple(int(p) for p in parts)
+    return tuple(_ints(parts, "--class", text))
 
 
 def _parse_n_values(text: str):
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        values = list(range(int(lo), int(hi) + 1))
+        lo, hi = _ints(text.split("..", 1), "--n", text)
+        values = list(range(lo, hi + 1))
         if not values:
             raise ValueError(f"--n range {text!r} is empty")
     else:
-        values = [int(p) for p in text.split(",")]
+        values = _ints(text.split(","), "--n", text)
     if min(values) < 1:
         raise ValueError(f"--n values must be >= 1, got {text!r}")
     return values
 
 
 def _parse_m_list(text: str):
-    values = [int(p) for p in text.split(",")]
-    if not values:
-        raise ValueError("--m list is empty")
-    return values
+    return _ints(text.split(","), "--m", text)
 
 
 def _grid_from_flags(args, h=1.0) -> DomainGrid:
-    return DomainGrid(*_parse_triple(args.m, int, "--m"), h=h)
+    return DomainGrid(*_parse_triple(args.m, "--m"), h=h)
 
 
 def _csv(rows, header) -> str:
@@ -227,7 +233,7 @@ def cmd_approximate(args) -> int:
         if args.m is None:
             raise ValueError("--fn requires --m")
         samples, grid, _ = volume.sample_test_function(
-            args.fn, _parse_triple(args.m, int, "--m"))
+            args.fn, _parse_triple(args.m, "--m"))
     else:
         path = Path(getattr(args, "in"))
         if path.suffix == ".npy":

@@ -41,7 +41,8 @@ __all__ = [
     "active_mask", "centers", "center_exact",
     "data_points", "data_coordinate", "data_coordinate_exact",
     "project_index", "octahedron_offsets", "octahedron",
-    "SymmetryTransform", "label_class", "classify", "class_runs",
+    "SymmetryTransform", "axis_labels", "label_class", "classify",
+    "class_runs",
     "CLASS_KEYS",
 ]
 
@@ -275,12 +276,20 @@ def label_class(classes, flips):
     return key, SymmetryTransform(perm=perm, flips=tuple(flips))
 
 
-def classify(alpha, grid):
-    """Reduce alpha to a canonical class key plus the symmetry transform:
-    `label_class` of its per-axis `_axis_class` labels.  Raises ValueError
-    for an index outside -1..m_a+2 or with two extreme coordinates."""
-    grid.require_quasi_interpolation()
+def axis_labels(alpha, grid):
+    """Per-axis `_axis_class` labels (classes, flips) of alpha.  Raises
+    ValueError for an alpha outside A (the rule `active_mask` states): an
+    index outside -1..m_a+2 or two extreme coordinates."""
     cls, flips = zip(*(_axis_class(alpha[a], grid.m[a]) for a in range(3)))
     if min(cls) < -1 or cls.count(-1) >= 2:
-        raise ValueError(f"alpha {alpha} not in the index set A")
-    return label_class(cls, flips)
+        alpha = tuple(int(a) for a in alpha)
+        raise ValueError(f"alpha {alpha} not in the index set A of a "
+                         f"{grid.m} grid")
+    return cls, flips
+
+
+def classify(alpha, grid):
+    """Reduce alpha to a canonical class key plus the symmetry transform:
+    `label_class` of its `axis_labels`."""
+    grid.require_quasi_interpolation()
+    return label_class(*axis_labels(alpha, grid))

@@ -24,7 +24,12 @@ tetrahedron 0 onto t, vertex by vertex (``SYMMETRY_PERM``,
 
 Internally coordinates are kept in grid units u = x/h; cube vertices then
 have half-integer coordinates, which this module doubles to integers where
-exactness matters.
+exactness matters.  The barycentric map of tetrahedron t is
+lam = M_t @ (2u, 1) (``BARYCENTRIC_MATRICES``); every entry of M_t is an
+exact half, rounded from one float inverse and checked at import in int64.
+``AXIS_DIRECTIONS[t, a]`` is the barycentric direction of the unit vector
+e_a (grid units), the input of `bernstein.derivative_reduce`; a
+physical derivative carries 1/h per order.
 
 Point location
 --------------
@@ -42,18 +47,14 @@ tetrahedron; they alone test all 24 candidates for the best fit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import permutations, product
 from numbers import Integral, Real
 
 import numpy as np
 
-from .bernstein import domain_points as _bb_domain_points
-
 __all__ = [
     "DomainGrid", "TET_VERTICES_UNIT", "tetrahedra_of_cube", "locate",
-    "domain_points", "barycentric_direction", "SYMMETRY_PERM",
-    "SYMMETRY_SIGN",
+    "AXIS_DIRECTIONS", "SYMMETRY_PERM", "SYMMETRY_SIGN",
 ]
 
 
@@ -151,47 +152,30 @@ def _build_symmetries():
 SYMMETRY_PERM, SYMMETRY_SIGN = _build_symmetries()
 
 
-def _exact_inverse_4x4(mat):
-    """Inverse of a 4x4 Fraction matrix by Gauss-Jordan elimination."""
-    n = 4
-    aug = [[Fraction(mat[i][j]) for j in range(n)]
-           + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if aug[r][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv_p = 1 / aug[col][col]
-        aug[col] = [v * inv_p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def _build_barycentric_matrices():
     """Per-tet matrices mapping homogeneous doubled coords to barycentrics.
 
     For tetrahedron t with doubled vertices w0..w3 the barycentric
     coordinates of a point u (grid units) solve  sum lam_i * w_i = 2u,
-    sum lam_i = 1, i.e.  lam = Minv @ (2u_x, 2u_y, 2u_z, 1).
+    sum lam_i = 1, i.e.  lam = M @ (2u_x, 2u_y, 2u_z, 1) with M the inverse
+    of H = [w0..w3; 1 1 1 1].  Every entry of M is a multiple of 1/2, so
+    the float inverse is rounded to halves and checked exactly:
+    2M @ H == 2I in int64.
     """
-    mats = np.empty((24, 4, 4), dtype=np.float64)
-    exact = []
-    for t in range(24):
-        w = TET_VERTICES_UNIT_2X[t]
-        m = [[int(w[j][i]) for j in range(4)] for i in range(3)]
-        m.append([1, 1, 1, 1])
-        inv = _exact_inverse_4x4(m)
-        exact.append(inv)
-        mats[t] = [[float(v) for v in row] for row in inv]
-    return mats, exact
+    hom = np.ones((24, 4, 4), dtype=np.int64)
+    hom[:, :3] = TET_VERTICES_UNIT_2X.transpose(0, 2, 1)
+    twice = np.rint(2.0 * np.linalg.inv(hom)).astype(np.int64)
+    if not (twice @ hom == 2 * np.eye(4, dtype=np.int64)).all():
+        raise ArithmeticError("barycentric matrices are not exact halves")
+    return twice / 2.0
 
 
-#: (24, 4, 4) float matrices: barycentric = mat @ (2*ux, 2*uy, 2*uz, 1).
-BARYCENTRIC_MATRICES, BARYCENTRIC_MATRICES_EXACT = _build_barycentric_matrices()
+#: (24, 4, 4) float matrices of exact halves:
+#: barycentric = mat @ (2*ux, 2*uy, 2*uz, 1).
+BARYCENTRIC_MATRICES = _build_barycentric_matrices()
 
 #: (24, 3, 4) float: row a = barycentric direction of unit vector e_a
-#: (grid units) within tetrahedron t, i.e. 2 * column a of the exact matrix.
+#: (grid units) within tetrahedron t, i.e. 2 * column a of the matrix.
 AXIS_DIRECTIONS = 2.0 * BARYCENTRIC_MATRICES[:, :, :3].transpose(0, 2, 1)
 
 _LOCATE_TOL = 1e-12
@@ -253,11 +237,6 @@ def tetrahedra_of_cube(cube, grid):
     if np.any(cube < 0) or np.any(cube >= grid.m):
         raise IndexError(f"cube index {tuple(cube)} outside grid {grid.m}")
     return (TET_VERTICES_UNIT + cube) * grid.h
-
-
-def domain_points(tet_vertices):
-    """The 35 quartic domain points of a tetrahedron (canonical BB order)."""
-    return _bb_domain_points(tet_vertices, degree=4)
 
 
 def _first_containing_tet(hom):
@@ -362,13 +341,3 @@ def locate(points, grid):
     np.minimum(cube, np.array(grid.m) - 1, out=cube)
     tet, bary = locate_unit(u - cube)
     return cube, tet, bary
-
-
-def barycentric_direction(tet, axis):
-    """Barycentric direction of the Cartesian unit vector e_axis (grid units).
-
-    The returned 4-vector a satisfies sum(a) = 0 and feeds
-    `bernstein.derivative_reduce`; physical-space derivatives carry an extra
-    1/h per differentiation order.
-    """
-    return AXIS_DIRECTIONS[tet, axis]

@@ -148,8 +148,10 @@ def constraint_system(alpha, n, grid, tie_symmetry=True):
     With ``tie_symmetry`` the stabilizer of the projected point set ties
     symmetric points to a common weight (columns become orbit sums) and
     redundant monomial rows collapse; for alpha = (0,0,-1) exactly 13 of
-    the 20 conditions survive.
+    the 20 conditions survive.  Raises ValueError for an alpha outside the
+    index set A.
     """
+    domain.axis_labels(alpha, grid)
     octa = domain.octahedron(alpha, n, grid)
     doubled = _centered_points_doubled(octa.points, alpha, grid)
     group = _stabilizer(doubled) if tie_symmetry else (_SIGNED_PERMS[0],)

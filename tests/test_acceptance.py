@@ -112,7 +112,7 @@ def _one_sided_gaps(spline, rng, n_faces, cube_lo, cube_hi):
             A = np.vstack([tverts.T, np.ones(4)])
             bary = np.linalg.solve(
                 A, np.vstack([face_pts.T, np.ones(k)])).T
-            bdir = sum(normal[a] * geometry.barycentric_direction(t, a)
+            bdir = sum(normal[a] * geometry.AXIS_DIRECTIONS[t, a]
                        for a in range(3)) / h
             d1 = bernstein.derivative_reduce(coeffs, bdir)
             d2 = bernstein.derivative_reduce(d1, bdir, degree=3)

@@ -318,6 +318,25 @@ def test_norm_table_rejects_an_empty_n_range(capsys):
     assert err == "error: --n range '8..3' is empty\n"
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (("info", "--m", "x"), "--m", "x"),
+    (("derive", "--class", "a,b,c", "--n", "2"), "--class", "a,b,c"),
+    (("norm-table", "--class", "3,3,3", "--n", "1..x"), "--n", "1..x"),
+    (("convergence", "--fn", "f1", "--m", "16,x"), "--m", "16,x"),
+])
+def test_a_non_integer_value_names_its_flag(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {flag} takes integers, got {value!r}\n"
+
+
+def test_derive_rejects_a_class_outside_the_index_set(capsys):
+    code, out, err = run(capsys, "derive", "--class", "50,0,0", "--n", "2")
+    assert code == 1 and out == ""
+    assert err == ("error: alpha (50, 0, 0) not in the index set A of a "
+                   "(11, 11, 11) grid\n")
+
+
 def test_eval_rejects_empty_grid(capsys, tmp_path):
     spline_path = tmp_path / "f2.qis"
     run(capsys, "approximate", "--fn", "f2", "--m", "11",

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from boxqi import bernstein as bb
 from boxqi import geometry as geo
 
 
@@ -90,15 +91,24 @@ def test_locate_handles_domain_boundary():
         geo.locate(np.array([[-1e-9, 0.0, 0.0]]), g)
 
 
+def test_barycentric_matrices_are_exact_halves():
+    hom = np.ones((24, 4, 4), dtype=np.int64)
+    hom[:, :3] = geo.TET_VERTICES_UNIT_2X.transpose(0, 2, 1)
+    twice = 2 * geo.BARYCENTRIC_MATRICES
+    assert (twice == np.rint(twice)).all()
+    for t in range(24):
+        assert (twice[t].astype(np.int64) @ hom[t]
+                == 2 * np.eye(4, dtype=np.int64)).all()
+
+
 def test_domain_points_cover_tet(rng):
     g = geo.DomainGrid(3, 3, 3, 1.0)
     tet = geo.tetrahedra_of_cube((1, 1, 1), g)[5]
-    dp = geo.domain_points(tet)
+    dp = bb.domain_points(tet)
     assert dp.shape == (35, 3)
     # vertices are among the domain points; all points inside the tet hull
     for v in tet:
         assert np.min(np.linalg.norm(dp - v, axis=1)) < 1e-14
-    from boxqi import bernstein as bb
     bary = np.asarray(bb.domain_point_barycentrics(), float)
     np.testing.assert_allclose(bary @ tet, dp, atol=1e-14)
 
@@ -108,7 +118,7 @@ def test_barycentric_direction_is_step_derivative():
     p = np.array([[0.63, 1.07, 1.66]])
     cube, tet, bary = geo.locate(p, g)
     for axis in range(3):
-        d = geo.barycentric_direction(int(tet[0]), axis)
+        d = geo.AXIS_DIRECTIONS[tet[0], axis]
         assert abs(d.sum()) < 1e-14
         t = 1e-3
         step = np.zeros(3)

@@ -26,6 +26,14 @@ def test_constraint_system_structure(grid11):
     assert as_tuples == sorted(set(as_tuples))
 
 
+@pytest.mark.parametrize("alpha", [
+    (50, 0, 0), (-2, 0, 0), (0, 14, 0), (-1, -1, 3), (13, 5, -1)])
+def test_constraint_system_rejects_alpha_outside_a(grid11, alpha):
+    with pytest.raises(ValueError, match=rf"alpha \({alpha[0]}, "
+                       r".* not in the index set A"):
+        nearbest.constraint_system(alpha, 2, grid11)
+
+
 def test_constraint_system_untied(grid11):
     sys_ = nearbest.constraint_system((0, 0, -1), 4, grid11,
                                       tie_symmetry=False)

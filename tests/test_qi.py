@@ -260,11 +260,10 @@ def test_patch_coefficients_equal_bb_form_of_cubic():
         return x * y * z - 0.5 * z * z + 3.0 * x - 0.2
 
     spline = qi.approximate(_samples_of(p, grid), grid).compile("dense")
-    colloc = bernstein.collocation_matrix(
-        np.asarray(bernstein.domain_point_barycentrics(), float))
+    colloc = bernstein.bernstein_basis(bernstein.domain_point_barycentrics())
     for cube, tet in [((5, 6, 7), 3), ((0, 0, 0), 17), ((11, 4, 2), 21)]:
         verts = geometry.tetrahedra_of_cube(cube, grid)[tet]
-        dp = geometry.domain_points(verts)
+        dp = bernstein.domain_points(verts)
         bb_of_p = np.linalg.solve(colloc, p(dp[:, 0], dp[:, 1], dp[:, 2]))
         patch = spline.compiled.patches[cube][tet]
         np.testing.assert_allclose(patch, bb_of_p, rtol=0, atol=1e-9)
