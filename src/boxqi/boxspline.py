@@ -16,14 +16,16 @@ Two independent evaluation routes are provided:
   self-contained; only valid off the knot planes.
 * ``BoxSplineTable`` - per-tetrahedron quartic BB coefficients obtained by
   sampling the oracle at 35 unisolvent points per tetrahedron (domain points
-  shrunk toward the centroid so no sample hits a knot plane) and solving the
-  Bernstein interpolation system once.  The coefficients snap to exact
+  shrunk toward the centroid so no sample hits a knot plane, which the
+  build proves on the samples' integer barycentric numerators) and solving
+  the Bernstein interpolation system once.  The coefficients snap to exact
   rationals, kept as int64 numerators over one common denominator (1536),
   and are then verified exactly: partition of unity and linear precision on
   every build and load, all C^0/C^1/C^2 face conditions on request
-  (`BoxSplineTable.verify_smoothness_exact`, in `Fraction`s; it reads the
-  barycentric maps of `geometry.BARYCENTRIC_MATRICES`, whose entries are
-  exact halves checked at import).
+  (`BoxSplineTable.verify_smoothness_exact`, on the numerators as Python
+  integers; it reads the barycentric maps of
+  `geometry.BARYCENTRIC_MATRICES`, whose entries are exact halves checked
+  at import).
 
 Scaled translates on a grid follow  B_a(x, y, z) =
 B(x/h - i + 1, y/h - j + 1, z/h - k + 3)  for a = (i, j, k), with support
@@ -40,6 +42,7 @@ oracle (several seconds) with::
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from importlib import resources
 from numbers import Integral
@@ -209,33 +212,34 @@ def derivative_order(gamma) -> tuple[int, int, int]:
     return tuple(int(g) for g in gamma)
 
 
-def _shrunk_barycentrics_exact():
-    """Exact barycentric coordinates of the 35 shrunk sample points."""
-    s = Fraction(SHRINK_NUM, SHRINK_DEN)
-    out = []
-    for nu in MULTI_INDICES_4:
-        out.append(tuple(Fraction(1, 4) + s * (Fraction(v, 4) - Fraction(1, 4))
-                         for v in nu))
-    return out
+def _shrunk_numerators():
+    """Barycentric coordinates of the 35 shrunk sample points times
+    4 SHRINK_DEN, as integers: 1/4 + s (nu/4 - 1/4) with s = SHRINK_NUM /
+    SHRINK_DEN is (SHRINK_DEN + SHRINK_NUM (nu - 1)) / (4 SHRINK_DEN)."""
+    return SHRINK_DEN + SHRINK_NUM * (np.array(MULTI_INDICES_4) - 1)
+
+
+#: Normals of the nine knot-plane families: x, y, z, x +- y, x +- z, y +- z.
+_KNOT_NORMALS = np.array([(1, 0, 0), (0, 1, 0), (0, 0, 1),
+                          (1, 1, 0), (1, -1, 0), (1, 0, 1), (1, 0, -1),
+                          (0, 1, 1), (0, 1, -1)])
 
 
 def _assert_samples_off_knot_planes():
-    """Exact check: no shrunk sample point lies on any knot plane."""
-    bary = _shrunk_barycentrics_exact()
-    for tet in range(24):
-        w = TET_VERTICES_UNIT_2X[tet]  # doubled integer vertices
-        for lam in bary:
-            # doubled coordinates of the sample point inside cube (0,0,0);
-            # adding integer cube offsets never moves a point onto/off an
-            # integer-offset plane family, so one cube suffices
-            p = [sum(lam[v] * int(w[v][a]) for v in range(4)) / 2
-                 for a in range(3)]
-            combos = [p[0], p[1], p[2], p[0] + p[1], p[0] - p[1],
-                      p[0] + p[2], p[0] - p[2], p[1] + p[2], p[1] - p[2]]
-            for c in combos:
-                if Fraction(c).denominator == 1:
-                    raise AssertionError(
-                        f"shrunk sample on a knot plane (tet {tet})")
+    """Exact check: no shrunk sample point lies on any knot plane.
+
+    A sample of tetrahedron t in cube (0, 0, 0) is sum_v lam_v w_v / 2 for
+    the doubled vertices w, so 8 SHRINK_DEN times it is an integer vector;
+    it lies on a knot plane iff some normal's product with that vector is
+    a multiple of 8 SHRINK_DEN.  Integer cube offsets never move a point
+    onto or off a plane of these families, so one cube suffices.
+    """
+    level = np.einsum('pv,tva,ka->tpk', _shrunk_numerators(),
+                      TET_VERTICES_UNIT_2X, _KNOT_NORMALS)
+    on_plane = np.argwhere(level % (8 * SHRINK_DEN) == 0)
+    if len(on_plane):
+        raise AssertionError(
+            f"shrunk sample on a knot plane (tet {on_plane[0][0]})")
 
 
 class BoxSplineTable:
@@ -280,8 +284,7 @@ class BoxSplineTable:
         is why `get_table` loads the packaged table instead.
         """
         _assert_samples_off_knot_planes()
-        lam_f = np.array([[float(v) for v in row]
-                          for row in _shrunk_barycentrics_exact()])
+        lam_f = _shrunk_numerators() / (4 * SHRINK_DEN)
         M = bernstein.bernstein_basis(lam_f)
 
         cubes = support_cubes()
@@ -385,20 +388,19 @@ class BoxSplineTable:
         the zero patch (B joins the zero function with C^2 smoothness).
         """
         faces = _face_adjacency()
-        rational = [[[Fraction(v, self.denominator) for v in patch]
-                     for patch in cube] for cube in self.numerators.tolist()]
-        zero = [Fraction(0)] * 35
+        patches = self.numerators.tolist()
+        zero = [0] * 35
         for face_key, incidences in faces.items():
             if len(incidences) > 2:
                 raise AssertionError("non-manifold face in the support mesh")
             (cube_a, tet_a) = incidences[0]
-            patch_a = rational[_CUBE_INDEX[cube_a]][tet_a] \
+            patch_a = patches[_CUBE_INDEX[cube_a]][tet_a] \
                 if cube_a in _CUBE_INDEX else zero
             if len(incidences) == 2:
                 (cube_b, tet_b) = incidences[1]
             else:
                 cube_b, tet_b = _mirror_neighbor(face_key, cube_a, tet_a)
-            patch_b = rational[_CUBE_INDEX[cube_b]][tet_b] \
+            patch_b = patches[_CUBE_INDEX[cube_b]][tet_b] \
                 if cube_b in _CUBE_INDEX else zero
             if patch_a is zero and patch_b is zero:
                 continue
@@ -502,43 +504,41 @@ def _mirror_neighbor(face_key, cube, tet):
 
 
 def _check_face_smoothness(cube_a, tet_a, patch_a, cube_b, tet_b, patch_b):
-    """Exact C^0..C^2 conditions between two patches sharing a face."""
+    """Exact C^0..C^2 conditions between two patches sharing a face.
+
+    The patches are numerators over one denominator and the barycentric
+    coordinates mu of B's apex in A's tetrahedron are halves, so each C^r
+    condition is checked times 2^r, in integers: 2^r N_B[nu] ==
+    sum_{|delta| = r} multinomial(delta) (2 mu)^delta N_A[base + delta].
+    """
     verts_a = _global_vertices(cube_a, tet_a)
     verts_b = _global_vertices(cube_b, tet_b)
     shared = set(verts_a) & set(verts_b)
     if len(shared) != 3:
         raise AssertionError("adjacent tetrahedra do not share a face")
-    apex_a = next(i for i, v in enumerate(verts_a) if v not in shared)
     apex_b = next(i for i, v in enumerate(verts_b) if v not in shared)
     # position map: for each B-vertex slot (not apex_b), the slot in A
     slot_in_a = {i: verts_a.index(v) for i, v in enumerate(verts_b)
                  if i != apex_b}
-    # barycentric coordinates mu of B's apex with respect to A's tetrahedron;
-    # the map's entries are exact halves, so 2M @ local is an exact integer
     local = [v - 2 * c for v, c in zip(verts_b[apex_b], cube_a)] + [1]
-    mu = [Fraction(int(v), 2)
-          for v in 2 * BARYCENTRIC_MATRICES[tet_a] @ local]
+    mu2 = [int(v) for v in 2 * BARYCENTRIC_MATRICES[tet_a] @ local]
 
     pos4 = {nu: i for i, nu in enumerate(MULTI_INDICES_4)}
     for r in range(3):
+        terms = [(delta, bernstein.multinomial(delta)
+                  * math.prod(m ** d for m, d in zip(mu2, delta)))
+                 for delta in _compositions(r)]
         for nu in MULTI_INDICES_4:
             if nu[apex_b] != r:
                 continue
-            lhs = patch_b[pos4[nu]]
-            rhs_val = Fraction(0)
-            for delta in _compositions(r):
-                base = [0, 0, 0, 0]
-                for slot_b, count in enumerate(nu):
-                    if slot_b != apex_b:
-                        base[slot_in_a[slot_b]] += count
-                for m in range(4):
-                    base[m] += delta[m]
-                weight = bernstein.multinomial(delta)
-                term = Fraction(weight)
-                for m in range(4):
-                    term *= mu[m] ** delta[m]
-                rhs_val += term * patch_a[pos4[tuple(base)]]
-            if lhs != rhs_val:
+            base = [0, 0, 0, 0]
+            for slot_b, count in enumerate(nu):
+                if slot_b != apex_b:
+                    base[slot_in_a[slot_b]] += count
+            rhs = sum(weight * patch_a[pos4[tuple(b + d for b, d
+                                                  in zip(base, delta))]]
+                      for delta, weight in terms)
+            if 2 ** r * patch_b[pos4[nu]] != rhs:
                 raise AssertionError(
                     f"C^{r} condition violated across face of "
                     f"{cube_a}/{tet_a} and {cube_b}/{tet_b}")

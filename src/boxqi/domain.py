@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,45 +124,33 @@ def project_index(beta, grid):
 # octahedral neighborhoods
 # ---------------------------------------------------------------------------
 
-_OFFSET_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def octahedron_offsets(n):
-    """Integer offsets d with |d1| + |d2| + |d3| <= n, lexicographic order.
+    """Integer offsets d with |d1| + |d2| + |d3| <= n, lexicographic order,
+    as a read-only (k, 3) int64 array shared by every caller.
 
     Count is the centered octahedral number (2n+1)(2n^2+2n+3)/3.
     """
-    offs = _OFFSET_CACHE.get(n)
-    if offs is None:
-        r = np.arange(-n, n + 1)
-        grid = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1)
-        grid = grid.reshape(-1, 3)
-        offs = grid[np.abs(grid).sum(axis=1) <= n].astype(np.int64)
-        _OFFSET_CACHE[n] = offs
+    r = np.arange(-n, n + 1)
+    grid = np.stack(np.meshgrid(r, r, r, indexing="ij"), axis=-1)
+    grid = grid.reshape(-1, 3)
+    offs = grid[np.abs(grid).sum(axis=1) <= n].astype(np.int64)
+    offs.flags.writeable = False
     return offs
 
 
-@dataclass(frozen=True)
-class OctahedronSet:
-    """Projected, deduplicated octahedral data set around one alpha."""
-    alpha: tuple
-    n: int
-    points: np.ndarray          # (k, 3) int64, sorted lexicographically
-    pre_projection_count: int
-
-
 def octahedron(alpha, n, grid):
-    """Data indices of the octahedron Lambda^n_alpha, clamped into Omega.
+    """Data indices of the octahedron Lambda^n_alpha, clamped into Omega:
+    a (k, 3) int64 array, deduplicated and sorted lexicographically.
 
     Lattice points C_alpha + h*d for |d|_1 <= n are projected onto the
     boundary (componentwise index clamp) and deduplicated.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    offs = octahedron_offsets(n)
-    beta = project_index(np.asarray(alpha, dtype=np.int64) + offs, grid)
-    beta = np.unique(beta, axis=0)
-    return OctahedronSet(tuple(int(a) for a in alpha), n, beta, len(offs))
+    beta = project_index(np.asarray(alpha, dtype=np.int64)
+                         + octahedron_offsets(n), grid)
+    return np.unique(beta, axis=0)
 
 
 # ---------------------------------------------------------------------------

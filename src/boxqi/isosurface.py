@@ -212,22 +212,21 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
                                      return_inverse=True)
     triangles = inverse.reshape(-1, 3)
 
+    # every edge joins a sample above rho to one at or below it, so its
+    # vertex is at an end exactly where that end's sample was set to rho:
+    # the edge is turned to start there and keyed as the edge (s, s), so
+    # every edge ending there shares the vertex, and the triangles it
+    # collapses fall to the area cut
     ia, ib = np.divmod(unique_keys, values.size)
-    va, vb = flat[ia], flat[ib]
-    t = np.where(vb == va, 0.5, (rho - va) / np.where(vb == va, 1.0, vb - va))
-    t = np.clip(t, 0.0, 1.0)
-    # a vertex at an edge end (t = 0 or 1) is that sample's: turned to
-    # start there and keyed as the edge (s, s), it is shared by every edge
-    # ending there, and the triangles it collapses fall to the area cut
-    flip = t == 1.0
+    flip = flat[ib] == rho
     ia, ib = np.where(flip, ib, ia), np.where(flip, ia, ib)
-    t[flip] = 0.0
     _, first, inverse = np.unique(
-        np.where(t == 0.0, ia * (values.size + 1), unique_keys),
+        np.where(flat[ia] == rho, ia * (values.size + 1), unique_keys),
         return_index=True, return_inverse=True)
     triangles = inverse[triangles].astype(np.int32)
-    ia, ib, t = ia[first], ib[first], t[first]
+    ia, ib = ia[first], ib[first]
     va, vb = flat[ia], flat[ib]
+    t = (rho - va) / (vb - va)  # in [0, 1), 0 exactly at a sample vertex
     pa, pb = (qi.grid_points(grid, res + 1, i) for i in (ia, ib))
     svals = _refine_vertices(spline, t, pa, pb, va - rho, vb - rho, rho,
                              60 if request.refine else 1)

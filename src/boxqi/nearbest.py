@@ -10,7 +10,9 @@ the coefficient of the differential quasi-interpolant (the Laplacian-square
 term vanishes on P_3).  Writing p in monomials centered at C_alpha and
 scaled by h makes the resulting linear system  V sigma = b  independent of
 h: V holds centered monomial values at the data points, and b is 1 for the
-constant, -5/12 for each squared coordinate, 0 otherwise.
+constant, -5/12 for each squared coordinate, 0 otherwise.  At h = 1 every
+centered coordinate is a half-integer, so the system is built, and weights
+are verified, on the doubled centered points, which are integers.
 
 Among all solutions the near-best functional minimizes ||sigma||_1, solved
 exactly by the rational simplex.  Stabilizer symmetries of the point set tie
@@ -93,26 +95,22 @@ class ConstraintSystem:
     group: tuple
 
 
-def _centered_points_exact(points, alpha, grid):
-    """Data points minus C_alpha, exact rationals at h = 1."""
-    c = domain.center_exact(alpha)
-    out = []
-    for beta in points:
-        coords = tuple(domain.data_coordinate_exact(int(beta[a]), grid.m[a])
-                       - c[a] for a in range(3))
-        out.append(coords)
-    return out
+def _doubled_centered(points, alpha, grid):
+    """Twice the data points ``points`` minus C_alpha, a (k, 3) int64 array.
 
-
-def _centered_points_doubled(points, alpha, grid):
-    """Twice the centered data points, as exact integers.
-
-    At h = 1 every center coordinate is (2a - 1)/2 and every data coordinate
-    is 0, m or (2i - 1)/2, so doubling makes each centered coordinate an
-    integer and keeps the point set's symmetries.
+    At h = 1 the data coordinate of index i on an axis of m cells is 0,
+    (2i - 1)/2 or m, and the center coordinate is (2a - 1)/2, so doubling
+    makes each centered coordinate the integer
+    clip(2i - 1, 0, 2m) - (2a - 1) and keeps the point set's symmetries.
     """
-    return [tuple(int(2 * v) for v in p)
-            for p in _centered_points_exact(points, alpha, grid)]
+    return (np.clip(2 * points - 1, 0, 2 * np.asarray(grid.m, np.int64))
+            - (2 * np.asarray(alpha, dtype=np.int64) - 1))
+
+
+def _monomial_values(doubled):
+    """(k, 20) int64 array of X^nu for each row X of ``doubled`` and each
+    nu of MONOMIALS; entries stay within (2n + 3)^3 for radius n."""
+    return np.prod(doubled[:, None, :] ** np.array(MONOMIALS), axis=2)
 
 
 def _stabilizer(centered):
@@ -152,23 +150,20 @@ def constraint_system(alpha, n, grid, tie_symmetry=True):
     index set A.
     """
     domain.axis_labels(alpha, grid)
-    octa = domain.octahedron(alpha, n, grid)
-    doubled = _centered_points_doubled(octa.points, alpha, grid)
-    group = _stabilizer(doubled) if tie_symmetry else (_SIGNED_PERMS[0],)
-    orbits = _point_orbits(doubled, group)
+    points = domain.octahedron(alpha, n, grid)
+    doubled = _doubled_centered(points, alpha, grid)
+    centered = [tuple(p) for p in doubled.tolist()]
+    group = _stabilizer(centered) if tie_symmetry else (_SIGNED_PERMS[0],)
+    orbits = _point_orbits(centered, group)
+    values = _monomial_values(doubled)
+    sums = np.array([values[orbit].sum(axis=0) for orbit in orbits])
 
     rows = []
     V = []
     b = []
     seen = set()
-    for nu in MONOMIALS:
-        row = []
-        for orbit in orbits:
-            total = 0
-            for i in orbit:
-                x, y, z = doubled[i]
-                total += x ** nu[0] * y ** nu[1] * z ** nu[2]
-            row.append(Fraction(total, 2 ** sum(nu)))
+    for nu, column in zip(MONOMIALS, sums.T.tolist()):
+        row = [Fraction(total, 2 ** sum(nu)) for total in column]
         rhs = constraint_rhs(nu)
         lead = next((v for v in row if v != 0), None)
         if lead is None:
@@ -190,7 +185,7 @@ def constraint_system(alpha, n, grid, tie_symmetry=True):
         V.append(row)
         b.append(rhs)
     return ConstraintSystem(alpha=tuple(int(a) for a in alpha), n=n,
-                            grid=grid, points=octa.points, rows=rows, V=V,
+                            grid=grid, points=points, rows=rows, V=V,
                             b=b, orbits=orbits, group=group)
 
 
@@ -231,21 +226,20 @@ def verify_weights(system, weights):
 
     Raises AssertionError on any violated condition.  `weights` is a mapping
     from data-index triples to Fractions or a sequence aligned with
-    system.points.
+    system.points.  The check runs on the untied per-point system, on the
+    doubled centered points X: sum_beta w_beta X^nu == rhs(nu) 2^|nu|.
     """
     if isinstance(weights, dict):
-        aligned = [Fraction(weights.get(tuple(int(v) for v in beta), 0))
-                   for beta in system.points]
+        aligned = [Fraction(weights.get(tuple(beta), 0))
+                   for beta in system.points.tolist()]
     else:
         aligned = [Fraction(w) for w in weights]
-    # evaluate on the untied per-point system (orbit structure irrelevant)
-    centered = _centered_points_exact(system.points, system.alpha,
-                                      system.grid)
-    for nu in MONOMIALS:
-        total = Fraction(0)
-        for (x, y, z), w in zip(centered, aligned):
-            total += w * x ** nu[0] * y ** nu[1] * z ** nu[2]
-        if total != constraint_rhs(nu):
+    values = _monomial_values(_doubled_centered(
+        system.points, system.alpha, system.grid))
+    for nu, column in zip(MONOMIALS, values.T.tolist()):
+        total = sum((w * x for w, x in zip(aligned, column) if w),
+                    Fraction(0))
+        if total != constraint_rhs(nu) * 2 ** sum(nu):
             raise AssertionError(f"condition violated for monomial {nu}")
     return sum(map(abs, aligned), Fraction(0))
 

@@ -458,13 +458,13 @@ class QISpline:
         all of one order, block by block of ``_EVAL_BLOCK`` points.
 
         Every tetrahedron is read as tetrahedron 0 (`_tet_blocks`): a
-        block is located once and given its Bernstein basis; then, in runs
-        of ``_SLAB // 53`` points (256 KiB of gathered coefficients, so the
-        run's arrays stay in cache), each point gathers the 53 coefficients
-        of its tetrahedron's slots in one ``take``, one product with the
-        canonical block gives all its patches, and one ``einsum``
-        contracts them with the basis; a derivative then picks each
-        point's column and sign.  ``locate`` and ``bernstein_basis`` are
+        block is located once; then, in runs of ``_SLAB // 53`` points
+        (256 KiB of gathered coefficients, so the run's arrays stay in
+        cache), the run is given its Bernstein basis, each point gathers
+        the 53 coefficients of its tetrahedron's slots in one ``take``, one
+        product with the canonical block gives all its patches, and one
+        ``einsum`` contracts them with the basis; a derivative then picks
+        each point's column and sign.  ``locate`` and ``bernstein_basis`` are
         called through this module's globals, which the benchmark's tracer
         wraps.
         """
@@ -480,7 +480,6 @@ class QISpline:
             cube, tet, bary = locate(points[start:start + _EVAL_BLOCK],
                                      self.grid)
             base = (cube[:, 0] * m2 + cube[:, 1]) * m3 + cube[:, 2]
-            basis = bernstein_basis(bary, degree)
             values = out[start:start + _EVAL_BLOCK]
             for lo in range(0, len(tet), run):
                 t = tet[lo:lo + run]
@@ -488,7 +487,8 @@ class QISpline:
                 index += base[lo:lo + run, None]
                 patch = (flat.take(index) @ block).reshape(
                     len(t), -1, DIMENSION[degree])
-                part = np.einsum("iqj,ij->iq", patch, basis[lo:lo + run])
+                part = np.einsum("iqj,ij->iq", patch,
+                                 bernstein_basis(bary[lo:lo + run], degree))
                 if order:
                     part = np.take_along_axis(part, pick[t], axis=1)
                 values[lo:lo + run] = part

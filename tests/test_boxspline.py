@@ -169,6 +169,27 @@ def test_exact_smoothness(table):
     table.verify_smoothness_exact()
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("nu, order", [((4, 0, 0, 0), 0), ((1, 1, 1, 1), 1)])
+def test_exact_smoothness_rejects_a_corrupted_numerator(table, nu, order):
+    # a vertex coefficient enters only C^0 conditions; the one interior
+    # coefficient of a quartic patch enters none, so C^1 must catch it
+    numerators = table.numerators.copy()
+    numerators[60, 5, bs.MULTI_INDICES_4.index(nu)] += 1
+    corrupt = bs.BoxSplineTable(numerators, table.denominator)
+    with pytest.raises(AssertionError, match=rf"C\^{order} condition"):
+        corrupt.verify_smoothness_exact()
+
+
+def test_knot_plane_proof_rejects_an_on_plane_shrink(monkeypatch):
+    bs._assert_samples_off_knot_planes()  # the shipped 83/100 passes
+    # an unshrunk sample set holds the tetrahedron vertices, lattice points
+    monkeypatch.setattr(bs, "SHRINK_NUM", 1)
+    monkeypatch.setattr(bs, "SHRINK_DEN", 1)
+    with pytest.raises(AssertionError, match="on a knot plane"):
+        bs._assert_samples_off_knot_planes()
+
+
 def _eval_oracle_montecarlo(point, samples=2_000_000, seed=0):
     """Monte-Carlo cross-check of the oracle.
 

@@ -67,17 +67,25 @@ def test_octahedron_offsets_counts():
         assert len({tuple(o) for o in offs}) == count
 
 
+def test_octahedron_offsets_are_read_only():
+    offs = domain.octahedron_offsets(2)
+    assert domain.octahedron_offsets(2) is offs
+    with pytest.raises(ValueError, match="read-only"):
+        offs[0, 0] = 7
+    assert offs[0].tolist() == [-2, 0, 0]
+
+
 def test_octahedron_interior_and_clamped(grid11):
     inner = domain.octahedron((6, 6, 6), 2, grid11)
-    assert inner.pre_projection_count == 25
-    assert len(inner.points) == 25
+    assert len(domain.octahedron_offsets(2)) == 25
+    assert len(inner) == 25
     corner = domain.octahedron((0, 0, -1), 4, grid11)
-    assert corner.pre_projection_count == 129
+    assert len(domain.octahedron_offsets(4)) == 129
     # projection onto the boundary merges points: fewer but unique
-    assert len(corner.points) == 25
-    assert len({tuple(p) for p in corner.points}) == len(corner.points)
-    assert (corner.points >= 0).all()
-    assert (corner.points <= 12).all()
+    assert len(corner) == 25
+    assert len({tuple(p) for p in corner}) == len(corner)
+    assert (corner >= 0).all()
+    assert (corner <= 12).all()
 
 
 def test_class_keys_and_partition(grid11):
@@ -118,7 +126,7 @@ def test_transform_maps_canonical_points_into_lattice(grid11):
     for idx in rng.choice(len(alphas), 40, replace=False):
         alpha = alphas[idx]
         key, t = domain.classify(alpha, grid11)
-        canon = domain.octahedron(key, 2, grid11).points
+        canon = domain.octahedron(key, 2, grid11)
         mapped = np.array(alpha) + t.offsets(canon - key)
         assert mapped.shape == canon.shape
         assert (mapped >= 0).all() and (mapped <= 12).all()
@@ -131,12 +139,12 @@ def test_transform_preserves_center_distance(grid11):
     class center equal distances from its image to the instance center."""
     for alpha in [(11, 11, 12), (0, 4, 12), (12, 0, 3), (5, 12, 12)]:
         key, t = domain.classify(alpha, grid11)
-        canon_set = domain.octahedron(key, 2, grid11)
-        mapped = np.array(alpha) + t.offsets(canon_set.points - key)
+        canon = domain.octahedron(key, 2, grid11)
+        mapped = np.array(alpha) + t.offsets(canon - key)
         c_canon = np.array([float(v) for v in domain.center_exact(key)])
         c_alpha = np.array([float(v) for v in domain.center_exact(alpha)])
         d0 = np.sort(np.linalg.norm(
-            domain.data_coordinate(canon_set.points, 11, 1.0) - c_canon,
+            domain.data_coordinate(canon, 11, 1.0) - c_canon,
             axis=1))
         d1 = np.sort(np.linalg.norm(
             domain.data_coordinate(mapped, 11, 1.0) - c_alpha, axis=1))

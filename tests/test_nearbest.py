@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from boxqi import domain, nearbest, stencils
+from boxqi import domain, geometry, nearbest, stencils
 
 
 F = Fraction
@@ -78,6 +78,16 @@ def test_solution_weights_verify_exactly(grid11):
     assert norm == sol.norm
 
 
+def test_verify_weights_rejects_a_perturbed_weight(grid11):
+    sys_ = nearbest.constraint_system((1, 1, 1), 2, grid11)
+    weights = nearbest.minimize_l1(sys_).weights
+    i = next(i for i, w in enumerate(weights) if w)
+    weights[i] += F(1, 1024)
+    with pytest.raises(AssertionError,
+                       match=r"condition violated for monomial \(0, 0, 0\)"):
+        nearbest.verify_weights(sys_, weights)
+
+
 def test_tie_symmetry_does_not_change_optimum(grid11):
     tied = nearbest.minimize_l1(
         nearbest.constraint_system((3, 3, 3), 2, grid11))
@@ -117,11 +127,25 @@ def test_canonical_grid():
     ((1, 1, 1), 2, True), ((2, 1, 0), 4, True), ((3, 3, 3), 2, False),
 ])
 def test_constraint_system_matches_fraction_sums(grid11, alpha, n, tie):
+    _assert_matches_fraction_sums(grid11, alpha, n, tie)
+
+
+@pytest.mark.parametrize("alpha, n, tie", [
+    ((12, 0, 14), 3, True), ((12, 0, 14), 4, False), ((0, 14, 13), 4, True),
+])
+def test_constraint_system_matches_fraction_sums_on_a_non_cubic_grid(
+        alpha, n, tie):
+    # alpha on far faces of a non-cubic grid: each axis clips at its own m_a
+    _assert_matches_fraction_sums(geometry.DomainGrid(11, 13, 12, 1.0),
+                                  alpha, n, tie)
+
+
+def _assert_matches_fraction_sums(grid, alpha, n, tie):
     # the system is built on doubled integer coordinates; recompute every
     # entry from the exact rational coordinates
-    sys_ = nearbest.constraint_system(alpha, n, grid11, tie_symmetry=tie)
+    sys_ = nearbest.constraint_system(alpha, n, grid, tie_symmetry=tie)
     c = domain.center_exact(alpha)
-    centered = [tuple(domain.data_coordinate_exact(int(beta[a]), grid11.m[a])
+    centered = [tuple(domain.data_coordinate_exact(int(beta[a]), grid.m[a])
                       - c[a] for a in range(3)) for beta in sys_.points]
     if tie:
         assert sys_.group == nearbest._stabilizer(centered)

@@ -732,6 +732,28 @@ def test_gradient_locates_each_block_once(rng, monkeypatch):
     assert calls == [qi._EVAL_BLOCK] * 3 + [5]
 
 
+def test_basis_is_built_per_run(rng, monkeypatch):
+    """`_evaluate` asks for the Bernstein basis of one run of
+    ``_SLAB // 53`` points at a time, never of a whole block."""
+    spline = qi.approximate(rng.normal(size=(13, 13, 13)), h=1.0)
+    n = 2 * qi._EVAL_BLOCK + 5
+    pts = _probe_points(rng, spline.grid, n)
+    rows = []
+    real = qi.bernstein_basis
+
+    def counting(bary, degree):
+        rows.append(len(bary))
+        return real(bary, degree)
+
+    monkeypatch.setattr(qi, "bernstein_basis", counting)
+    for call in (spline.eval, spline.gradient,
+                 lambda p: spline.eval_derivative(p, (2, 0, 1))):
+        rows.clear()
+        call(pts)
+        assert max(rows) <= qi._SLAB // 53
+        assert sum(rows) == n
+
+
 def test_eval_memory_does_not_grow_with_n(rng):
     """A 10^6-point evaluation allocates its result plus a working set
     bounded by the block size, not by the call."""
