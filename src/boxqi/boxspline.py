@@ -21,11 +21,10 @@ Two independent evaluation routes are provided:
   the Bernstein interpolation system once.  The coefficients snap to exact
   rationals, kept as int64 numerators over one common denominator (1536),
   and are then verified exactly: partition of unity and linear precision on
-  every build and load, all C^0/C^1/C^2 face conditions on request
-  (`BoxSplineTable.verify_smoothness_exact`, on the numerators as Python
-  integers; it reads the barycentric maps of
-  `geometry.BARYCENTRIC_MATRICES`, whose entries are exact halves checked
-  at import).
+  every build and load, and all C^0/C^1/C^2 face conditions on every build
+  (`BoxSplineTable.verify_smoothness_exact`: one integer matrix per order
+  from an integer face-neighbour table built on first use, with the exact
+  halves of `geometry.BARYCENTRIC_MATRICES`; a few hundredths of a second).
 
 Scaled translates on a grid follow  B_a(x, y, z) =
 B(x/h - i + 1, y/h - j + 1, z/h - k + 3)  for a = (i, j, k), with support
@@ -42,8 +41,8 @@ oracle (several seconds) with::
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 from numbers import Integral
 
@@ -194,9 +193,6 @@ def support_cubes():
             for i in range(-2, 3) for j in range(-2, 3) for k in range(0, 5)]
 
 
-_CUBE_INDEX = {c: n for n, c in enumerate(support_cubes())}
-
-
 def derivative_order(gamma) -> tuple[int, int, int]:
     """``gamma`` as a 3-tuple of ints with |gamma| <= 3.
 
@@ -276,9 +272,10 @@ class BoxSplineTable:
     def build(cls):
         """Build the table from the recurrence oracle.
 
-        The exact partition-of-unity and linear-precision checks run on the
-        result (integer arithmetic, milliseconds); the C^0/C^1/C^2 face
-        conditions are `verify_smoothness_exact`.
+        The exact partition-of-unity and linear-precision checks and the
+        C^0/C^1/C^2 face proof `verify_smoothness_exact` run on the result
+        (integer arithmetic, milliseconds), so a rebuilt table is proven
+        C^2 before it can be saved.
 
         Sampling the oracle dominates; a build takes several seconds, which
         is why `get_table` loads the packaged table instead.
@@ -309,6 +306,7 @@ class BoxSplineTable:
         table = cls(num * (common // den), common)
         table.verify_partition_of_unity_exact()
         table.verify_linear_precision_exact()
+        table.verify_smoothness_exact()
         return table
 
     # -- persistence ---------------------------------------------------------
@@ -384,28 +382,32 @@ class BoxSplineTable:
     def verify_smoothness_exact(self):
         """Exact C^0/C^1/C^2 conditions across every face of the support.
 
-        Faces between a support tetrahedron and the outside compare against
-        the zero patch (B joins the zero function with C^2 smoothness).
+        A = (c, t) meets across its face opposite slot i the patch
+        B = (c + offset, t') of `_face_neighbours`; each C^r condition is
+        one integer matrix, 2^r N_B[rows] == W @ N_A (`_face_conditions`;
+        Lai & Schumaker 2007, ch. 2), checked for all 125 cubes at once on
+        the numerators zero-padded to 7^3 cubes, so faces against the
+        outside compare with the zero patch.  Orders run outermost, so an
+        error names the lowest violated one.
         """
-        faces = _face_adjacency()
-        patches = self.numerators.tolist()
-        zero = [0] * 35
-        for face_key, incidences in faces.items():
-            if len(incidences) > 2:
-                raise AssertionError("non-manifold face in the support mesh")
-            (cube_a, tet_a) = incidences[0]
-            patch_a = patches[_CUBE_INDEX[cube_a]][tet_a] \
-                if cube_a in _CUBE_INDEX else zero
-            if len(incidences) == 2:
-                (cube_b, tet_b) = incidences[1]
-            else:
-                cube_b, tet_b = _mirror_neighbor(face_key, cube_a, tet_a)
-            patch_b = patches[_CUBE_INDEX[cube_b]][tet_b] \
-                if cube_b in _CUBE_INDEX else zero
-            if patch_a is zero and patch_b is zero:
-                continue
-            _check_face_smoothness(cube_a, tet_a, patch_a,
-                                   cube_b, tet_b, patch_b)
+        offset, tet_b, _, _, _ = _face_neighbours()
+        padded = np.zeros((7, 7, 7, 24, 35), dtype=np.int64)
+        padded[1:6, 1:6, 1:6] = self.numerators.reshape(5, 5, 5, 24, 35)
+        cubes = np.array(support_cubes())
+        cube_b = cubes[:, None, None] + offset
+        where = tuple(np.moveaxis(cube_b - SUPPORT_LO + 1, -1, 0))
+        patch_b = padded[where + (tet_b,)]
+        for r in range(3):
+            rows, W = _face_conditions(r)
+            lhs = 2 ** r * np.take_along_axis(patch_b, rows[None], axis=-1)
+            rhs = np.einsum('tikp,ctp->ctik', W, self.numerators)
+            bad = np.argwhere(lhs != rhs)
+            if len(bad):
+                c, t, i, _ = bad[0].tolist()
+                raise AssertionError(
+                    f"C^{r} condition violated across face of "
+                    f"{tuple(cubes[c].tolist())}/{t} and "
+                    f"{tuple(cube_b[c, t, i].tolist())}/{tet_b[t, i]}")
 
     # -- evaluation ----------------------------------------------------------
 
@@ -465,88 +467,72 @@ def _rationalize(coeffs):
     return num, den, err
 
 
-# -- smoothness machinery ----------------------------------------------------
+# -- smoothness across faces -------------------------------------------------
 
 
-def _global_vertices(cube, tet):
-    """Doubled integer vertex coordinates of (cube, tet) in global coords."""
-    off = np.asarray(cube, dtype=np.int64) * 2
-    return [tuple(int(v) for v in row) for row in TET_VERTICES_UNIT_2X[tet] + off]
+@lru_cache(maxsize=1)
+def _face_neighbours():
+    """The tetrahedron across face (t, i), opposite slot i of tetrahedron t.
 
-
-def _face_adjacency():
-    """Map frozenset-of-3-vertices -> list of (cube, tet) incidences."""
-    faces = {}
-    for cube in support_cubes():
-        for tet in range(24):
-            verts = _global_vertices(cube, tet)
-            for drop in range(4):
-                key = frozenset(v for i, v in enumerate(verts) if i != drop)
-                faces.setdefault(key, []).append((cube, tet))
-    return faces
-
-
-def _mirror_neighbor(face_key, cube, tet):
-    """The (cube, tet) on the far side of a support-boundary face.
-
-    The type-6 partition is translation invariant, so the neighbor exists in
-    the infinite mesh even when outside the stored 125 cubes; its patch is
-    then zero.  Found by locating a probe point just beyond the face.
+    Read-only arrays indexed [t, i], derived in integers by matching the
+    doubled vertices `TET_VERTICES_UNIT_2X` of the cube and its six face
+    neighbours: ``offset`` (24, 4, 3), the neighbour's cube offset (+-e_a
+    for i = 0, the face on cube face t // 4, else 0); ``tet`` and
+    ``apex``, the neighbour t' and its slot j off the face; ``slots``
+    (24, 4, 4), the slot of t holding vertex s of t' (i for s = j); and
+    ``mu2``, the barycentrics of the apex of t' in t, doubled to integers
+    from `geometry.BARYCENTRIC_MATRICES`.
     """
-    verts = np.array(sorted(face_key), dtype=np.float64) / 2.0
-    centroid = verts.mean(axis=0)
-    own = np.array(_global_vertices(cube, tet), dtype=np.float64) / 2.0
-    inward = own.mean(axis=0) - centroid
-    probe = centroid - inward * 1e-4
-    pcube = np.floor(probe).astype(np.int64)
-    tets, _ = geometry.locate_unit((probe - pcube)[None, :])
-    return tuple(int(v) for v in pcube), int(tets[0])
+    eye = np.eye(3, dtype=np.int64)
+    steps = np.concatenate([0 * eye[:1], eye, -eye])
+    verts = TET_VERTICES_UNIT_2X
+    # same[t, k, o, u, s]: vertex k of t is vertex s of u in cube steps[o]
+    same = (verts[:, :, None, None, None]
+            == verts + 2 * steps[:, None, None]).all(axis=-1)
+    shared = same.any(axis=-1)
+    # the neighbour holds the three vertices of t other than i, but not i
+    across = (shared.sum(axis=1) == 3)[:, None] & ~shared
+    if not (across.sum(axis=(2, 3)) == 1).all():
+        raise AssertionError("a face without exactly one neighbour")
+    step, tet = np.divmod(across.reshape(24, 4, -1).argmax(axis=-1), 24)
+    match = same[np.arange(24)[:, None], :, step, tet]  # [t, i, k, s]
+    apex = (~match.any(axis=2)).argmax(axis=-1)
+    slots = match.argmax(axis=2)
+    np.put_along_axis(slots, apex[..., None], np.arange(4)[:, None], axis=-1)
+    offset = steps[step]
+    far = np.ones((24, 4, 4), dtype=np.int64)
+    far[..., :3] = verts[tet, apex] + 2 * offset
+    twice = (2 * BARYCENTRIC_MATRICES).astype(np.int64)  # exact integers
+    table = (offset, tet, apex, slots, np.einsum('tab,tib->tia', twice, far))
+    for a in table:
+        a.setflags(write=False)
+    return table
 
 
-def _check_face_smoothness(cube_a, tet_a, patch_a, cube_b, tet_b, patch_b):
-    """Exact C^0..C^2 conditions between two patches sharing a face.
+def _face_conditions(r):
+    """The C^r conditions of every face (t, i) as integer rows.
 
-    The patches are numerators over one denominator and the barycentric
-    coordinates mu of B's apex in A's tetrahedron are halves, so each C^r
-    condition is checked times 2^r, in integers: 2^r N_B[nu] ==
-    sum_{|delta| = r} multinomial(delta) (2 mu)^delta N_A[base + delta].
+    Returns ``rows`` (24, 4, n) and ``W`` (24, 4, n, 35) with
+    2^r N_B[rows] == W @ N_A for the patch N_A of t and N_B of its
+    neighbour: the rows are B's multi-indices nu with nu_j = r, and W
+    puts multinomial(delta) (2 mu)^delta at base + delta, |delta| = r.
     """
-    verts_a = _global_vertices(cube_a, tet_a)
-    verts_b = _global_vertices(cube_b, tet_b)
-    shared = set(verts_a) & set(verts_b)
-    if len(shared) != 3:
-        raise AssertionError("adjacent tetrahedra do not share a face")
-    apex_b = next(i for i, v in enumerate(verts_b) if v not in shared)
-    # position map: for each B-vertex slot (not apex_b), the slot in A
-    slot_in_a = {i: verts_a.index(v) for i, v in enumerate(verts_b)
-                 if i != apex_b}
-    local = [v - 2 * c for v, c in zip(verts_b[apex_b], cube_a)] + [1]
-    mu2 = [int(v) for v in 2 * BARYCENTRIC_MATRICES[tet_a] @ local]
-
-    pos4 = {nu: i for i, nu in enumerate(MULTI_INDICES_4)}
-    for r in range(3):
-        terms = [(delta, bernstein.multinomial(delta)
-                  * math.prod(m ** d for m, d in zip(mu2, delta)))
-                 for delta in _compositions(r)]
-        for nu in MULTI_INDICES_4:
-            if nu[apex_b] != r:
-                continue
-            base = [0, 0, 0, 0]
-            for slot_b, count in enumerate(nu):
-                if slot_b != apex_b:
-                    base[slot_in_a[slot_b]] += count
-            rhs = sum(weight * patch_a[pos4[tuple(b + d for b, d
-                                                  in zip(base, delta))]]
-                      for delta, weight in terms)
-            if 2 ** r * patch_b[pos4[nu]] != rhs:
-                raise AssertionError(
-                    f"C^{r} condition violated across face of "
-                    f"{cube_a}/{tet_a} and {cube_b}/{tet_b}")
-
-
-def _compositions(r):
-    """All 4-part multi-indices of total degree r."""
-    return [nu for nu in bernstein.multi_indices(r)] if r > 0 else [(0, 0, 0, 0)]
+    _, _, _, slots, mu2 = _face_neighbours()
+    nus = np.array(MULTI_INDICES_4)
+    position = np.zeros((5,) * 4, dtype=np.intp)
+    position[tuple(nus.T)] = np.arange(35)
+    deltas = np.array(bernstein.multi_indices(r))
+    # nu in A's slots with nu_i = r; B's multi-index reads it through slots
+    nu_a = np.stack([nus[nus[:, i] == r] for i in range(4)])
+    nu_b = np.take_along_axis(nu_a[None], slots[:, :, None], axis=-1)
+    base = nu_a * (1 - np.eye(4, dtype=np.int64))[:, None]
+    cols = position[tuple(np.moveaxis(base[:, :, None] + deltas, -1, 0))]
+    weights = (np.array([bernstein.multinomial(d) for d in deltas])
+               * (mu2[:, :, None] ** deltas).prod(axis=-1))
+    W = np.zeros((24, 4, len(nu_a[0]), 35), dtype=np.int64)
+    np.put_along_axis(W, np.broadcast_to(cols, W.shape[:3] + cols.shape[-1:]),
+                      weights[:, :, None], axis=-1)
+    return position[tuple(np.moveaxis(nu_b, -1, 0))], W
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from boxqi import boxspline as bs
+from boxqi import boxspline as bs, geometry
+from boxqi.bernstein import _RAISE, multi_indices
 
 
 SUPPORT_LO = np.asarray(bs.SUPPORT_LO, float)
@@ -163,13 +164,11 @@ def test_exact_partition_of_unity_and_linear_precision(table):
     table.verify_linear_precision_exact()
 
 
-@pytest.mark.slow
 def test_exact_smoothness(table):
     # full C^2 matching across every interior face, in exact arithmetic
     table.verify_smoothness_exact()
 
 
-@pytest.mark.slow
 @pytest.mark.parametrize("nu, order", [((4, 0, 0, 0), 0), ((1, 1, 1, 1), 1)])
 def test_exact_smoothness_rejects_a_corrupted_numerator(table, nu, order):
     # a vertex coefficient enters only C^0 conditions; the one interior
@@ -179,6 +178,61 @@ def test_exact_smoothness_rejects_a_corrupted_numerator(table, nu, order):
     corrupt = bs.BoxSplineTable(numerators, table.denominator)
     with pytest.raises(AssertionError, match=rf"C\^{order} condition"):
         corrupt.verify_smoothness_exact()
+
+
+def test_exact_smoothness_rejects_a_c1_perturbation(table):
+    """B + D_{e1} B is C^1 but not C^2, so only the C^2 conditions see it.
+
+    D_{e1} B in BB form is 4 sum_m a_m c_{nu + e_m} with a the integer
+    barycentric direction of e1; elevated to degree 4 it is
+    sum_m nu_m c_{nu - e_m} / 4, so 4 N + that sum, over 4 times the
+    denominator, is B + D_{e1} B exactly in integers.
+    """
+    a = geometry.AXIS_DIRECTIONS[:, 0].astype(np.int64)
+    cubic = 4 * sum(a[:, m, None] * table.numerators[..., _RAISE[4][m]]
+                    for m in range(4))
+    lower = np.array(multi_indices(3))
+    elevated = np.zeros_like(table.numerators)
+    for m in range(4):
+        elevated[..., _RAISE[4][m]] += (lower[:, m] + 1) * cubic
+    np.testing.assert_array_equal(elevated.sum(axis=0), 0)
+    perturbed = bs.BoxSplineTable(4 * table.numerators + elevated,
+                                  4 * table.denominator)
+    perturbed.verify_partition_of_unity_exact()
+    pts = np.random.default_rng(3).uniform(SUPPORT_LO, SUPPORT_HI, (50, 3))
+    np.testing.assert_allclose(
+        perturbed.eval(pts),
+        table.eval(pts) + table.eval_derivative(pts, (1, 0, 0)), atol=1e-13)
+    with pytest.raises(AssertionError, match=r"C\^2 condition"):
+        perturbed.verify_smoothness_exact()
+
+
+def test_face_neighbours_pair_every_face_once():
+    offset, tet, apex, slots, mu2 = bs._face_neighbours()
+    verts = geometry.TET_VERTICES_UNIT_2X
+    across = offset.any(axis=-1)
+    assert across.sum() == 24 and (~across).sum() == 72
+    # face 0 of t lies on cube face t // 4 in the order -x, +x, -y, ...
+    face = np.arange(24) // 4
+    expected = np.zeros((24, 3), dtype=np.int64)
+    expected[np.arange(24), face // 2] = 2 * (face % 2) - 1
+    np.testing.assert_array_equal(offset[:, 0], expected)
+    assert not across[:, 1:].any()
+    # an involution with negated offset
+    assert (tet[tet, apex] == np.arange(24)[:, None]).all()
+    assert (apex[tet, apex] == np.arange(4)).all()
+    np.testing.assert_array_equal(offset[tet, apex], -offset)
+    # the slot map pairs equal vertices, and 2 mu is the far apex in t
+    for t in range(24):
+        for i in range(4):
+            moved = verts[tet[t, i]] + 2 * offset[t, i]
+            on_face = np.arange(4) != apex[t, i]
+            np.testing.assert_array_equal(verts[t][slots[t, i]][on_face],
+                                          moved[on_face])
+            assert slots[t, i, apex[t, i]] == i
+            assert mu2[t, i].sum() == 2 and mu2[t, i, i] < 0
+            np.testing.assert_array_equal(mu2[t, i] @ verts[t],
+                                          2 * moved[apex[t, i]])
 
 
 def test_knot_plane_proof_rejects_an_on_plane_shrink(monkeypatch):

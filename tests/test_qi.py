@@ -404,9 +404,10 @@ def _patch_matrix_by_cube_index():
     """The window-to-patch map built slot by slot through the support-cube
     index, as an independent reference for `qi._patch_matrix`."""
     coeffs = boxspline.get_table().coeffs
+    cubes = boxspline.support_cubes()
     matrix = np.empty((125, 24 * 35))
     for slot, (wx, wy, wz) in enumerate(product(range(5), repeat=3)):
-        row = boxspline._CUBE_INDEX[(2 - wx, 2 - wy, 4 - wz)]
+        row = cubes.index((2 - wx, 2 - wy, 4 - wz))
         matrix[slot] = coeffs[row].reshape(-1)
     return matrix
 
