@@ -298,12 +298,11 @@ class BoxSplineTable:
         coeffs = coeffs.reshape(_N_CUBES, 24, 35)
 
         num, den, snap_err = _rationalize(coeffs)
-        if snap_err > 1e-9:
+        if snap_err > _SNAP_TOL:
             raise ArithmeticError(
                 f"BB coefficients failed to snap to rationals "
                 f"(max deviation {snap_err:.3e})")
-        common = int(np.lcm.reduce(np.unique(den)))
-        table = cls(num * (common // den), common)
+        table = cls(num, den)
         table.verify_partition_of_unity_exact()
         table.verify_linear_precision_exact()
         table.verify_smoothness_exact()
@@ -451,20 +450,33 @@ class BoxSplineTable:
         return bernstein.eval_bb(patches, bary, degree)
 
 
+_SNAP_TOL = 1e-9  # largest accepted |coefficient - snapped rational|
+
+
 def _rationalize(coeffs):
-    """Snap a float coefficient array to rationals, return (num, den, err)."""
-    num = np.empty(coeffs.shape, dtype=np.int64)
-    den = np.empty(coeffs.shape, dtype=np.int64)
-    flat_c = coeffs.ravel()
-    flat_n = num.ravel()
-    flat_d = den.ravel()
-    err = 0.0
-    for i, v in enumerate(flat_c):
-        f = Fraction(float(v)).limit_denominator(10 ** 7)
-        flat_n[i] = f.numerator
-        flat_d[i] = f.denominator
-        err = max(err, abs(float(f) - float(v)))
-    return num, den, err
+    """Snap a float coefficient array to integers over one common
+    denominator; return (numerators, denominator, max deviation).
+
+    All coefficients are rounded to multiples of 1/den at once.  While one
+    misses by more than ``_SNAP_TOL``, the first such one alone is snapped
+    by `Fraction.limit_denominator` and den becomes the lcm with its
+    denominator (at least doubling), so den ends as the lcm of the
+    coefficients' own denominators.  A coefficient that snaps to no
+    rational, or a den beyond 2**31, ends the search with numerators None.
+    """
+    flat, den = coeffs.ravel(), 1
+    while True:
+        num = np.rint(flat * den)
+        dev = np.abs(num / den - flat)
+        bad = np.flatnonzero(dev > _SNAP_TOL)
+        if not len(bad):
+            return num.astype(np.int64).reshape(coeffs.shape), den, \
+                float(dev.max())
+        value = float(flat[bad[0]])
+        f = Fraction(value).limit_denominator(10 ** 7)
+        den = int(np.lcm(den, f.denominator))
+        if abs(float(f) - value) > _SNAP_TOL or den >= 2 ** 31:
+            return None, den, float(dev.max())
 
 
 # -- smoothness across faces -------------------------------------------------

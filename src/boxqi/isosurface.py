@@ -14,8 +14,9 @@ order, each wound by the table to face the above-isovalue side; no pass
 normalizes the winding afterwards.
 
 The sample lattice comes from `qi.grid_values`: read by correlation
-(`QISpline.eval_lattice`) when R is a multiple of every m_i, otherwise
-evaluated in streamed chunks, with no (R+1)^3 x 3 point array.
+(`QISpline.eval_lattice`) when R is a multiple of every m_i, otherwise from
+`QISpline.grid_blocks` at the exact lattice, one kernel per distinct local
+offset triple, with no point array and no point located.
 
 Vertices are merged by their undirected sample-edge key, so the mesh is
 deterministic.  A sample within ``_TIE_FACTOR`` max|sample| of the isovalue

@@ -1,6 +1,8 @@
 """Seven-direction box spline: exact Bernstein table vs. the de Boor
 recurrence oracle, support, symmetry, and exact structural checks."""
 
+import math
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -156,6 +158,35 @@ def test_packaged_table_equals_oracle_build(table):
     np.testing.assert_array_equal(built.numerators, table.numerators)
     assert built.denominator == table.denominator
     np.testing.assert_array_equal(built.coeffs, table.coeffs)
+
+
+def _rationalize_per_value(coeffs):
+    """The oracle: each value snapped alone by `Fraction.limit_denominator`,
+    then all over the lcm of the denominators."""
+    fractions = [Fraction(float(v)).limit_denominator(10 ** 7)
+                 for v in coeffs.ravel()]
+    den = math.lcm(*(f.denominator for f in fractions))
+    return np.array([f.numerator * (den // f.denominator)
+                     for f in fractions]).reshape(coeffs.shape), den
+
+
+def test_rationalize_matches_the_per_value_snap(table, rng):
+    """The packaged table's values, perturbed by 1e-13, snap back to its
+    numerators over 1536 as each value's own `limit_denominator` does."""
+    some = table.coeffs.reshape(-1)[rng.choice(table.coeffs.size, 3000)]
+    noisy = some + rng.uniform(-1e-13, 1e-13, size=some.shape)
+    num, den, err = bs._rationalize(noisy)
+    expected, expected_den = _rationalize_per_value(noisy)
+    assert den == expected_den == 1536 and err <= 2e-13
+    np.testing.assert_array_equal(num, expected)
+    num, den, err = bs._rationalize(np.array([1 / 3, 2 / 3, 1 / 7, 0.5]))
+    assert den == 42 and num.tolist() == [14, 28, 6, 21] and err < 1e-16
+
+
+def test_rationalize_reports_values_without_a_common_denominator():
+    """pi and e each snap within 1e-9, but over no denominator < 2**31."""
+    num, _, err = bs._rationalize(np.array([0.25, np.pi, np.e]))
+    assert num is None and err > bs._SNAP_TOL
 
 
 def test_exact_partition_of_unity_and_linear_precision(table):

@@ -1,8 +1,10 @@
 """Benchmark error measurement: evaluation grids, error tables, observed
 orders. Frozen values are regression anchors on reduced evaluation grids."""
 
+import importlib.util
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,10 +31,43 @@ def test_evaluation_grid_inclusive():
 @pytest.mark.parametrize("n", [0, -3])
 def test_evaluation_grid_rejects_empty_grid(n):
     g = geometry.DomainGrid(16, 16, 16, 1 / 16)
+    spline = qi.approximate(np.zeros((18, 18, 18)), g)
     with pytest.raises(ValueError, match="n >= 1"):
-        qi.grid_chunks(g, n)
+        qi.grid_values(spline, n)
     with pytest.raises(ValueError, match="n >= 1"):
-        qi.grid_values(qi.approximate(np.zeros((18, 18, 18)), g), n)
+        convergence.grid_summary(spline, n)
+
+
+@pytest.mark.parametrize("n", [True, 2.0, 5.5, np.float64(9.0), "9"])
+def test_evaluation_grid_rejects_a_non_integer_size(n):
+    """A bool or non-integral n fails with the one ValueError, not a
+    TypeError deep inside, through every grid entry point."""
+    g = geometry.DomainGrid(16, 16, 16, 1 / 16)
+    spline = qi.approximate(np.zeros((18, 18, 18)), g)
+    with pytest.raises(ValueError, match="n >= 1"):
+        qi.grid_values(spline, n)
+    with pytest.raises(ValueError, match="n >= 1"):
+        convergence.grid_summary(spline, n)
+    with pytest.raises(ValueError, match="n >= 1"):
+        convergence.gradient_error("f3", 16, eval_points=n)
+    with pytest.raises(ValueError, match="n >= 1"):
+        convergence.convergence_table("f3", [16], eval_points=n)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_smallest_evaluation_grids(n):
+    """n = 1 is the one point 0 (n - 1 = 0), n = 2 the eight corners."""
+    samples, grid, fn = volume.sample_test_function("f3", 16)
+    spline = qi.approximate(samples, grid)
+    pts = _whole_grid(grid, n)
+    values = spline.eval(pts)
+    count, low, high, error = convergence.grid_summary(spline, n, fn)
+    assert count == n ** 3
+    assert low == pytest.approx(values.min(), rel=0, abs=1e-15)
+    assert high == pytest.approx(values.max(), rel=0, abs=1e-15)
+    assert error == pytest.approx(np.abs(values - fn.on_omega(pts)).max(),
+                                  rel=0, abs=1e-15)
+    assert convergence.gradient_error("f3", 16, eval_points=n) > 0.0
 
 
 def test_table_row_regression():
@@ -91,27 +126,31 @@ def test_unknown_function_rejected():
         convergence.convergence_table("f7", [16])
 
 
-def test_evaluation_chunks_are_whole_blocks_of_the_grid():
-    g = geometry.DomainGrid(11, 12, 13, 1 / 16)
-    n = 43  # 79507 points: one full chunk and a partial one
-    chunks = list(qi.grid_chunks(g, n))
-    assert len(chunks) == 2
-    assert all(len(c) % qi._EVAL_BLOCK == 0 for c in chunks[:-1])
-    axes = [np.linspace(0.0, m * g.h, n) for m in g.m]
-    whole = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    np.testing.assert_array_equal(np.concatenate(chunks),
-                                  whole.reshape(-1, 3))
-
-
 def test_grid_summary_equals_the_whole_grid_reduction():
+    """The streamed reduction is the one over the whole grid: the spline's
+    values from `grid_values` at the exact lattice, the function's at
+    `grid_points`; those values stay within 1e-14 of max of point `eval`."""
     samples, grid, fn = volume.sample_test_function("f3", 16)
     spline = qi.approximate(samples, grid)
     pts = _whole_grid(grid, 43)
-    values = spline.eval(pts)
+    values = qi.grid_values(spline, 43).reshape(-1)
     count, low, high, error = convergence.grid_summary(spline, 43, fn)
     assert (count, low, high) == (len(pts), values.min(), values.max())
     assert error == np.abs(values - fn.on_omega(pts)).max()
     assert convergence.grid_summary(spline, 43)[3] is None
+    direct = spline.eval(pts)
+    assert np.abs(values - direct).max() <= 1e-14 * np.abs(direct).max()
+
+
+def test_grid_measures_never_evaluate_points(monkeypatch):
+    """`grid_summary` and `gradient_error` read the grid route alone."""
+    samples, grid, fn = volume.sample_test_function("f3", 16)
+    spline = qi.approximate(samples, grid)
+    expected = convergence.grid_summary(spline, 21, fn)
+    monkeypatch.setattr(qi.QISpline, "eval", None)
+    monkeypatch.setattr(qi.QISpline, "gradient", None)
+    assert convergence.grid_summary(spline, 21, fn) == expected
+    assert convergence.gradient_error("f3", 16, eval_points=21) > 0.0
 
 
 def test_gradient_error_streams_its_points():
@@ -126,3 +165,21 @@ def test_gradient_error_streams_its_points():
         tracemalloc.stop()
     np.testing.assert_allclose(error, 0.823415653704552, rtol=1e-12)
     assert peak < 16 << 20
+
+
+def test_convergence_study_demo_runs(capsys, monkeypatch):
+    """The demo's short run prints one row per field and m, through the
+    grid route alone."""
+    path = Path(__file__).parents[1] / "demos" / "convergence_study.py"
+    spec = importlib.util.spec_from_file_location("convergence_study", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    monkeypatch.setattr(qi.QISpline, "eval", None)
+    demo.main(["--m", "12", "24", "--eval-points", "9"])
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()
+            if line.split()[0] in ("f1", "f2", "f3")]
+    assert [(r[0], int(r[1])) for r in rows] == [
+        (fn, m) for fn in ("f1", "f2", "f3") for m in (12, 24)]
+    expected = convergence.convergence_table("f2", [12, 24], eval_points=9)
+    assert [float(r[3]) for r in rows[2:4]] == [
+        float(f"{row.error:.3e}") for row in expected]

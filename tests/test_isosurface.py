@@ -150,6 +150,7 @@ def test_refinement_evaluates_only_unfinished_vertices(bump_setup):
 
     class Recording:
         grid = spline.grid
+        grid_blocks = spline.grid_blocks
 
         def eval(self, points):
             sizes.append(len(points))
@@ -157,9 +158,9 @@ def test_refinement_evaluates_only_unfinished_vertices(bump_setup):
 
     mesh = iso.extract(Recording(), iso.IsoRequest(0.3, resolution=8,
                                                    refine=True))
-    # calls: the sample lattice, then the refinement steps, whose values
-    # also give the residual
-    steps = sizes[1:]
+    # calls: the refinement steps, whose values also give the residual; the
+    # unaligned sample lattice comes from `grid_blocks`
+    steps = sizes
     assert len(steps) >= 2
     assert all(b <= a for a, b in zip(steps, steps[1:]))
     assert steps[-1] < steps[0]
@@ -421,14 +422,16 @@ def test_request_accepts_a_numpy_bool_refine(bump_setup):
 
 
 class _Recording:
-    """Forwards to a spline, recording the points of every ``eval`` call
-    and the factors of every ``eval_lattice`` call."""
+    """Forwards to a spline, recording the points of every ``eval`` call,
+    the factors of every ``eval_lattice`` call and the size of every
+    ``grid_blocks`` call."""
 
     def __init__(self, spline):
         self.spline = spline
         self.grid = spline.grid
         self.points = []
         self.factors = []
+        self.grids = []
 
     @property
     def sizes(self):
@@ -442,12 +445,16 @@ class _Recording:
         self.factors.append(list(r))
         return self.spline.eval_lattice(r)
 
+    def grid_blocks(self, n, *args):
+        self.grids.append(n)
+        return self.spline.grid_blocks(n, *args)
+
 
 def test_aligned_lattice_is_read_without_point_evaluation(bump_setup):
     spline, _ = bump_setup  # m = 16 per axis
     recording = _Recording(spline)
     mesh = iso.extract(recording, iso.IsoRequest(0.3, resolution=32))
-    assert recording.factors == [[2, 2, 2]]
+    assert recording.factors == [[2, 2, 2]] and recording.grids == []
     # one point evaluation: the linear vertices, which give the residual
     assert len(recording.points) == 1
     assert {tuple(v) for v in mesh.vertices.tolist()} <= {
@@ -476,7 +483,9 @@ def test_refinement_starts_from_the_linear_vertices(bump_setup):
     recording = _Recording(spline)
     iso.extract(recording, iso.IsoRequest(0.3, resolution=8, refine=True))
     linear = iso.extract(spline, iso.IsoRequest(0.3, resolution=8))
-    first = {tuple(p) for p in recording.points[1].tolist()}
+    # the unaligned lattice comes from `grid_blocks`, not from `eval`
+    assert recording.grids == [9] and recording.factors == []
+    first = {tuple(p) for p in recording.points[0].tolist()}
     assert {tuple(v) for v in linear.vertices.tolist()} <= first
 
 
@@ -485,8 +494,9 @@ def test_refinement_needs_few_evaluations_per_vertex(bump_setup):
     recording = _Recording(spline)
     mesh = iso.extract(recording, iso.IsoRequest(0.3, resolution=8,
                                                   refine=True))
-    # calls: the sample lattice, then the refinement steps
-    assert sum(recording.sizes[1:]) <= 8 * len(mesh.vertices)
+    # calls: the refinement steps; the sample lattice is `grid_blocks`'
+    assert recording.grids == [9]
+    assert sum(recording.sizes) <= 8 * len(mesh.vertices)
     assert mesh.residual <= 1e-8
 
 

@@ -1,8 +1,10 @@
 """Quasi-interpolant construction, evaluation paths, derivatives, and
 spline persistence."""
 
+import math
 import struct
 import tracemalloc
+from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
@@ -1102,12 +1104,25 @@ def test_eval_lattice_reproduces_cubics():
 
 def _lattice_per_tap(spline, r):
     """The oracle: each offset's 53 taps added one at a time into a
-    zeroed block of whole-axis slices, one temporary per tap."""
+    zeroed block of whole-axis slices, one temporary per tap.  The taps'
+    weights are `qi._kernels`', in window order, checked against each
+    tetrahedron's own block times the basis: the two 35-term products sum
+    in different orders, so each weight is held to the dot-product bound
+    2 * 35 eps sum |block * basis|, not to its bits."""
     rows, blocks = _per_tet_blocks(((0, 0, 0),))
     offsets = list(np.ndindex(*(x + 1 for x in r)))
-    tet, bary = geometry.locate_unit(np.array(offsets) / np.array(r))
-    kernels = np.einsum("nsj,nj->ns", blocks[tet],
-                        bernstein.bernstein_basis(bary))
+    local = np.array(offsets) / np.array(r)
+    tet, bary = geometry.locate_unit(local)
+    basis = bernstein.bernstein_basis(bary)
+    expected = np.einsum("nsj,nj->ns", blocks[tet], basis)
+    bound = 70 * np.finfo(float).eps * np.einsum(
+        "nsj,nj->ns", np.abs(blocks[tet]), np.abs(basis))
+    got_tet, kernels = qi._kernels(local, ((0, 0, 0),), spline.grid.h)
+    np.testing.assert_array_equal(got_tet, tet)
+    slots = qi._tet_blocks(((0, 0, 0),))[0][tet]
+    kernels = np.take_along_axis(kernels[:, 0], np.argsort(slots, axis=1),
+                                 axis=1)
+    assert (np.abs(kernels - expected) <= bound).all()
     taps = np.stack(_WINDOW_OFFSETS, axis=1)[rows[tet]]
     m = spline.grid.m
     out = np.empty(tuple(x * n + 1 for x, n in zip(r, m)))
@@ -1198,14 +1213,6 @@ def test_eval_lattice_rejects_bad_factors(r):
 # uniform grids over the domain
 # ---------------------------------------------------------------------------
 
-def _whole_array_values(spline, n):
-    """The oracle: every grid point built at once by a meshgrid and
-    evaluated in one call."""
-    axes = [np.linspace(0.0, m * spline.grid.h, n) for m in spline.grid.m]
-    points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    return spline.eval(points.reshape(-1, 3)).reshape(n, n, n)
-
-
 @pytest.fixture(scope="module")
 def f2_m32():
     from boxqi import volume
@@ -1213,15 +1220,147 @@ def f2_m32():
     return qi.approximate(samples, grid)
 
 
-def test_streamed_grid_values_equal_one_whole_array_evaluation(f2_m32):
-    # n - 1 = 100 is no multiple of m = 32: 16 chunks of whole blocks
-    np.testing.assert_array_equal(qi.grid_values(f2_m32, 101),
-                                  _whole_array_values(f2_m32, 101))
+def _anisotropic_spline():
+    """A random spline on m = (22, 22, 13): n = 25 puts 2 but not 13 into
+    n - 1 = 24, and n = 44 puts none of them into 43."""
     rng = np.random.default_rng(44)
-    spline = qi.approximate(rng.normal(size=(13, 14, 15)), h=1 / 16)
-    assert spline.grid.m == (11, 12, 13)  # 43 divides by none of them
-    np.testing.assert_array_equal(qi.grid_values(spline, 44),
-                                  _whole_array_values(spline, 44))
+    spline = qi.approximate(rng.normal(size=(24, 24, 15)), h=1 / 16)
+    assert spline.grid.m == (22, 22, 13)
+    return spline
+
+
+def _grid_splines(f2_m32):
+    """Unaligned grids, and n = 1 (the one point 0, n - 1 = 0) and n = 2
+    (the corners)."""
+    spline = _anisotropic_spline()
+    return [(f2_m32, 67), (spline, 25), (spline, 44), (spline, 1),
+            (spline, 2)]
+
+
+def _locate_rule(m, n):
+    """Cube and local offset of every plane j m / (n - 1) of an axis by
+    `locate`'s rule, cube = clamp(ceil(u) - 1), in exact rationals."""
+    cubes, local = [], []
+    for j in range(n):
+        u = Fraction(j * m, max(n - 1, 1))
+        cube = min(max(math.ceil(u) - 1, 0), m - 1)
+        cubes.append(cube)
+        local.append(u - cube)
+    return cubes, local
+
+
+@pytest.mark.parametrize("m, n", [(22, 25), (13, 25), (32, 101), (32, 139),
+                                  (64, 139), (22, 44), (11, 12), (7, 2),
+                                  (5, 1)])
+def test_grid_axis_offsets_follow_the_locate_rule(m, n):
+    cube, num, period, copies = qi._grid_axis(m, n)
+    assert period == (n - 1) // math.gcd(n - 1, m) and len(cube) == period + 1
+    cubes, local = _locate_rule(m, n)
+    for j in range(n):
+        k, t = divmod(j - 1, period) if j else (0, -1)
+        t += 1
+        assert cubes[j] == cube[t] + k * (m // copies), j
+        assert local[j] == Fraction(int(num[t]), max(n - 1, 1)), j
+    assert len(set(local)) == period + 1  # the tile's offsets are distinct
+
+
+def test_grid_route_locates_each_exact_offset_triple_once(monkeypatch):
+    """One `locate_unit` row and one Bernstein row per distinct offset
+    triple, 13 * 13 * 25 at m = (22, 22, 13), n = 25; the located
+    tetrahedra and barycentrics are `locate_unit`'s at the exact offsets."""
+    spline, n = _anisotropic_spline(), 25
+    located, rows = [], []
+    locate_unit, basis = qi.locate_unit, qi.bernstein_basis
+
+    def record_locate(local):
+        tet, bary = locate_unit(local)
+        located.append((np.array(local), tet, bary))
+        return tet, bary
+
+    def count(bary, *args):
+        rows.append(len(bary))
+        return basis(bary, *args)
+
+    monkeypatch.setattr(qi, "locate_unit", record_locate)
+    monkeypatch.setattr(qi, "bernstein_basis", count)
+    monkeypatch.setattr(qi.QISpline, "eval", None)  # no point evaluation
+    qi.grid_values(spline, n)
+    assert sum(rows) == 13 * 13 * 25
+    local = np.concatenate([a for a, _, _ in located])
+    exact = {tuple(float(x) for x in triple) for triple in product(
+        *(set(_locate_rule(m, n)[1]) for m in spline.grid.m))}
+    assert len(local) == len(exact)
+    assert {tuple(row) for row in local.tolist()} == exact
+    tet, bary = locate_unit(local)
+    np.testing.assert_array_equal(np.concatenate([t for _, t, _ in located]),
+                                  tet)
+    np.testing.assert_array_equal(np.concatenate([b for _, _, b in located]),
+                                  bary)
+
+
+def test_unaligned_grid_values_match_direct_sums_at_the_grid_points(f2_m32):
+    """The route evaluates at the exact lattice, `grid_points` at linspace
+    points an ulp or so away.  Its values stay within 1e-14 of max of point
+    `eval` on the whole grid and of the direct sums on 4000 seeded points,
+    and its gradients likewise of `gradient` and of the extended-precision
+    oracle."""
+    gradient = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    rng = np.random.default_rng(12)
+    for spline, n in _grid_splines(f2_m32):
+        points = qi.grid_points(spline.grid, n, np.arange(n ** 3))
+        values = qi.grid_values(spline, n).reshape(-1)
+        grads = np.empty((n, n, n, 3))
+        for j, k, block in spline.grid_blocks(n, gradient):
+            grads[j:j + block.shape[0], k:k + block.shape[1]] = block
+        grads = grads.reshape(-1, 3)
+        some = rng.choice(n ** 3, size=min(n ** 3, 4000), replace=False)
+        for got, want in [
+                (values, spline.eval(points)),
+                (values[some], spline.eval(points[some], mode="direct")),
+                (grads, spline.gradient(points)),
+                (grads[some], _exact_evaluate(spline, points[some],
+                                              gradient))]:
+            scale = float(np.abs(want).max())
+            assert float(np.abs(got - want).max()) <= 1e-14 * scale
+
+
+def test_grid_blocks_cover_every_point_once(f2_m32, monkeypatch):
+    """Blocks of whole lines cover the grid once, whatever their order,
+    with at most ``_EVAL_BLOCK`` kernels a batch: at m = (22, 22, 13),
+    n = 44 a tile row holds 44 * 44 offset triples, 3 kernels each for the
+    gradient, so a batch takes part of a row."""
+    calls = []
+    kernels = qi._kernels
+
+    def count(local, *args):
+        calls.append(len(local))
+        return kernels(local, *args)
+
+    monkeypatch.setattr(qi, "_kernels", count)
+    for spline, n in _grid_splines(f2_m32):
+        for gammas in [((0, 0, 0),), ((1, 0, 0), (0, 1, 0), (0, 0, 1))]:
+            seen = np.zeros((n, n), dtype=int)
+            for j, k, block in spline.grid_blocks(n, gammas):
+                assert block.shape[2:] == (n, len(gammas))
+                seen[j:j + block.shape[0], k:k + block.shape[1]] += 1
+            assert (seen == 1).all()
+            assert max(calls) * len(gammas) <= qi._EVAL_BLOCK
+            calls.clear()
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, 25.0, "25", None, 0, -3])
+def test_grid_entry_points_reject_a_bad_size(f2_m32, n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        qi.grid_values(f2_m32, n)
+    with pytest.raises(ValueError, match="n >= 1"):
+        f2_m32.grid_blocks(n)
+
+
+def test_grid_blocks_rejects_mixed_orders(f2_m32):
+    with pytest.raises(ValueError, match="one order"):
+        f2_m32.grid_blocks(5, ((1, 0, 0), (0, 0, 0)))
+    with pytest.raises(ValueError, match="gamma"):
+        f2_m32.grid_blocks(5, ((0.5, 0, 0),))
 
 
 def test_aligned_grid_values_come_from_the_lattice(f2_m32, monkeypatch):
@@ -1231,8 +1370,8 @@ def test_aligned_grid_values_come_from_the_lattice(f2_m32, monkeypatch):
 
 
 def test_streamed_grid_values_memory(f2_m32):
-    """Sampling an unaligned R = 100 lattice holds the values plus a few
-    evaluation chunks, not the (R+1)^3 x 3 point array."""
+    """Sampling an unaligned R = 100 lattice holds the values plus one batch
+    of kernels and one block, not the (R+1)^3 x 3 point array."""
     qi.grid_values(f2_m32, 3)  # build the cached blocks outside the trace
     tracemalloc.start()
     try:
