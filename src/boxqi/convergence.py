@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log2
+from numbers import Integral
 
 import numpy as np
 
@@ -59,7 +60,7 @@ def convergence_table(fn_id: str, m_values, eval_points: int | None = None
     n = DEFAULT_EVAL_POINTS if eval_points is None else eval_points
     rows = []
     previous = {}
-    for m in sorted(int(m) for m in m_values):
+    for m in sorted(map(_cube_count, m_values)):
         samples, grid, fn = volume.sample_test_function(fn_id, m)
         error = grid_summary(qi.approximate(samples, grid), n, fn)[3]
         rf = (log2(previous[m // 2] / error)
@@ -67,6 +68,16 @@ def convergence_table(fn_id: str, m_values, eval_points: int | None = None
         rows.append(ConvergenceRow(fn_id, m, grid.h, error, rf))
         previous[m] = error
     return rows
+
+
+def _cube_count(m) -> int:
+    """``m`` if it is a usable number of cubes per axis: an integer (not
+    bool) of at least 1, the rule `qi._grid_size` applies to n; anything
+    else raises one ``ValueError``, so 16.9 is not truncated to 16."""
+    if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
+        raise ValueError(f"convergence table needs integers m >= 1 cubes "
+                         f"per axis, got {m!r}")
+    return int(m)
 
 
 def gradient_error(fn_id: str, m: int, eval_points: int | None = None

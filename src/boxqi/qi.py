@@ -3,17 +3,19 @@
 Each coefficient is a fixed-weight stencil over the samples, each BB patch
 or lattice value one over the coefficients; every such loop reads a cube's
 5x5x5 coefficient window (``_WINDOW``, or ``sliding_window_view`` slabs in
-``compile``) or runs ``_correlate``, the one slab-wise correlation.
+``compile``) or runs ``_correlate``, the one slab-wise correlation (or,
+for small stencil boxes, ``_gather``, which sums in its order).
 ``approximate`` applies the class stencil of every basis index to a
-complete sample grid.  It walks the products of ``domain.class_runs``,
-boxes of indices that share one stencil layout, and reads each box's taps
-from one table keyed by its per-axis run labels; the table holds no grid
-size and is built from the labels alone, once per process on the first
-call (about 0.02 s), so no index is classified.  A box of at least
+complete sample grid.  The indices fall into 1215 boxes, products of
+``domain.class_runs``, that share one stencil layout; each box's taps come
+from one table keyed by its per-axis run labels, which holds no grid size
+and is built from the labels alone, once per process on the first call
+(about 0.02 s), so no index is classified.  A box of at least
 ``_SLICED_REGION`` coefficients (the interior, and the big face slabs) is
-correlated, so beyond the coefficient array it allocates one slab buffer;
-a smaller box (corners, edges, small faces) is gathered as (n, k) and
-contracted with ``@ w``.
+correlated over shifted slices; all smaller boxes (corners, edges, small
+faces) are assembled together by one chunked gather per tap.  Both sum the
+taps in table order, so a coefficient is the same bit for bit whichever
+path its box takes.
 ``QISpline`` evaluates values and derivatives straight from the
 coefficients: on one tetrahedron of the type-6 partition only 53 of the 125
 translates of a cube's window are nonzero, so each BB patch is a fixed
@@ -87,18 +89,22 @@ DEFAULT_COMPILE_BUDGET = 1 << 30
 
 _PATCH_BYTES_PER_CUBE = 24 * _NC * 8  # 6720
 _GATHER_CHUNK = 1 << 20  # float64 elements per window slab in `compile`
-# Assembly method by region size.  Slicing pays two ufunc calls per tap
-# and slab, gathering pays more per element, so a box of at least this
-# many coefficients is sliced.  For a 20-tap face stencil slicing took
-# 1.3-1.5x the gather at 512 coefficients and 0.67-0.86x at 1536; this is
-# the break-even.  m = 32 keeps its 625-coefficient faces gathered, m = 64
-# slices its 3249-coefficient faces, and every gathered temporary stays
-# under 1024 x 23 elements.
+# Assembly method by box size.  Slicing pays two ufunc calls per tap and
+# slab of each box; the gather serves all smaller boxes at once, with about
+# six passes over each tap's elements.  Gathering the 30 faces of a cube
+# instead of slicing them made the whole assembly take 0.61-0.76x the time
+# at 324-676 coefficients a face (m = 24-32) and 0.94-1.2x at 784-1156
+# (m = 34-40), one BLAS thread on 2 shared vCPUs; so a box of at least
+# this many coefficients is sliced.  m = 32 gathers its faces, m = 64
+# slices its 3364-coefficient faces.
 _SLICED_REGION = 1024
 # float64 elements per cache-sized slab (256 KiB): of `_correlate`'s output,
 # and of the coefficients `_evaluate` gathers at a time
 _SLAB = 1 << 15
 _EVAL_BLOCK = 4096  # points per located and contracted block
+# coefficients per chunk of `_gather`: half a slab, as a chunk holds about
+# six index and value arrays of its length at once
+_BOX_CHUNK = _SLAB // 2
 
 
 class SizeError(MemoryError):
@@ -126,12 +132,12 @@ def approximate(samples: np.ndarray, grid: DomainGrid | None = None, *,
     satisfies ``|Qf| <= 9.945 max|f|``.
 
     Each box of indices with one stencil layout takes its tap offsets and
-    weights from ``_region_table`` (built by the first call in a process)
-    and is assembled at once: by shifted slices (``_correlate``) if it
-    holds at least ``_SLICED_REGION`` coefficients, else by one gather and
-    ``@ w``.  The two sum the taps in different orders, so they agree to a
-    few ulps, not bit for bit.  Memory beyond the result is one slab buffer
-    or one small gathered array.
+    weights from ``_box_table`` (built by the first call in a process).  A
+    box of at least ``_SLICED_REGION`` coefficients is correlated over
+    shifted slices (``_correlate``); the smaller ones are gathered
+    together, chunk by chunk (``_gather``).  Both sum each coefficient's
+    taps in table order, so the two paths agree bit for bit.  Memory beyond
+    the result is one slab buffer or one chunk's index and value arrays.
     """
     samples = np.ascontiguousarray(_real(np.asarray(samples), "samples"),
                                    dtype=np.float64)
@@ -148,24 +154,20 @@ def approximate(samples: np.ndarray, grid: DomainGrid | None = None, *,
     if not _finite(samples):
         raise ValueError("samples contain non-finite values")
 
-    table = _region_table()
-    coeffs = np.zeros(tuple(m + 4 for m in grid.m))
-    # each run's label and indices, shaped to broadcast over a gathered box
-    axes = [[(lo, hi, (c, flip), np.arange(lo, hi + 1).reshape(shape))
-             for lo, hi, c, flip in class_runs(m)]
-            for m, shape in zip(grid.m, ((-1, 1, 1, 1), (-1, 1, 1), (-1, 1)))]
-    for (lo1, hi1, l1, i1), (lo2, hi2, l2, i2), (lo3, hi3, l3, i3) in product(
-            *axes):
-        taps = table.get((l1, l2, l3))
-        if taps is None:
-            continue  # inactive corner region: coefficients stay 0
-        delta, w = taps
-        out = coeffs[lo1 + 1:hi1 + 2, lo2 + 1:hi2 + 2, lo3 + 1:hi3 + 2]
-        if out.size >= _SLICED_REGION:
-            _correlate(samples, delta + (lo1, lo2, lo3), w, out)
-        else:
-            d1, d2, d3 = delta.T
-            out[...] = samples[i1 + d1, i2 + d2, i3 + d3] @ w
+    runs, taps, weights, counts = _box_table()
+    m = np.array(grid.m)
+    # run r of an axis of m cells starts at index r - 1 up to the middle
+    # run 5 (indices 4 .. m - 3), at m - 8 + r after it
+    first = runs - 1 + (runs > 5) * (m - 7)
+    extent = np.where(runs == 5, m - 6, 1)
+    sizes = extent.prod(axis=1)
+    sliced = sizes >= _SLICED_REGION
+    coeffs = np.zeros(tuple(m + 4))
+    for b in np.flatnonzero(sliced):
+        (l1, l2, l3), (e1, e2, e3), k = first[b] + 1, extent[b], counts[b]
+        _correlate(samples, taps[:k, b] + first[b], weights[:k, b],
+                   coeffs[l1:l1 + e1, l2:l2 + e2, l3:l3 + e3])
+    _gather(samples, coeffs, first, extent, np.where(sliced, 0, sizes))
     coeffs.setflags(write=False)
     return QISpline(grid=grid, coefficients=coeffs)
 
@@ -197,6 +199,94 @@ def _region_table() -> dict:
         offsets.setflags(write=False)
         table[labels] = (offsets, w)
     return table
+
+
+@lru_cache(maxsize=1)
+def _box_table() -> tuple:
+    """`_region_table` as tap-major arrays over the n = 1215 active boxes.
+
+    Returns (runs, taps, weights, counts): each box's (n, 3) run ids, its
+    position 0..10 in `domain.class_runs` along each axis; its offsets
+    (k, n, 3) and weights (k, n) by tap, in `_region_table`'s order and
+    zero past the box's ``counts`` taps.  Boxes are sorted by tap count,
+    descending (stably), so those with more than t taps are a prefix.
+    """
+    labels = [run[2:] for run in class_runs(11)]
+    table = _region_table()
+    order = sorted(table, key=lambda key: -len(table[key][1]))
+    counts = np.array([len(table[key][1]) for key in order])
+    runs = np.array([[labels.index(label) for label in key] for key in order])
+    taps = np.zeros((counts[0], len(order), 3), dtype=np.int64)
+    weights = np.zeros((counts[0], len(order)))
+    for b, key in enumerate(order):
+        taps[:counts[b], b], weights[:counts[b], b] = table[key]
+    for a in (runs, taps, weights, counts):
+        a.setflags(write=False)
+    return runs, taps, weights, counts
+
+
+def _gather(samples, coeffs, first, extent, sizes):
+    """Assemble the ``sizes[b]`` (0 or all) coefficients of every box b of
+    `_box_table` into ``coeffs``, all boxes at once.
+
+    Box b holds the indices first[b] + p, 0 <= p < extent[b].  Its
+    coefficients are listed box after box, in C order within a box, and
+    walked in chunks of ``_BOX_CHUNK``; `_tap_sums` sums each chunk tap
+    after tap, so each coefficient is rounded as `_correlate` rounds it,
+    bit for bit.
+    """
+    _, taps, weights, counts = _box_table()
+    src, dst = np.ravel(samples), coeffs.reshape(-1)
+    s, c = (np.array(a.strides) // a.itemsize for a in (samples, coeffs))
+    frames = (first @ s, s), ((first + 1) @ c, c)
+    index = taps @ s
+    reach = np.searchsorted(-counts, -np.arange(len(taps)))
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    for lo in range(0, ends[-1], _BOX_CHUNK):
+        share = np.clip(np.minimum(ends, lo + _BOX_CHUNK)
+                        - np.maximum(starts, lo), 0, None)  # per box
+        local, out = _box_offsets(lo, share, starts, extent, *frames)
+        dst[out] = _tap_sums(src, local, index, weights, reach, share)
+
+
+def _tap_sums(src, local, index, weights, reach, share):
+    """The coefficients of one chunk, ``share[b]`` of them from box b.
+
+    Tap t reaches the first ``reach[t]`` boxes, those with more than t
+    taps, whose coefficients lead the chunk: it gathers ``src`` at their
+    flat indices ``local`` plus the box's tap offset ``index[t, b]``,
+    multiplies them by the tap's weights and adds the products to their
+    sums; the first tap's products start the sums, as in `_correlate`.
+    """
+    for t, b in enumerate(reach):
+        at = np.repeat(index[t, :b], share[:b])
+        at += local[:len(at)]
+        part = src.take(at)
+        part *= np.repeat(weights[t, :b], share[:b])
+        if t == 0:
+            acc = part
+        else:
+            acc[:len(part)] += part
+    return acc
+
+
+def _box_offsets(lo, share, starts, extent, *frames):
+    """Flat indices of the coefficients number lo, lo + 1, ... of
+    `_gather`'s list, ``share[b]`` of them in box b, whose first is number
+    ``starts[b]``, in each (base, strides) frame: box b's index first[b] + p
+    is at ``base[b] + p @ strides``."""
+    p = np.arange(lo, lo + share.sum()) - np.repeat(starts, share)
+    p, p3 = np.divmod(p, np.repeat(extent[:, 2], share))
+    p, p2 = np.divmod(p, np.repeat(extent[:, 1], share))
+    offsets = []
+    for base, (s1, s2, _) in frames:
+        flat = np.repeat(base, share)
+        flat += p * s1
+        flat += p2 * s2
+        flat += p3
+        offsets.append(flat)
+    return offsets
 
 
 def _finite(a: np.ndarray) -> bool:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -256,11 +256,12 @@ def sample_test_function(fn_id: str, m: int):
     if fn is None:
         raise ValueError(f"unknown test function {fn_id!r} "
                          f"(choose from {sorted(TEST_FUNCTIONS)})")
-    ms = (m, m, m) if np.isscalar(m) else tuple(int(v) for v in m)
+    ms = (m, m, m) if np.isscalar(m) else tuple(m)
     if len(set(ms)) != 1:
         raise ValueError(f"benchmark domains are cubes; m must be uniform, "
                          f"got {ms}")
-    grid = DomainGrid(*ms, h=fn.side / ms[0])
+    grid = DomainGrid(*ms)  # checks the cube counts before h uses them
+    grid = replace(grid, h=fn.side / grid.m1)
     grid.require_quasi_interpolation()
     samples = fn.on_omega(data_points(grid))
     samples.setflags(write=False)

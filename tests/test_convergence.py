@@ -54,6 +54,16 @@ def test_evaluation_grid_rejects_a_non_integer_size(n):
         convergence.convergence_table("f3", [16], eval_points=n)
 
 
+@pytest.mark.parametrize("m", [16.9, True, "32", 32.0, None])
+def test_convergence_table_rejects_a_non_integer_m(m, monkeypatch):
+    """A bool or non-integral m fails with one ValueError before any
+    sampling: 16.9 is not truncated to 16, True is not m = 1, and "32" does
+    not reach the sort beside an int."""
+    monkeypatch.setattr(volume, "sample_test_function", None)
+    with pytest.raises(ValueError, match="m >= 1"):
+        convergence.convergence_table("f3", [m, 16], eval_points=5)
+
+
 @pytest.mark.parametrize("n", [1, 2])
 def test_smallest_evaluation_grids(n):
     """n = 1 is the one point 0 (n - 1 = 0), n = 2 the eight corners."""

@@ -54,11 +54,25 @@ def _region_sizes(grid):
             if (c1, c2, c3).count(-1) < 2]
 
 
+def _exact_coefficient(alpha, grid, data):
+    """``alpha``'s class stencil applied to ``data``, rounded once: every
+    product of two doubles is an exact integer over a power of two, so the
+    sum is taken exactly in integers.  A float dot product rounds each
+    partial sum in its own order."""
+    idx, w = stencils.functional(alpha, grid)
+    terms = [(nx * nw, (dx * dw).bit_length() - 1)
+             for (nx, dx), (nw, dw) in zip(
+                 map(float.as_integer_ratio, data[tuple(idx.T)].tolist()),
+                 map(float.as_integer_ratio, w.tolist()))]
+    shift = max(e for _, e in terms)
+    return sum(n << (shift - e) for n, e in terms) / (1 << shift)
+
+
 def test_coefficients_match_per_class_stencils(rng, monkeypatch):
     """Every active coefficient, gathered or correlated over slices, is its
-    class stencil applied to the data.  At (40, 40, 12) the interior box
-    fits one slab; slabs of 660 elements walk it in 4-row slabs and a
-    1-row remainder."""
+    class stencil applied to the data, to 1e-12 of the exact sum.  At
+    (40, 40, 12) the interior box fits one slab; slabs of 660 elements walk
+    it in 4-row slabs and a 1-row remainder."""
     grids = [geometry.DomainGrid(11, 11, 11, 1.0),
              geometry.DomainGrid(40, 40, 12, 1.0)]
     sizes = [n for grid in grids for n in _region_sizes(grid)]
@@ -66,7 +80,7 @@ def test_coefficients_match_per_class_stencils(rng, monkeypatch):
     for grid in grids:
         data = rng.normal(size=tuple(m + 2 for m in grid.m))
         active = _active(grid)
-        want = [stencils.coefficient(alpha, grid, data) for alpha in active]
+        want = [_exact_coefficient(alpha, grid, data) for alpha in active]
         for slab in (qi._SLAB, 660):
             monkeypatch.setattr(qi, "_SLAB", slab)
             coeffs = qi.approximate(data, grid).coefficients
@@ -76,40 +90,35 @@ def test_coefficients_match_per_class_stencils(rng, monkeypatch):
 
 def test_assembly_memory_is_the_coefficients():
     """Assembly allocates the coefficient array plus slab-sized
-    temporaries: no gathered (n, k) array of a large region."""
-    grid = geometry.DomainGrid(96, 96, 40, 1.0)
-    samples = np.random.default_rng(5).normal(size=(98, 98, 42))
-    qi.approximate(samples[:13, :13, :13])  # stencil library, outside
-    tracemalloc.start()
-    try:
-        spline = qi.approximate(samples, grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= spline.coefficients.nbytes + (2 << 20)
+    temporaries: no gathered (n, k) array of a large region, and the small
+    boxes' coefficients (57 248 of them at (254, 254, 97)) gathered chunk by
+    chunk."""
+    qi.approximate(np.zeros((13, 13, 13)))  # stencil library, outside
+    for m in [(96, 96, 40), (254, 254, 97)]:
+        grid = geometry.DomainGrid(*m, 1.0)
+        samples = np.random.default_rng(5).normal(
+            size=tuple(n + 2 for n in m))
+        tracemalloc.start()
+        try:
+            spline = qi.approximate(samples, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= spline.coefficients.nbytes + (2 << 20), m
 
 
 def _approximate_per_region(samples, grid):
-    """The oracle: the assembly loop that classified every region's first
-    index through `stencils.functional` on each call, with the same
-    gather / `qi._correlate` split."""
+    """The oracle: every region's functional classified at its first index
+    through `stencils.functional` on each call, and every region, small or
+    large, correlated over shifted slices by `qi._correlate`."""
     coeffs = np.zeros(tuple(m + 4 for m in grid.m))
     for (lo1, hi1, c1, _), (lo2, hi2, c2, _), (lo3, hi3, c3, _) in product(
             *(domain.class_runs(m) for m in grid.m)):
         if (c1, c2, c3).count(-1) >= 2:
             continue
-        rep = (lo1, lo2, lo3)
-        mapped, w = stencils.functional(rep, grid)
-        out = coeffs[lo1 + 1:hi1 + 2, lo2 + 1:hi2 + 2, lo3 + 1:hi3 + 2]
-        if out.size >= qi._SLICED_REGION:
-            qi._correlate(samples, mapped, w, out)
-        else:
-            delta = mapped - np.array(rep)
-            idx1 = np.arange(lo1, hi1 + 1)[:, None] + delta[:, 0]
-            idx2 = np.arange(lo2, hi2 + 1)[:, None] + delta[:, 1]
-            idx3 = np.arange(lo3, hi3 + 1)[:, None] + delta[:, 2]
-            out[...] = samples[idx1[:, None, None], idx2[None, :, None],
-                               idx3[None, None]] @ w
+        mapped, w = stencils.functional((lo1, lo2, lo3), grid)
+        qi._correlate(samples, mapped, w,
+                      coeffs[lo1 + 1:hi1 + 2, lo2 + 1:hi2 + 2, lo3 + 1:hi3 + 2])
     return coeffs
 
 
@@ -196,6 +205,37 @@ def test_table_assembly_of_f2_is_bitwise_the_per_region_oracle(f2_m32):
     samples, grid, _ = volume.sample_test_function("f2", 32)
     np.testing.assert_array_equal(f2_m32.coefficients,
                                   _approximate_per_region(samples, grid))
+
+
+@pytest.mark.parametrize("m", [(11, 11, 11), (40, 40, 12), (13, 11, 17)])
+def test_gathered_and_correlated_boxes_are_bitwise_equal(m, monkeypatch):
+    """Every box correlated (threshold 1) and every box gathered (threshold
+    above the largest box) give the same coefficients, bit for bit."""
+    samples = np.random.default_rng(25).normal(size=tuple(n + 2 for n in m))
+    default = qi.approximate(samples).coefficients
+    for threshold in (1, max(_region_sizes(geometry.DomainGrid(*m))) + 1):
+        monkeypatch.setattr(qi, "_SLICED_REGION", threshold)
+        np.testing.assert_array_equal(qi.approximate(samples).coefficients,
+                                      default)
+
+
+@pytest.mark.parametrize("m", [11, 32])
+def test_only_large_boxes_are_correlated(m, monkeypatch):
+    """Boxes under ``_SLICED_REGION`` coefficients are gathered: m = 11
+    correlates none, m = 32 exactly the boxes at or above it."""
+    sizes = []
+    correlate = qi._correlate
+
+    def spy(src, taps, w, out):
+        sizes.append(out.size)
+        correlate(src, taps, w, out)
+
+    monkeypatch.setattr(qi, "_correlate", spy)
+    qi.approximate(np.random.default_rng(3).normal(size=(m + 2,) * 3))
+    large = [n for n in _region_sizes(geometry.DomainGrid(m, m, m))
+             if n >= qi._SLICED_REGION]
+    assert sorted(sizes) == sorted(large)
+    assert (m == 11) == (not sizes)
 
 
 @pytest.mark.parametrize("m", [11, 12])

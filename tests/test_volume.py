@@ -156,3 +156,11 @@ def test_sample_test_function_layout():
                                fn(np.array([[fn.lo] * 3]))[0], rtol=1e-14)
     with pytest.raises(ValueError):
         volume.sample_test_function("f9", 16)
+
+
+@pytest.mark.parametrize("m", [16.9, (16.9, 16.9, 16.9), True, "16"])
+def test_sample_test_function_rejects_a_non_integer_m(m):
+    """m, or each of its three entries, is the grid's cube count as given:
+    16.9 is not truncated to 16."""
+    with pytest.raises(ValueError, match="positive integers"):
+        volume.sample_test_function("f2", m)
