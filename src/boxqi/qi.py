@@ -32,9 +32,13 @@ one product and one ``einsum`` per cache-sized run, so an evaluation's
 working set does not grow with the call.
 Uniform grids are read by local offset, not point by point: an offset's
 tetrahedron, basis and block columns fold into one 53-tap kernel
-(`_kernels`), correlated into one block on an aligned lattice
-(``eval_lattice``) and dotted with each point's gathered window on any
-grid of n points per axis (``grid_blocks``).
+(`_kernels`), correlated straight into the offset's strided view of an
+aligned lattice (``eval_lattice``) and dotted with each point's gathered
+window on any grid of n points per axis (``grid_blocks``).
+``_correlate`` sums each slab of its output in one contiguous accumulator
+(the output itself when it is C-contiguous) and copies a finished slab
+into a strided output once, with the same products and sums in the same
+order as per-tap whole-array sums.
 ``mode="direct"`` sums the basis translates instead and serves as an
 independent oracle.  ``compile`` is an optional export of the
 per-tetrahedron patches (dense, within ``DEFAULT_COMPILE_BUDGET``) or, above
@@ -137,7 +141,7 @@ def approximate(samples: np.ndarray, grid: DomainGrid | None = None, *,
     shifted slices (``_correlate``); the smaller ones are gathered
     together, chunk by chunk (``_gather``).  Both sum each coefficient's
     taps in table order, so the two paths agree bit for bit.  Memory beyond
-    the result is one slab buffer or one chunk's index and value arrays.
+    the result is two slab buffers or one chunk's index and value arrays.
     """
     samples = np.ascontiguousarray(_real(np.asarray(samples), "samples"),
                                    dtype=np.float64)
@@ -235,12 +239,12 @@ def _gather(samples, coeffs, first, extent, sizes):
     after tap, so each coefficient is rounded as `_correlate` rounds it,
     bit for bit.
     """
-    _, taps, weights, counts = _box_table()
+    _, _, weights, counts = _box_table()
     src, dst = np.ravel(samples), coeffs.reshape(-1)
     s, c = (np.array(a.strides) // a.itemsize for a in (samples, coeffs))
     frames = (first @ s, s), ((first + 1) @ c, c)
-    index = taps @ s
-    reach = np.searchsorted(-counts, -np.arange(len(taps)))
+    index = _tap_index(tuple(s.tolist()))
+    reach = np.searchsorted(-counts, -np.arange(counts[0]))
     ends = np.cumsum(sizes)
     starts = ends - sizes
     for lo in range(0, ends[-1], _BOX_CHUNK):
@@ -248,6 +252,16 @@ def _gather(samples, coeffs, first, extent, sizes):
                         - np.maximum(starts, lo), 0, None)  # per box
         local, out = _box_offsets(lo, share, starts, extent, *frames)
         dst[out] = _tap_sums(src, local, index, weights, reach, share)
+
+
+@lru_cache(maxsize=4)
+def _tap_index(strides: tuple) -> np.ndarray:
+    """The flat offsets of `_box_table`'s (k, n, 3) taps in samples whose
+    strides, in elements, are ``strides``, as read-only (k, n) int64: one
+    product per sample shape, not one per `_gather` call."""
+    index = _box_table()[1] @ np.array(strides)
+    index.setflags(write=False)
+    return index
 
 
 def _tap_sums(src, local, index, weights, reach, share):
@@ -300,24 +314,32 @@ def _correlate(src, taps, w, out):
     ``out[i] = sum_t w[t] src[i + taps[t]]`` for (k, 3) offsets ``taps``.
 
     ``out`` is walked in slabs of whole axis-0 rows, about ``_SLAB``
-    elements each: the first tap writes the slab of ``out``, and every
-    later tap is multiplied into one reused buffer and added in place.
+    elements each, and each slab is summed in one contiguous accumulator:
+    the first tap writes it, every later tap is multiplied into one reused
+    buffer and added in place.  The accumulator is the slab of ``out``
+    itself when ``out`` is C-contiguous; a strided ``out`` (a sub-box of
+    the coefficients, a lattice view) receives each finished slab in one
+    copy.
     """
     n1, n2, n3 = out.shape
-    rows = max(1, _SLAB // (n2 * n3))
-    buf = np.empty((min(rows, n1), n2, n3))
+    rows = min(n1, max(1, _SLAB // (n2 * n3)))
+    acc = None if out.flags.c_contiguous else np.empty((rows, n2, n3))
+    buf = np.empty((rows, n2, n3))
     taps = taps.tolist()
     for start in range(0, n1, rows):
         dst = out[start:start + rows]
+        total = dst if acc is None else acc[:len(dst)]
         tmp = buf[:len(dst)]
         for t, ((d1, d2, d3), wt) in enumerate(zip(taps, w)):
             part = src[d1 + start:d1 + start + len(dst),
                        d2:d2 + n2, d3:d3 + n3]
             if t == 0:
-                np.multiply(part, wt, out=dst)
+                np.multiply(part, wt, out=total)
             else:
                 np.multiply(part, wt, out=tmp)
-                dst += tmp
+                total += tmp
+        if acc is not None:
+            dst[...] = total
 
 
 # ---------------------------------------------------------------------------
@@ -532,9 +554,10 @@ class QISpline:
         one 53-tap kernel of `_kernels`, tetrahedron 0's map times its
         Bernstein basis on the slots g_t(w) of its tetrahedron t, sorted
         into window order.  ``_correlate`` applies its nonzero taps (32 at a
-        cube's corner offset) into one contiguous block, then copied into
-        the result: no point is located or gathered.  `grid_blocks` serves
-        the uniform grids this lattice does not cover.
+        cube's corner offset) straight into the offset's strided view of
+        the result: no point is located or gathered, and memory beyond the
+        result is `_correlate`'s two slabs.  `grid_blocks` serves the
+        uniform grids this lattice does not cover.
         """
         r = (r,) * 3 if np.ndim(r) == 0 else tuple(r)
         if len(r) != 3 or not all(isinstance(x, Integral)
@@ -551,15 +574,11 @@ class QISpline:
         taps = _WINDOW[np.take_along_axis(slots[tet], order, axis=1)]
         m = self.grid.m
         out = np.empty(tuple(x * n + 1 for x, n in zip(r, m)))
-        buf = np.empty(m[0] * m[1] * m[2])  # every offset's block, reused
         for k, kernel, tap in zip(offsets, kernels, taps):
-            size = [n if ka else 1 for ka, n in zip(k, m)]
-            block = buf[:size[0] * size[1] * size[2]].reshape(size)
             nonzero = kernel != 0
             _correlate(self.coefficients, tap[nonzero], kernel[nonzero],
-                       block)
-            out[tuple(slice(ka, None, x) if ka else slice(0, 1)
-                      for ka, x in zip(k, r))] = block
+                       out[tuple(slice(ka, None, x) if ka else slice(0, 1)
+                                 for ka, x in zip(k, r))])
         return out
 
     def grid_blocks(self, n, gammas=((0, 0, 0),)):

@@ -1,6 +1,7 @@
 """Quasi-interpolant construction, evaluation paths, derivatives, and
 spline persistence."""
 
+import hashlib
 import math
 import struct
 import tracemalloc
@@ -105,6 +106,84 @@ def test_assembly_memory_is_the_coefficients():
         finally:
             tracemalloc.stop()
         assert peak <= spline.coefficients.nbytes + (2 << 20), m
+
+
+def _per_tap_sums(src, taps, w, shape):
+    """``w[0] src[taps[0]:]``, then ``+= w[t] src[taps[t]:]`` in tap order,
+    each over the whole ``shape``."""
+    parts = [src[d1:d1 + shape[0], d2:d2 + shape[1], d3:d3 + shape[2]]
+             for d1, d2, d3 in taps]
+    acc = parts[0] * w[0]
+    for part, wt in zip(parts[1:], w[1:]):
+        acc += part * wt
+    return acc
+
+
+@pytest.mark.parametrize("case", ["contiguous", "interior", "z-face",
+                                  "x-face", "remainder", "one tap"])
+def test_correlate_is_bitwise_the_whole_array_per_tap_sums(case,
+                                                           monkeypatch):
+    """`_correlate` into a C-contiguous ``out``, or into a strided box of a
+    larger array (the coefficients' interior, a face of extent 1 on the
+    last or the first axis), in one slab or in 5-row slabs and a 4-row
+    remainder, gives the per-tap sums bit for bit and leaves the rest of
+    the larger array alone."""
+    rng = np.random.default_rng(31)
+    src = rng.normal(size=(30, 24, 20))
+    taps = rng.integers(0, 5, size=(7, 3))
+    w = rng.normal(size=7)
+    host = np.full((32, 26, 22), 7.0)
+    box = {"contiguous": None,
+           "interior": np.s_[3:27, 2:20, 4:18],
+           "z-face": np.s_[3:27, 2:20, 5:6],
+           "x-face": np.s_[5:6, 2:20, 4:18],
+           "remainder": np.s_[3:27, 2:20, 4:18],
+           "one tap": np.s_[3:27, 2:20, 4:18]}[case]
+    out = np.empty((25, 20, 16)) if box is None else host[box]
+    assert out.flags.c_contiguous == (box is None)
+    if case == "remainder":
+        monkeypatch.setattr(qi, "_SLAB", 5 * 18 * 14 + 3)
+    if case == "one tap":
+        taps, w = taps[:1], w[:1]
+    qi._correlate(src, taps, w, out)
+    np.testing.assert_array_equal(_bits(out),
+                                  _bits(_per_tap_sums(src, taps, w,
+                                                      out.shape)))
+    if box is not None:
+        outside = np.ones(host.shape, dtype=bool)
+        outside[box] = False
+        assert (host[outside] == 7.0).all()
+
+
+def test_gather_computes_the_tap_offsets_once_per_shape():
+    """Two assemblies on one sample shape take the flat tap offsets from
+    one product, read-only, and give the per-region oracle's bits."""
+    samples = np.random.default_rng(33).normal(size=(15, 16, 17))
+    grid = geometry.DomainGrid(13, 14, 15, 1.0)
+    qi._tap_index.cache_clear()
+    first = qi.approximate(samples, grid).coefficients
+    second = qi.approximate(samples, grid).coefficients
+    info = qi._tap_index.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert not qi._tap_index((16 * 17, 17, 1)).flags.writeable
+    np.testing.assert_array_equal(first, second)
+    np.testing.assert_array_equal(first,
+                                  _approximate_per_region(samples, grid))
+
+
+@pytest.mark.parametrize("m, seed, digest", [
+    ((254, 254, 97), 2600,
+     "4f0e286d1828d1a8c6183561c9bea13bd822bdfa6490f5c6a1dfd41460373128"),
+    ((64, 64, 64), 2601,
+     "e04983066eed04681738885827449bce0c84ca65a11b666bcfa731c0cee7451a")])
+def test_assembly_bits_are_pinned(m, seed, digest):
+    """The coefficients of seeded integer-valued samples keep their
+    SHA-256.  Assembly runs only elementwise IEEE products and sums in a
+    fixed order (no BLAS), so the bits do not depend on the platform."""
+    samples = np.random.default_rng(seed).integers(
+        0, 65536, size=tuple(n + 2 for n in m)).astype(np.float64)
+    coeffs = qi.approximate(samples).coefficients
+    assert hashlib.sha256(coeffs.tobytes()).hexdigest() == digest
 
 
 def _approximate_per_region(samples, grid):
@@ -1205,13 +1284,16 @@ def test_eval_lattice_of_the_scan_shape_is_bitwise_the_oracle():
                                   _bits(_lattice_per_tap(spline, (1, 1, 1))))
 
 
-def test_eval_lattice_holds_one_block_and_one_slab():
-    """Beyond the result, `eval_lattice` holds one block of its largest
-    offset and one correlation slab; a temporary per tap held two blocks."""
-    m1, m2, m3 = m = (128, 128, 48)
+@pytest.mark.parametrize("m", [(128, 128, 48), (254, 254, 97)],
+                         ids=["128x128x48", "254x254x97"])
+def test_eval_lattice_holds_the_result_and_two_slabs(m):
+    """Beyond the result, `eval_lattice` holds `_correlate`'s accumulator
+    and product slabs: each offset is summed into its strided view of the
+    result, through no block of its own."""
+    m1, m2, m3 = m
     spline = qi.QISpline(geometry.DomainGrid(*m, 1.0),
-                         np.random.default_rng(4).normal(size=(132, 132, 52)))
-    block = m1 * m2 * m3 * 8
+                         np.random.default_rng(4).normal(
+                             size=tuple(n + 4 for n in m)))
     slab = min(m1, max(1, qi._SLAB // (m2 * m3))) * m2 * m3 * 8
     qi._tet_blocks(((0, 0, 0),))  # the box-spline table, outside the trace
     tracemalloc.start()
@@ -1220,7 +1302,7 @@ def test_eval_lattice_holds_one_block_and_one_slab():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= out.nbytes + block + slab + (2 << 20)
+    assert peak <= out.nbytes + 2 * slab + (2 << 20)
 
 
 def test_eval_lattice_correlates_only_nonzero_taps(monkeypatch):
