@@ -36,9 +36,8 @@ tetrahedron, basis and block columns fold into one 53-tap kernel
 aligned lattice (``eval_lattice``) and dotted with each point's gathered
 window on any grid of n points per axis (``grid_blocks``).
 ``_correlate`` sums each slab of its output in one contiguous accumulator
-(the output itself when it is C-contiguous) and copies a finished slab
-into a strided output once, with the same products and sums in the same
-order as per-tap whole-array sums.
+and copies a finished slab into the (usually strided) output once, with
+the same products and sums in the same order as per-tap whole-array sums.
 ``mode="direct"`` sums the basis translates instead and serves as an
 independent oracle.  ``compile`` is an optional export of the
 per-tetrahedron patches (dense, within ``DEFAULT_COMPILE_BUDGET``) or, above
@@ -316,19 +315,17 @@ def _correlate(src, taps, w, out):
     ``out`` is walked in slabs of whole axis-0 rows, about ``_SLAB``
     elements each, and each slab is summed in one contiguous accumulator:
     the first tap writes it, every later tap is multiplied into one reused
-    buffer and added in place.  The accumulator is the slab of ``out``
-    itself when ``out`` is C-contiguous; a strided ``out`` (a sub-box of
-    the coefficients, a lattice view) receives each finished slab in one
-    copy.
+    buffer and added in place.  ``out`` (a sub-box of the coefficients, a
+    lattice view) receives each finished slab in one copy.
     """
     n1, n2, n3 = out.shape
     rows = min(n1, max(1, _SLAB // (n2 * n3)))
-    acc = None if out.flags.c_contiguous else np.empty((rows, n2, n3))
+    acc = np.empty((rows, n2, n3))
     buf = np.empty((rows, n2, n3))
     taps = taps.tolist()
     for start in range(0, n1, rows):
         dst = out[start:start + rows]
-        total = dst if acc is None else acc[:len(dst)]
+        total = acc[:len(dst)]
         tmp = buf[:len(dst)]
         for t, ((d1, d2, d3), wt) in enumerate(zip(taps, w)):
             part = src[d1 + start:d1 + start + len(dst),
@@ -338,8 +335,7 @@ def _correlate(src, taps, w, out):
             else:
                 np.multiply(part, wt, out=tmp)
                 total += tmp
-        if acc is not None:
-            dst[...] = total
+        dst[...] = total
 
 
 # ---------------------------------------------------------------------------
