@@ -278,8 +278,9 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_isosurface(args) -> int:
-    # resolved before the spline is read, so a bad --out fails at once
+    # resolved before the spline is read: a bad --out or --res fails at once
     fmt = isosurface.mesh_format(args.out, args.format)
+    res = _parse_triple(args.res, "--res")
     if fmt == "obj" and args.fn is not None:
         raise ValueError("--fn needs PLY output: OBJ has no channel for "
                          "the reference error")
@@ -290,7 +291,7 @@ def cmd_isosurface(args) -> int:
         if fn is None:
             raise ValueError(f"unknown test function {args.fn!r}")
         reference = fn.on_omega
-    request = isosurface.IsoRequest(isovalue=args.iso, resolution=args.res,
+    request = isosurface.IsoRequest(isovalue=args.iso, resolution=res,
                                     refine=args.refine, reference=reference)
     mesh = isosurface.extract(spline, request)
     isosurface.write_mesh(mesh, args.out, fmt)
@@ -376,7 +377,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "extract an isosurface mesh from a saved spline")
     p.add_argument("--in", required=True, help="spline file")
     p.add_argument("--iso", type=float, required=True, help="isovalue")
-    p.add_argument("--res", type=int, default=64, help="cells per axis")
+    p.add_argument("--res", default="64", help="cells per axis: i or i,j,k")
     p.add_argument("--refine", action="store_true",
                    help="refine vertices to |s(v) - iso| <= 1e-8")
     p.add_argument("--fn",

@@ -1,21 +1,21 @@
 """Maximum-error and convergence-order measurement harness.
 
 For each benchmark function and grid size m the harness samples the
-function, builds the quasi-interpolant, evaluates both on a uniform
-N x N x N point grid over Omega (endpoints included, N = 139 by default)
-and records E = max |f - Qf|.  Consecutive rows at doubled m carry the
-observed order rf = log2(E(m) / E(2m)).  The spline is evaluated by
-`QISpline.grid_blocks` at the exact lattice j m_a h / (N - 1), the reference
-function at the points of `qi.grid_points` (an ulp off it at most), and each
-block is reduced as it comes, so memory does not grow with N.  The
-spline values differ from point ``eval`` at those points by at most
+function, builds the quasi-interpolant, evaluates both on a uniform grid
+over Omega of N_a points along each axis a, endpoints included (one N or
+three; N = 139 by default), and records E = max |f - Qf|.  Consecutive rows
+at doubled m carry the observed order rf = log2(E(m) / E(2m)).  The spline
+is read by `QISpline.grid_blocks` at the exact lattice j m_a h / (N_a - 1),
+the reference function at the points of `qi.grid_points` (an ulp off it at
+most), and each block is reduced as it comes, so memory does not grow with
+N.  The spline values differ from point ``eval`` at those points by at most
 1.53e-15 of max |Qf|, the gradients by 7.10e-15 (f2, m = 32 and 64).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2
+from math import log2, prod
 from numbers import Integral
 
 import numpy as np
@@ -37,11 +37,12 @@ class ConvergenceRow:
     rf: float | None   # None on the coarsest row
 
 
-def grid_summary(spline, n: int = DEFAULT_EVAL_POINTS, fn=None
+def grid_summary(spline, n=DEFAULT_EVAL_POINTS, fn=None
                  ) -> tuple[int, float, float, float | None]:
     """(points, min, max, max |fn - spline| or None) of the spline over the
-    n^3 evaluation grid, reduced block by block of `QISpline.grid_blocks`;
-    ``fn`` is read at the points of `qi.grid_points`."""
+    evaluation grid of ``n`` points per axis, one count or three, reduced
+    block by block of `QISpline.grid_blocks`; ``fn`` is read at the points
+    of `qi.grid_points`."""
     lows, highs, errors = [], [], []
     for j, k, block in spline.grid_blocks(n):
         values = block.reshape(-1)
@@ -50,11 +51,11 @@ def grid_summary(spline, n: int = DEFAULT_EVAL_POINTS, fn=None
         if fn is not None:
             errors.append(np.abs(values - fn.on_omega(
                 _block_points(spline.grid, n, j, k, block))).max())
-    return (n ** 3, float(np.min(lows)), float(np.max(highs)),
+    return (prod(qi._grid_size(n)), float(np.min(lows)), float(np.max(highs)),
             float(np.max(errors)) if fn is not None else None)
 
 
-def convergence_table(fn_id: str, m_values, eval_points: int | None = None
+def convergence_table(fn_id: str, m_values, eval_points=None
                       ) -> list[ConvergenceRow]:
     """Error rows for one benchmark over increasing m (sorted ascending)."""
     n = DEFAULT_EVAL_POINTS if eval_points is None else eval_points
@@ -80,8 +81,7 @@ def _cube_count(m) -> int:
     return int(m)
 
 
-def gradient_error(fn_id: str, m: int, eval_points: int | None = None
-                   ) -> float:
+def gradient_error(fn_id: str, m: int, eval_points=None) -> float:
     """max over the evaluation grid of max-component gradient error,
     reduced as in `grid_summary`; the reference is a central difference of
     ``fn`` at the points of `qi.grid_points`."""
@@ -101,10 +101,10 @@ def gradient_error(fn_id: str, m: int, eval_points: int | None = None
     return float(np.max(errors))
 
 
-def _block_points(grid, n: int, j: int, k: int, block) -> np.ndarray:
+def _block_points(grid, n, j: int, k: int, block) -> np.ndarray:
     """The points, in C order, of a `QISpline.grid_blocks` block: planes
     j .. j + a - 1 and rows k .. k + b - 1 of the evaluation grid."""
-    a, b = block.shape[:2]
-    ids = (np.arange(j, j + a)[:, None, None] * n
-           + np.arange(k, k + b)[:, None]) * n + np.arange(n)
+    a, b, n3 = block.shape[:3]
+    ids = np.ravel_multi_index(np.ix_(range(j, j + a), range(k, k + b),
+                                      range(n3)), qi._grid_size(n))
     return qi.grid_points(grid, n, ids.reshape(-1))

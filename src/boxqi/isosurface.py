@@ -1,20 +1,20 @@
 """Isosurface extraction by marching tetrahedra, with OBJ/PLY export.
 
-The spline is sampled on an (R+1)^3 point grid over Omega (R cells per
-axis); each sampling cell is split into the six tetrahedra sharing its main
-diagonal, and every tetrahedron contributes 0, 1 or 2 triangles whose
-vertices sit on cell edges, placed by linear interpolation of the sampled
-values.  Because all tetrahedra share the same diagonal direction, faces of
-neighbouring cells are triangulated compatibly and shared surface edges are
-used by at most two triangles.  The march is one table-driven pass: the
-case codes of all 6 R^3 tetrahedra are read from shifted views of the
-above-isovalue mask, and each crossed tetrahedron looks its triangles up in
-a (tetrahedron, case) table, so triangles come in (tetrahedron, cell, slot)
-order, each wound by the table to face the above-isovalue side; no pass
-normalizes the winding afterwards.
+The spline is sampled on a grid over Omega of R_a cells along each axis a
+(one R or three); each sampling cell is split into the six tetrahedra
+sharing its main diagonal, and every tetrahedron contributes 0, 1 or 2
+triangles whose vertices sit on cell edges, placed by linear interpolation
+of the sampled values.  Because all tetrahedra share the same diagonal
+direction, faces of neighbouring cells are triangulated compatibly and
+shared surface edges are used by at most two triangles.  The march is one
+table-driven pass: the case codes of all 6 R1 R2 R3 tetrahedra are read
+from shifted views of the above-isovalue mask, and each crossed tetrahedron
+looks its triangles up in a (tetrahedron, case) table, so triangles come in
+(tetrahedron, cell, slot) order, each wound by the table to face the
+above-isovalue side; no pass normalizes the winding afterwards.
 
 The sample lattice comes from `qi.grid_values`: read by correlation
-(`QISpline.eval_lattice`) when R is a multiple of every m_i, otherwise from
+(`qi._lattice_values`) when every R_a is a multiple of m_a, otherwise from
 `QISpline.grid_blocks` at the exact lattice, one kernel per distinct local
 offset triple, with no point array and no point located.
 
@@ -97,7 +97,7 @@ class IsoRequest:
     """Extraction parameters: isovalue, cells per axis, optional extras."""
 
     isovalue: float
-    resolution: int = 64
+    resolution: int | tuple = 64   # one count, or one per axis
     refine: bool = False
     reference: object = None   # optional callable points -> values
 
@@ -106,16 +106,20 @@ class IsoRequest:
         if not (isinstance(rho, Real) and not isinstance(rho, bool)
                 and np.isfinite(rho)):
             raise ValueError(f"isovalue must be a finite number, got {rho!r}")
-        if not (isinstance(res, Integral) and not isinstance(res, bool)
-                and res >= 2):
-            raise ValueError(f"resolution must be an integer of at least 2 "
-                             f"cells per axis, got {res!r}")
+        per_axis = isinstance(res, (tuple, list)) or np.ndim(res)
+        cells = tuple(res) if per_axis else (res,) * 3
+        if len(cells) != 3 or not all(
+                isinstance(c, Integral) and not isinstance(c, bool) and c >= 2
+                for c in cells):
+            raise ValueError(f"resolution must be one integer or three of at "
+                             f"least 2 cells per axis, got {res!r}")
         if not isinstance(self.refine, (bool, np.bool_)):
             raise ValueError(f"refine must be a bool, got {self.refine!r}")
         if not (self.reference is None or callable(self.reference)):
             raise ValueError(f"reference must be callable, got "
                              f"{self.reference!r}")
-        object.__setattr__(self, "resolution", int(res))
+        object.__setattr__(self, "resolution",
+                           tuple(map(int, cells)) if per_axis else int(res))
 
 
 # ---------------------------------------------------------------------------
@@ -193,10 +197,10 @@ def _march(values, rho):
 def extract(spline, request: IsoRequest) -> TriangleMesh:
     """March the sampled spline and return the (possibly empty) mesh."""
     rho = float(request.isovalue)
-    res = request.resolution
     grid = spline.grid
-    values = qi.grid_values(spline, res + 1)
-    area_cut = _AREA_FACTOR * (max(grid.m) * grid.h / res) ** 2
+    values = qi.grid_values(spline, np.add(request.resolution, 1))
+    area_cut = _AREA_FACTOR * max(m * grid.h / (n - 1)
+                                  for m, n in zip(grid.m, values.shape)) ** 2
     # a sample within rounding of rho lies on the surface: it is set to rho,
     # so every edge ending there puts its vertex there (t = 0 or 1)
     tie = _TIE_FACTOR * max(values.max(), -values.min())
@@ -228,7 +232,7 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
     ia, ib = ia[first], ib[first]
     va, vb = flat[ia], flat[ib]
     t = (rho - va) / (vb - va)  # in [0, 1), 0 exactly at a sample vertex
-    pa, pb = (qi.grid_points(grid, res + 1, i) for i in (ia, ib))
+    pa, pb = (qi.grid_points(grid, values.shape, i) for i in (ia, ib))
     svals = _refine_vertices(spline, t, pa, pb, va - rho, vb - rho, rho,
                              60 if request.refine else 1)
     verts = pa + t[:, None] * (pb - pa)
@@ -239,10 +243,10 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
     triangles = triangles[area2 > 2.0 * area_cut]
 
     # compact to referenced vertices (keyed order kept, so deterministic)
-    used = np.unique(triangles.reshape(-1))
-    remap = np.full(len(verts), -1, dtype=np.int32)
-    remap[used] = np.arange(len(used), dtype=np.int32)
-    verts, svals = verts[used], svals[used]
+    keep = np.zeros(len(verts), dtype=bool)
+    keep[triangles] = True
+    remap = (np.cumsum(keep) - 1).astype(np.int32)
+    verts, svals = verts[keep], svals[keep]
     triangles = remap[triangles]
 
     residual = float(np.abs(svals - rho).max()) if len(verts) else 0.0

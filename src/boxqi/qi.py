@@ -33,8 +33,9 @@ working set does not grow with the call.
 Uniform grids are read by local offset, not point by point: an offset's
 tetrahedron, basis and block columns fold into one 53-tap kernel
 (`_kernels`), correlated straight into the offset's strided view of an
-aligned lattice (``eval_lattice``) and dotted with each point's gathered
-window on any grid of n points per axis (``grid_blocks``).
+aligned lattice (``_lattice_values``) or dotted with each point's gathered
+window on any grid of n_a points along each axis a (``grid_blocks``);
+`grid_values` reads every such grid through one of the two.
 ``_correlate`` sums each slab of its output in one contiguous accumulator
 and copies a finished slab into the (usually strided) output once, with
 the same products and sums in the same order as per-tap whole-array sums.
@@ -538,52 +539,13 @@ class QISpline:
         out = self._evaluate(points, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
         return out[0] if scalar else out
 
-    def eval_lattice(self, r) -> np.ndarray:
-        """Values on the lattice of spacing h / r_a along each axis a.
-
-        ``r`` is a positive integer, or one per axis.  The result has shape
-        (r1 m1 + 1, r2 m2 + 1, r3 m3 + 1); entry (j1, j2, j3) is the value
-        at (j1 h / r1, j2 h / r2, j3 h / r3).  Lattice planes go to cubes by
-        `locate`'s rule, cube clamp(ceil(u) - 1), so every cube holds the
-        local offsets k / r_a, k = 1..r_a, and cube 0 also the plane
-        u_a = 0; each point uses the patch `eval` would use.  One offset is
-        one 53-tap kernel of `_kernels`, tetrahedron 0's map times its
-        Bernstein basis on the slots g_t(w) of its tetrahedron t, sorted
-        into window order.  ``_correlate`` applies its nonzero taps (32 at a
-        cube's corner offset) straight into the offset's strided view of
-        the result: no point is located or gathered, and memory beyond the
-        result is `_correlate`'s two slabs.  `grid_blocks` serves the
-        uniform grids this lattice does not cover.
-        """
-        r = (r,) * 3 if np.ndim(r) == 0 else tuple(r)
-        if len(r) != 3 or not all(isinstance(x, Integral)
-                                  and not isinstance(x, bool) and x >= 1
-                                  for x in r):
-            raise ValueError(
-                f"lattice factors must be positive integers, got {r!r}")
-        slots = _tet_blocks(((0, 0, 0),))[0]
-        offsets = list(np.ndindex(*(x + 1 for x in r)))
-        tet, kernels = _kernels(np.array(offsets) / np.array(r),
-                                ((0, 0, 0),), self.grid.h)
-        order = np.argsort(slots[tet], axis=1)  # taps in window order
-        kernels = np.take_along_axis(kernels[:, 0], order, axis=1)
-        taps = _WINDOW[np.take_along_axis(slots[tet], order, axis=1)]
-        m = self.grid.m
-        out = np.empty(tuple(x * n + 1 for x, n in zip(r, m)))
-        for k, kernel, tap in zip(offsets, kernels, taps):
-            nonzero = kernel != 0
-            _correlate(self.coefficients, tap[nonzero], kernel[nonzero],
-                       out[tuple(slice(ka, None, x) if ka else slice(0, 1)
-                                 for ka, x in zip(k, r))])
-        return out
-
     def grid_blocks(self, n, gammas=((0, 0, 0),)):
         """D^gamma Qf for the q multi-indices ``gammas`` (all of one order)
-        on the grid of n points per axis over the domain, at the exact
-        lattice j_a m_a h / (n - 1), in blocks of whole lines of the last
-        axis: yields (j, k, values (a, b, n, q)) for planes j .. j + a - 1
-        of the first axis and rows k .. k + b - 1 of the second, each point
-        once.
+        on the grid of n_a points along each axis a over the domain (``n``
+        as in `grid_values`), at the exact lattice j_a m_a h / (n_a - 1),
+        in blocks of whole lines of the last axis: yields (j, k, values
+        (a, b, n3, q)) for planes j .. j + a - 1 of the first axis and rows
+        k .. k + b - 1 of the second, each point once.
 
         By `_grid_axis` the grid is copies of one tile of distinct local
         offset triples, each copy a shift of the flat coefficient index.
@@ -604,7 +566,7 @@ class QISpline:
         _, m2, m3 = self.coefficients.shape
         strides = (m2 * m3, m3, 1)
         offsets = (_WINDOW @ strides)[_tet_blocks(gammas)[0]]
-        axes = [_grid_axis(m, n) for m in self.grid.m]
+        axes = [_grid_axis(m, k) for m, k in zip(self.grid.m, n)]
         (cx, ux, _, _), (cy, uy, _, _), (cz, uz, _, _) = axes
         lines = max(1, _EVAL_BLOCK // (len(gammas) * len(uz)))
         step_y = min(len(uy), lines)
@@ -630,8 +592,9 @@ class QISpline:
                 local = np.stack(np.meshgrid(ux[xlo:xhi], uy[ylo:yhi], uz,
                                              indexing="ij"), axis=-1)
                 shape = local.shape[:3]
-                tet, kernels = _kernels(local.reshape(-1, 3) / max(n - 1, 1),
-                                        gammas, self.grid.h)
+                tet, kernels = _kernels(
+                    local.reshape(-1, 3) / np.maximum(np.subtract(n, 1), 1),
+                    gammas, self.grid.h)
                 kernels = kernels.reshape(shape + (len(gammas), -1))
                 index = offsets[tet].reshape(shape + (-1,))
                 index += (cx[xlo:xhi, None, None] * strides[0]
@@ -639,7 +602,7 @@ class QISpline:
                 for (jx, ax, sx), (jy, ay, sy) in product(
                         copies(0, xlo, xlo + shape[0]),
                         copies(1, ylo, ylo + shape[1])):
-                    out = np.empty((shape[0] - ax, shape[1] - ay, n,
+                    out = np.empty((shape[0] - ax, shape[1] - ay, n[2],
                                     len(gammas)))
                     for jz, az, sz in copies(2, 0, len(uz)):
                         box = (slice(ax, None), slice(ay, None),
@@ -761,43 +724,74 @@ class QISpline:
 # uniform grids over Omega
 # ---------------------------------------------------------------------------
 
-def grid_points(grid: DomainGrid, n: int, ids) -> np.ndarray:
-    """The points of flat (C-order) ids ``ids`` on the grid of n points per
-    axis over Omega: ``np.linspace(0, m_a h, n)[j_a]`` along each axis a.
-    Reference functions are read here; `QISpline.grid_blocks` reads the
-    spline at the exact lattice j_a m_a h / (n - 1) these points round."""
-    axes = [np.linspace(0.0, m * grid.h, n) for m in grid.m]
+def grid_points(grid: DomainGrid, n, ids) -> np.ndarray:
+    """The points of flat (C-order) ``ids`` on the grid of `grid_values`:
+    ``np.linspace(0, m_a h, n_a)[j_a]`` along each axis a.  Reference
+    functions are read here; `QISpline.grid_blocks` reads the spline at the
+    exact lattice j_a m_a h / (n_a - 1) these points round."""
+    n = _grid_size(n)
+    axes = [np.linspace(0.0, m * grid.h, k) for m, k in zip(grid.m, n)]
     return np.stack([ax[i] for ax, i in
-                     zip(axes, np.unravel_index(ids, (n, n, n)))], axis=-1)
+                     zip(axes, np.unravel_index(ids, n))], axis=-1)
 
 
-def grid_values(spline, n: int) -> np.ndarray:
-    """The (n, n, n) values of ``spline`` on the grid of `grid_points`.
+def grid_values(spline, n) -> np.ndarray:
+    """The (n1, n2, n3) values of ``spline`` on the grid of `grid_points`;
+    ``n`` is the points per axis, one count or three.
 
-    When every m_a divides n - 1 they are read by ``spline.eval_lattice``,
+    When every m_a divides n_a - 1 they are read by `_lattice_values`,
     whose cube rule puts each plane where ``eval`` would; otherwise block
     by block of ``spline.grid_blocks`` at the exact lattice j m_a h /
-    (n - 1), which `grid_points` can miss by an ulp, into one preallocated
-    array.  No point is located.  ``spline`` needs ``grid``, and
-    ``eval_lattice`` or ``grid_blocks``.
+    (n_a - 1), which `grid_points` can miss by an ulp, into one
+    preallocated array.  No point is located.
     """
-    n = _grid_size(n)
-    m = spline.grid.m
-    if n > 1 and all((n - 1) % k == 0 for k in m):
-        return spline.eval_lattice([(n - 1) // k for k in m])
-    out = np.empty((n, n, n))
+    counts, m = _grid_size(n), spline.grid.m
+    if all(c > 1 and (c - 1) % k == 0 for c, k in zip(counts, m)):
+        return _lattice_values(spline, np.subtract(counts, 1) // m)
+    out = np.empty(counts)
     for j, k, block in spline.grid_blocks(n):
         out[j:j + block.shape[0], k:k + block.shape[1]] = block[..., 0]
     return out
 
 
-def _grid_size(n) -> int:
-    """``n`` if it is a usable number of grid points per axis: an integer
-    (not bool) of at least 1; anything else raises one ``ValueError``."""
-    if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+def _lattice_values(spline, r) -> np.ndarray:
+    """The (r_a m_a + 1) values at j_a h / r_a along each axis a, for
+    positive integer factors ``r``.  Planes go to cubes by `locate`'s rule,
+    cube clamp(ceil(u) - 1), so each point uses the patch `eval` would use
+    and every cube holds the local offsets k / r_a, k = 1..r_a (cube 0 also
+    k = 0).  One offset is one 53-tap `_kernels` kernel in window order,
+    whose nonzero taps (32 at a corner) ``_correlate`` applies straight into
+    the offset's strided view of the result: no point is located or
+    gathered, and memory beyond the result is `_correlate`'s two slabs."""
+    slots = _tet_blocks(((0, 0, 0),))[0]
+    offsets = list(np.ndindex(*(x + 1 for x in r)))
+    tet, kernels = _kernels(np.array(offsets) / np.array(r),
+                            ((0, 0, 0),), spline.grid.h)
+    order = np.argsort(slots[tet], axis=1)  # taps in window order
+    kernels = np.take_along_axis(kernels[:, 0], order, axis=1)
+    taps = _WINDOW[np.take_along_axis(slots[tet], order, axis=1)]
+    m = spline.grid.m
+    out = np.empty(tuple(x * n + 1 for x, n in zip(r, m)))
+    for k, kernel, tap in zip(offsets, kernels, taps):
+        nonzero = kernel != 0
+        _correlate(spline.coefficients, tap[nonzero], kernel[nonzero],
+                   out[tuple(slice(ka, None, x) if ka else slice(0, 1)
+                             for ka, x in zip(k, r))])
+    return out
+
+
+def _grid_size(n) -> tuple:
+    """``n`` as (n1, n2, n3) if it is one count or three, integers (not
+    bool) of at least 1; anything else, a ragged list too (which
+    ``np.ndim`` would reject in its own words), raises one ``ValueError``."""
+    per_axis = isinstance(n, (tuple, list)) or np.ndim(n)
+    counts = tuple(n) if per_axis else (n,) * 3
+    if len(counts) != 3 or not all(
+            isinstance(c, Integral) and not isinstance(c, bool) and c >= 1
+            for c in counts):
         raise ValueError(f"evaluation grid needs n >= 1 points per axis, "
                          f"got {n!r}")
-    return int(n)
+    return tuple(map(int, counts))
 
 
 def _grid_axis(m: int, n: int):

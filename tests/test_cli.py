@@ -176,6 +176,30 @@ def test_isosurface_output_errors_come_before_extraction(capsys, tmp_path,
     assert sorted(p.name for p in tmp_path.iterdir()) == ["f2.qis"]
 
 
+def test_isosurface_takes_a_resolution_per_axis(capsys, tmp_path):
+    """``--res`` parses as ``--m`` does: three counts give the mesh of
+    ``IsoRequest`` with those counts, and a malformed value fails with one
+    line and no mesh."""
+    spline_path = tmp_path / "f2.qis"
+    run(capsys, "approximate", "--fn", "f2", "--m", "11",
+        "--out", str(spline_path))
+    mesh_path = tmp_path / "f2.ply"
+    code, out, err = run(capsys, "isosurface", "--in", str(spline_path),
+                         "--iso", "0.3", "--res", "22,13,11",
+                         "--out", str(mesh_path))
+    assert code == 0 and err == ""
+    expected = isosurface.extract(qi.QISpline.load(spline_path),
+                                  isosurface.IsoRequest(0.3, (22, 13, 11)))
+    assert mesh_path.read_bytes() == isosurface.write_ply(expected)
+    assert out.startswith(f"wrote {mesh_path} ({len(expected.vertices)} ")
+    code, out, err = run(capsys, "isosurface", "--in", str(spline_path),
+                         "--iso", "0.3", "--res", "12,12,x",
+                         "--out", str(tmp_path / "x.obj"))
+    assert code == 1 and out == ""
+    assert err == "error: --res takes integers, got '12,12,x'\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["f2.ply", "f2.qis"]
+
+
 def test_approximate_from_raw_volume(capsys, tmp_path, rng):
     from boxqi import volume
     header = volume.VolumeHeader((13, 13, 13))

@@ -1,6 +1,12 @@
 """Tetrahedral isosurface extraction and OBJ/PLY serialization."""
 
+import hashlib
 import importlib.util
+import os
+import random
+import subprocess
+import sys
+import time
 import tracemalloc
 from itertools import permutations
 from pathlib import Path
@@ -38,6 +44,46 @@ def _normals(mesh):
 def bump_setup():
     samples, grid, fn = volume.sample_test_function("f2", 16)
     return qi.approximate(samples, grid).compile(), fn
+
+
+def _cubic_body(ms, seed):
+    """The spline of a seeded cubic field on m = ``ms`` cells of width 1:
+    a bright elliptic body (36000 at its centre) with a random cubic
+    distortion, like a CT scan's.  Its parameters come from Python's
+    seeded ``random()``, whose stream is stable across versions."""
+    rng = random.Random(seed)
+
+    def uniform(lo, hi):
+        return lo + (hi - lo) * rng.random()
+
+    centre = [uniform(0.45, 0.55), uniform(0.45, 0.55), uniform(0.40, 0.60)]
+    terms = [((i, j, 3 - i - j), uniform(-300.0, 300.0))
+             for i in range(4) for j in range(4 - i)]
+    x, y, z = np.ix_(*(domain.data_coordinate(np.arange(m + 2), m, 1.0) / m
+                       for m in ms))
+    samples = (36000.0 - 35000.0 * ((x - centre[0]) ** 2
+                                    + (y - centre[1]) ** 2)
+               - 10000.0 * (z - centre[2]) ** 2)
+    for (i, j, k), b in terms:
+        samples = samples + b * x ** i * y ** j * z ** k
+    return qi.approximate(samples, geometry.DomainGrid(*ms, 1.0))
+
+
+def test_a_point_where_the_surface_collapses_leaves_no_vertex():
+    """s = |p - c|^2 (0.9 - x) at rho = 0 is the sheet x = 0.9 and the
+    lattice point c, whose surrounding triangles collapse onto it and are
+    dropped: the compaction then drops c too, so every vertex left lies
+    on the sheet and is used by a triangle."""
+    grid = geometry.DomainGrid(12, 12, 12, 1 / 12)
+    pts = domain.data_points(grid)
+    spline = qi.approximate(((pts - 0.5) ** 2).sum(axis=-1)
+                            * (0.9 - pts[..., 0]), grid)
+    mesh = iso.extract(spline, iso.IsoRequest(0.0, 12))
+    assert len(mesh.triangles)
+    # linear vertices on the sheet's crossed edges, within a cell of it
+    assert (np.abs(mesh.vertices[:, 0] - 0.9) < 1 / 12).all()
+    assert np.unique(mesh.triangles).tolist() == list(range(len(
+        mesh.vertices)))
 
 
 def test_request_validation():
@@ -403,7 +449,10 @@ def test_write_mesh_dispatch(bump_setup, tmp_path):
     ("resolution", 16.0), ("isovalue", "0.3"), ("isovalue", 0.3j),
     ("isovalue", None), ("isovalue", True), ("refine", "no"),
     ("refine", 1), ("refine", None), ("reference", 5),
-    ("reference", "f2")])
+    ("reference", "f2"), ("resolution", (64, 1, 64)),
+    ("resolution", (64, 64)), ("resolution", (64, 64.0, 64)),
+    ("resolution", (64, True, 64)), ("resolution", (64, 64, 64, 64)),
+    ("resolution", [64, [64, 64]]), ("resolution", {64})])
 def test_request_rejects_bad_types_with_one_error(field, value):
     args = {"isovalue": 0.3, "resolution": 16, field: value}
     with pytest.raises(ValueError, match=field):
@@ -413,6 +462,9 @@ def test_request_rejects_bad_types_with_one_error(field, value):
 def test_request_accepts_numpy_scalars():
     req = iso.IsoRequest(np.float64(0.3), resolution=np.int64(16))
     assert req.resolution == 16 and type(req.resolution) is int
+    req = iso.IsoRequest(0.3, resolution=[np.int64(16), 12, 11])
+    assert req.resolution == (16, 12, 11)
+    assert all(type(r) is int for r in req.resolution)
 
 
 def test_request_accepts_a_numpy_bool_refine(bump_setup):
@@ -423,15 +475,22 @@ def test_request_accepts_a_numpy_bool_refine(bump_setup):
 
 class _Recording:
     """Forwards to a spline, recording the points of every ``eval`` call,
-    the factors of every ``eval_lattice`` call and the size of every
-    ``grid_blocks`` call."""
+    the factors of every `qi._lattice_values` call (which it patches) and
+    the size of every ``grid_blocks`` call."""
 
-    def __init__(self, spline):
+    def __init__(self, spline, monkeypatch):
         self.spline = spline
         self.grid = spline.grid
         self.points = []
         self.factors = []
         self.grids = []
+        lattice = qi._lattice_values
+
+        def record(recording, r):
+            self.factors.append(list(r))
+            return lattice(recording.spline, r)
+
+        monkeypatch.setattr(qi, "_lattice_values", record)
 
     @property
     def sizes(self):
@@ -441,46 +500,52 @@ class _Recording:
         self.points.append(points)
         return self.spline.eval(points)
 
-    def eval_lattice(self, r):
-        self.factors.append(list(r))
-        return self.spline.eval_lattice(r)
-
     def grid_blocks(self, n, *args):
         self.grids.append(n)
         return self.spline.grid_blocks(n, *args)
 
 
-def test_aligned_lattice_is_read_without_point_evaluation(bump_setup):
-    spline, _ = bump_setup  # m = 16 per axis
-    recording = _Recording(spline)
-    mesh = iso.extract(recording, iso.IsoRequest(0.3, resolution=32))
-    assert recording.factors == [[2, 2, 2]] and recording.grids == []
-    # one point evaluation: the linear vertices, which give the residual
-    assert len(recording.points) == 1
-    assert {tuple(v) for v in mesh.vertices.tolist()} <= {
-        tuple(p) for p in recording.points[0].tolist()}
-
-    class PointByPoint:
-        grid = spline.grid
-        eval = spline.eval
-
-        def eval_lattice(self, r):
-            axes = [np.linspace(0.0, m * self.grid.h, f * m + 1)
-                    for f, m in zip(r, self.grid.m)]
-            pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-            return spline.eval(pts.reshape(-1, 3)).reshape(
-                [len(a) for a in axes])
-
-    reference = iso.extract(PointByPoint(), iso.IsoRequest(0.3,
-                                                           resolution=32))
-    np.testing.assert_array_equal(mesh.triangles, reference.triangles)
-    np.testing.assert_allclose(mesh.vertices, reference.vertices,
-                               rtol=0, atol=1e-12)
+def _point_by_point(spline, r):
+    """`qi._lattice_values` by point ``eval`` at the lattice points."""
+    axes = [np.linspace(0.0, m * spline.grid.h, f * m + 1)
+            for f, m in zip(r, spline.grid.m)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return spline.eval(pts.reshape(-1, 3)).reshape([len(a) for a in axes])
 
 
-def test_refinement_starts_from_the_linear_vertices(bump_setup):
+def test_aligned_lattice_is_read_without_point_evaluation(bump_setup,
+                                                          monkeypatch):
+    """f2 at m = 16 with R = 32, and a cubic body at m = (16, 12, 11) with
+    R = (32, 24, 11), read the lattice of factors (2, 2, 2) and (2, 2, 1)
+    and never `grid_blocks`."""
+    for spline, rho, res, factors in [
+            (bump_setup[0], 0.3, 32, [2, 2, 2]),
+            (_cubic_body((16, 12, 11), 5), 26000.0, (32, 24, 11),
+             [2, 2, 1])]:
+        with monkeypatch.context() as patch:
+            recording = _Recording(spline, patch)
+            mesh = iso.extract(recording, iso.IsoRequest(rho, res))
+        assert recording.factors == [factors] and recording.grids == []
+        # one point evaluation: the linear vertices, which give the residual
+        assert len(recording.points) == 1 and len(mesh.vertices)
+        assert {tuple(v) for v in mesh.vertices.tolist()} <= {
+            tuple(p) for p in recording.points[0].tolist()}
+
+        with monkeypatch.context() as patch:
+            patch.setattr(qi, "_lattice_values", _point_by_point)
+            patch.setattr(qi.QISpline, "grid_blocks", None)
+            reference = iso.extract(spline, iso.IsoRequest(rho, res))
+        np.testing.assert_array_equal(mesh.triangles, reference.triangles)
+        np.testing.assert_allclose(mesh.vertices, reference.vertices,
+                                   rtol=0, atol=1e-12 * max(
+                                       m * spline.grid.h
+                                       for m in spline.grid.m))
+
+
+def test_refinement_starts_from_the_linear_vertices(bump_setup,
+                                                    monkeypatch):
     spline, _ = bump_setup
-    recording = _Recording(spline)
+    recording = _Recording(spline, monkeypatch)
     iso.extract(recording, iso.IsoRequest(0.3, resolution=8, refine=True))
     linear = iso.extract(spline, iso.IsoRequest(0.3, resolution=8))
     # the unaligned lattice comes from `grid_blocks`, not from `eval`
@@ -489,9 +554,10 @@ def test_refinement_starts_from_the_linear_vertices(bump_setup):
     assert {tuple(v) for v in linear.vertices.tolist()} <= first
 
 
-def test_refinement_needs_few_evaluations_per_vertex(bump_setup):
+def test_refinement_needs_few_evaluations_per_vertex(bump_setup,
+                                                     monkeypatch):
     spline, _ = bump_setup
-    recording = _Recording(spline)
+    recording = _Recording(spline, monkeypatch)
     mesh = iso.extract(recording, iso.IsoRequest(0.3, resolution=8,
                                                   refine=True))
     # calls: the refinement steps; the sample lattice is `grid_blocks`'
@@ -627,3 +693,68 @@ def test_failed_write_leaves_the_previous_mesh(tmp_path, monkeypatch):
         iso.write_mesh(_ODD_MESH, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["m.obj"]
+
+
+# SHA-256 of `write_obj` and `write_ply` of these int-resolution meshes:
+# the grid routes, the march, the vertex merge and the compaction keep
+# every byte.  Evaluation runs BLAS products, so another BLAS build may
+# round differently.
+_MESH_DIGESTS = {
+    ("f2", 32, True): (
+        "bbf37530be595597b37aa551641e05b89996f8c62ab89700e4b8b7c476e5c48f",
+        "9f472707d72de1ae08f5c7bfad2bf2b9ff556101bf74c261ea9e57050b9b943b"),
+    ("f2", 64, False): (
+        "28ca630607ef4aab8f41debf91f4cdceee78ccb892586bb68170ad27ae5415a6",
+        "ff547857393c259332bf9cb3054816f482d302e8920ed27c353f49db55caeb47"),
+    ("f2", 100, False): (
+        "b3ce35719ec21620e5064e984527791ae3bc1e7d2e668b8f0c1293b509b03f70",
+        "95a693a200e4c96f1a3b5b9174906bf239b99a625d12584ddcf1d92b169794b9"),
+    ("body", 25, False): (
+        "92bd7b5e688d024a540d7d9b6250a4d4f9a2df7b5da2c08ff63df18eb9243bc9",
+        "6ebbfd275fa1d58bd0e9241a5377f4f823bcae866aa5502e7e19839fdd2e3130"),
+}
+
+
+def test_mesh_bytes_are_pinned():
+    """f2 at m = 32, rho = 0.3: R = 32 refined (the lattice of factor 1),
+    R = 64 (factor 2) and R = 100 (the tile route); and a cubic body at
+    m = (14, 12, 11), rho = 26000, R = 25 (the tile route)."""
+    samples, grid, _ = volume.sample_test_function("f2", 32)
+    f2 = qi.approximate(samples, grid)
+    body = _cubic_body((14, 12, 11), 27)
+    for (name, res, refine), digests in _MESH_DIGESTS.items():
+        spline, rho = (f2, 0.3) if name == "f2" else (body, 26000.0)
+        mesh = iso.extract(spline, iso.IsoRequest(rho, res, refine=refine))
+        got = (hashlib.sha256(iso.write_obj(mesh).encode()).hexdigest(),
+               hashlib.sha256(iso.write_ply(mesh)).hexdigest())
+        assert got == digests, (name, res)
+
+
+@pytest.mark.slow
+def test_scan_lattice_isosurface_stays_within_budget(tmp_path):
+    """A cold ``isosurface --res 254,254,97`` on a (254, 254, 97) cubic
+    body reads the spline's own data lattice (factors 1) within the 1 GiB
+    budget; peak RSS is the child's, from ``wait4``."""
+    path = tmp_path / "scan.qis"
+    _cubic_body((254, 254, 97), 7).save(path)
+    src = str(Path(iso.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    child = subprocess.Popen(
+        [sys.executable, "-m", "boxqi.cli", "isosurface", "--in", str(path),
+         "--iso", "26000", "--res", "254,254,97",
+         "--out", str(tmp_path / "scan.ply")],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    _, status, usage = os.wait4(child.pid, 0)
+    wall = time.perf_counter() - start
+    child.returncode = os.waitstatus_to_exitcode(status)
+    out, err = child.communicate()
+    assert child.returncode == 0, err
+    vertices = len(iso.read_ply((tmp_path / "scan.ply").read_bytes())
+                   .vertices)
+    peak = usage.ru_maxrss * 1024  # KiB on Linux
+    print(f"isosurface --res 254,254,97: {wall:.2f} s, "
+          f"{peak / 2 ** 20:.0f} MiB peak RSS, {vertices} vertices")
+    assert out.startswith(f"wrote {tmp_path / 'scan.ply'} ({vertices} ")
+    assert peak < 1 << 30

@@ -11,7 +11,8 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from boxqi import bernstein, boxspline, domain, geometry, qi, stencils
+from boxqi import (bernstein, boxspline, convergence, domain, geometry, qi,
+                   stencils)
 from test_bernstein import oracle_basis
 
 
@@ -1187,7 +1188,7 @@ def test_evaluation_is_within_1e_14_of_exact_sums(f2_m32, which):
 
 
 # --------------------------------------------------------------------------
-# aligned lattices by correlation
+# aligned lattices by correlation (`qi._lattice_values`)
 # --------------------------------------------------------------------------
 
 def _lattice_points(grid, r):
@@ -1202,7 +1203,7 @@ def _lattice_points(grid, r):
 def test_eval_lattice_matches_eval(rng, m, r):
     grid = geometry.DomainGrid(*m, h=0.3)
     spline = qi.QISpline(grid, rng.normal(size=tuple(n + 4 for n in m)))
-    values = spline.eval_lattice(r)
+    values = qi._lattice_values(spline, r)
     assert values.shape == tuple(f * n + 1 for f, n in zip(r, m))
     expected = spline.eval(_lattice_points(grid, r))
     scale = np.abs(spline.coefficients).max()
@@ -1219,7 +1220,7 @@ def test_eval_lattice_reproduces_cubics():
     spline = qi.approximate(_samples_of(p, grid), grid)
     pts = _lattice_points(grid, (2, 3, 1))
     exact = p(pts[:, 0], pts[:, 1], pts[:, 2])
-    values = spline.eval_lattice((2, 3, 1)).reshape(-1)
+    values = qi._lattice_values(spline, (2, 3, 1)).reshape(-1)
     assert np.abs(values - exact).max() <= 1e-12
 
 
@@ -1273,7 +1274,7 @@ def test_eval_lattice_is_bitwise_the_per_tap_oracle(f2_m32, monkeypatch,
     if split:
         monkeypatch.setattr(qi, "_SLAB", 3 * m2 * m3 + 7)
         assert m1 % 3
-    np.testing.assert_array_equal(_bits(spline.eval_lattice(r)),
+    np.testing.assert_array_equal(_bits(qi._lattice_values(spline, r)),
                                   _bits(_lattice_per_tap(spline, r)))
 
 
@@ -1282,14 +1283,15 @@ def test_eval_lattice_of_the_scan_shape_is_bitwise_the_oracle():
     slab."""
     spline = qi.QISpline(geometry.DomainGrid(254, 254, 97, 1.0),
                          np.random.default_rng(3).normal(size=(258, 258, 101)))
-    np.testing.assert_array_equal(_bits(spline.eval_lattice(1)),
+    np.testing.assert_array_equal(_bits(qi._lattice_values(spline,
+                                                           (1, 1, 1))),
                                   _bits(_lattice_per_tap(spline, (1, 1, 1))))
 
 
 @pytest.mark.parametrize("m", [(128, 128, 48), (254, 254, 97)],
                          ids=["128x128x48", "254x254x97"])
 def test_eval_lattice_holds_the_result_and_two_slabs(m):
-    """Beyond the result, `eval_lattice` holds `_correlate`'s accumulator
+    """Beyond the result, `_lattice_values` holds `_correlate`'s accumulator
     and product slabs: each offset is summed into its strided view of the
     result, through no block of its own."""
     m1, m2, m3 = m
@@ -1300,7 +1302,7 @@ def test_eval_lattice_holds_the_result_and_two_slabs(m):
     qi._tet_blocks(((0, 0, 0),))  # the box-spline table, outside the trace
     tracemalloc.start()
     try:
-        out = spline.eval_lattice(1)
+        out = qi._lattice_values(spline, (1, 1, 1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1320,17 +1322,21 @@ def test_eval_lattice_correlates_only_nonzero_taps(monkeypatch):
     monkeypatch.setattr(qi, "_correlate", spy)
     spline = qi.QISpline(geometry.DomainGrid(11, 11, 11),
                          np.random.default_rng(6).normal(size=(15, 15, 15)))
-    spline.eval_lattice(1)
+    qi._lattice_values(spline, (1, 1, 1))
     assert len(weights) == 8
     assert all(len(w) == 32 and (w != 0).all() for w in weights)
 
 
 @pytest.mark.parametrize("r", [0, True, 1.5, (1, 2), (1, 0, 1), "2"])
-def test_eval_lattice_rejects_bad_factors(r):
+def test_eval_lattice_rejects_bad_factors(r, monkeypatch):
+    """`_lattice_values` has no validator of its own: its one caller,
+    `grid_values`, takes counts through `_grid_size`, so a malformed value
+    fails there with the one ValueError and never reaches the lattice."""
+    monkeypatch.setattr(qi, "_lattice_values", None)
     spline = qi.QISpline(geometry.DomainGrid(4, 4, 4),
                          np.zeros((8, 8, 8)))
-    with pytest.raises(ValueError, match="lattice factors"):
-        spline.eval_lattice(r)
+    with pytest.raises(ValueError, match="n >= 1"):
+        qi.grid_values(spline, r)
 
 
 # ---------------------------------------------------------------------------
@@ -1472,12 +1478,67 @@ def test_grid_blocks_cover_every_point_once(f2_m32, monkeypatch):
             calls.clear()
 
 
-@pytest.mark.parametrize("n", [True, False, 2.0, 25.0, "25", None, 0, -3])
+@pytest.mark.parametrize("n", [True, False, 2.0, 25.0, "25", None, 0, -3,
+                               1.5, (1, 2), (1, 0, 1), "2", (5, True, 5),
+                               (5, 5.0, 5), (5, 5, "5"), (5, 5, 5, 5),
+                               [5, [5, 5]], {5}])
 def test_grid_entry_points_reject_a_bad_size(f2_m32, n):
+    """One count or three, each an integer (not bool) of at least 1: a
+    count of the wrong length, a zero, a bool, a float, a string, a ragged
+    list or a set fails with the one ValueError through every uniform-grid
+    reader."""
     with pytest.raises(ValueError, match="n >= 1"):
         qi.grid_values(f2_m32, n)
     with pytest.raises(ValueError, match="n >= 1"):
         f2_m32.grid_blocks(n)
+    with pytest.raises(ValueError, match="n >= 1"):
+        qi.grid_points(f2_m32.grid, n, [0])
+    with pytest.raises(ValueError, match="n >= 1"):
+        convergence.grid_summary(f2_m32, n)
+
+
+def test_per_axis_grids_match_point_evaluation(f2_m32):
+    """Each axis keeps its own count, on both routes ((65, 33, 33) is the
+    lattice of factors (2, 1, 1), the others are not, one with a single
+    plane): values within 1.6e-15 of max |Qf| of point ``eval`` at
+    `grid_points`, gradients of `grid_blocks` within 7.1e-15 of max
+    |grad Qf| of ``gradient``, the bounds the f2 grids are documented to."""
+    gradient = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for n in [(65, 33, 33), (65, 45, 33), (1, 33, 30), (101, 45, 2)]:
+        points = qi.grid_points(f2_m32.grid, n, np.arange(math.prod(n)))
+        values = qi.grid_values(f2_m32, n)
+        assert values.shape == n
+        want = f2_m32.eval(points)
+        assert (np.abs(values.reshape(-1) - want).max()
+                <= 1.6e-15 * np.abs(want).max()), n
+        grads = np.empty(n + (3,))
+        for j, k, block in f2_m32.grid_blocks(n, gradient):
+            grads[j:j + block.shape[0], k:k + block.shape[1]] = block
+        want = f2_m32.gradient(points)
+        assert (np.abs(grads.reshape(-1, 3) - want).max()
+                <= 7.1e-15 * np.abs(want).max()), n
+
+
+def test_a_count_per_axis_of_n_is_n(f2_m32):
+    """(n, n, n) reads the bits n reads, on both routes: the values, the
+    gradient blocks, the points and the summary."""
+    spline = _anisotropic_spline()
+    gradient = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+    for s, n in [(f2_m32, 33), (f2_m32, 37), (spline, 25), (spline, 1)]:
+        triple = (n, n, n)
+        np.testing.assert_array_equal(_bits(qi.grid_values(s, triple)),
+                                      _bits(qi.grid_values(s, n)))
+        for (j, k, a), (jj, kk, b) in zip(s.grid_blocks(triple, gradient),
+                                          s.grid_blocks(n, gradient),
+                                          strict=True):
+            assert (j, k) == (jj, kk)
+            np.testing.assert_array_equal(_bits(a), _bits(b))
+        ids = np.arange(0, n ** 3, 7)
+        np.testing.assert_array_equal(
+            _bits(qi.grid_points(s.grid, triple, ids)),
+            _bits(qi.grid_points(s.grid, n, ids)))
+        assert (convergence.grid_summary(s, triple)
+                == convergence.grid_summary(s, n))
 
 
 def test_grid_blocks_rejects_mixed_orders(f2_m32):
@@ -1488,9 +1549,22 @@ def test_grid_blocks_rejects_mixed_orders(f2_m32):
 
 
 def test_aligned_grid_values_come_from_the_lattice(f2_m32, monkeypatch):
-    expected = f2_m32.eval_lattice(2)
+    expected = qi._lattice_values(f2_m32, (2, 2, 2))
     monkeypatch.setattr(qi.QISpline, "eval", None)  # no point evaluation
     np.testing.assert_array_equal(qi.grid_values(f2_m32, 65), expected)
+
+
+def test_the_scan_lattice_is_read_by_correlation(monkeypatch):
+    """(255, 255, 98) points on m = (254, 254, 97) are the spline's own
+    data lattice, factors (1, 1, 1), read by correlation, not by tiles."""
+    factors = []
+    monkeypatch.setattr(qi, "_lattice_values",
+                        lambda spline, r: factors.append(list(r)))
+    monkeypatch.setattr(qi.QISpline, "grid_blocks", None)
+    spline = qi.QISpline(geometry.DomainGrid(254, 254, 97),
+                         np.zeros((258, 258, 101)))
+    qi.grid_values(spline, (255, 255, 98))
+    assert factors == [[1, 1, 1]]
 
 
 def test_streamed_grid_values_memory(f2_m32):
