@@ -16,11 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import log2, prod
-from numbers import Integral
 
 import numpy as np
 
-from . import qi, volume
+from . import geometry, qi, volume
 
 __all__ = ["ConvergenceRow", "grid_summary", "convergence_table",
            "gradient_error"]
@@ -51,7 +50,8 @@ def grid_summary(spline, n=DEFAULT_EVAL_POINTS, fn=None
         if fn is not None:
             errors.append(np.abs(values - fn.on_omega(
                 _block_points(spline.grid, n, j, k, block))).max())
-    return (prod(qi._grid_size(n)), float(np.min(lows)), float(np.max(highs)),
+    return (prod(geometry.as_counts(n, 1, qi._GRID_POINTS)),
+            float(np.min(lows)), float(np.max(highs)),
             float(np.max(errors)) if fn is not None else None)
 
 
@@ -61,7 +61,8 @@ def convergence_table(fn_id: str, m_values, eval_points=None
     n = DEFAULT_EVAL_POINTS if eval_points is None else eval_points
     rows = []
     previous = {}
-    for m in sorted(map(_cube_count, m_values)):
+    cubes = "convergence table needs integers m >= 1 cubes per axis"
+    for m in sorted(geometry.as_count(m, 1, cubes) for m in m_values):
         samples, grid, fn = volume.sample_test_function(fn_id, m)
         error = grid_summary(qi.approximate(samples, grid), n, fn)[3]
         rf = (log2(previous[m // 2] / error)
@@ -69,16 +70,6 @@ def convergence_table(fn_id: str, m_values, eval_points=None
         rows.append(ConvergenceRow(fn_id, m, grid.h, error, rf))
         previous[m] = error
     return rows
-
-
-def _cube_count(m) -> int:
-    """``m`` if it is a usable number of cubes per axis: an integer (not
-    bool) of at least 1, the rule `qi._grid_size` applies to n; anything
-    else raises one ``ValueError``, so 16.9 is not truncated to 16."""
-    if isinstance(m, bool) or not isinstance(m, Integral) or m < 1:
-        raise ValueError(f"convergence table needs integers m >= 1 cubes "
-                         f"per axis, got {m!r}")
-    return int(m)
 
 
 def gradient_error(fn_id: str, m: int, eval_points=None) -> float:
@@ -105,6 +96,7 @@ def _block_points(grid, n, j: int, k: int, block) -> np.ndarray:
     """The points, in C order, of a `QISpline.grid_blocks` block: planes
     j .. j + a - 1 and rows k .. k + b - 1 of the evaluation grid."""
     a, b, n3 = block.shape[:3]
+    n = geometry.as_counts(n, 1, qi._GRID_POINTS)
     ids = np.ravel_multi_index(np.ix_(range(j, j + a), range(k, k + b),
-                                      range(n3)), qi._grid_size(n))
+                                      range(n3)), n)
     return qi.grid_points(grid, n, ids.reshape(-1))

@@ -58,6 +58,29 @@ __all__ = [
 ]
 
 
+def _is_count(c, least: int) -> bool:
+    return isinstance(c, Integral) and not isinstance(c, bool) and c >= least
+
+
+def as_count(c, least: int, what: str) -> int:
+    """``c`` as a Python int if it is an integer (numpy's too), not a bool,
+    of at least ``least``; else one ``ValueError``: "{what}, got {c!r}"."""
+    if not _is_count(c, least):
+        raise ValueError(f"{what}, got {c!r}")
+    return int(c)
+
+
+def as_counts(n, least: int, what: str) -> tuple[int, int, int]:
+    """Three `as_count` ints from one count or a tuple, list or 1-d array of
+    three; anything else (a ragged list, a set, a wrong length, a 0-d
+    array) raises the one ``ValueError`` of `as_count`, naming ``n``."""
+    per_axis = isinstance(n, (tuple, list)) or np.ndim(n)
+    counts = tuple(n) if per_axis else (n,) * 3
+    if len(counts) != 3 or not all(_is_count(c, least) for c in counts):
+        raise ValueError(f"{what}, got {n!r}")
+    return tuple(map(int, counts))
+
+
 @dataclass(frozen=True)
 class DomainGrid:
     """A box domain with its uniform cube partition.
@@ -65,7 +88,7 @@ class DomainGrid:
     Parameters
     ----------
     m1, m2, m3 : int
-        Number of cubes per axis (positive integers, not bool).
+        Number of cubes per axis (positive integers, kept as Python ints).
     h : float
         Cube side length (positive and finite).
     """
@@ -75,10 +98,9 @@ class DomainGrid:
     h: float = 1.0
 
     def __post_init__(self):
-        if not all(isinstance(m, Integral) and not isinstance(m, bool)
-                   and m >= 1 for m in self.m):
-            raise ValueError(
-                f"m1, m2, m3 must be positive integers, got {self.m!r}")
+        m = as_counts(self.m, 1, "m1, m2, m3 must be positive integers")
+        for name, value in zip(("m1", "m2", "m3"), m):
+            object.__setattr__(self, name, value)
         if not (isinstance(self.h, Real) and not isinstance(self.h, bool)
                 and 0 < self.h < float("inf")):
             raise ValueError(

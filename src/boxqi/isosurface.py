@@ -47,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import qi
+from . import geometry, qi
 
 __all__ = [
     "TriangleMesh", "IsoRequest", "extract",
@@ -106,20 +106,15 @@ class IsoRequest:
         if not (isinstance(rho, Real) and not isinstance(rho, bool)
                 and np.isfinite(rho)):
             raise ValueError(f"isovalue must be a finite number, got {rho!r}")
-        per_axis = isinstance(res, (tuple, list)) or np.ndim(res)
-        cells = tuple(res) if per_axis else (res,) * 3
-        if len(cells) != 3 or not all(
-                isinstance(c, Integral) and not isinstance(c, bool) and c >= 2
-                for c in cells):
-            raise ValueError(f"resolution must be one integer or three of at "
-                             f"least 2 cells per axis, got {res!r}")
+        cells = geometry.as_counts(res, 2, "resolution must be one integer "
+                                   "or three of at least 2 cells per axis")
         if not isinstance(self.refine, (bool, np.bool_)):
             raise ValueError(f"refine must be a bool, got {self.refine!r}")
         if not (self.reference is None or callable(self.reference)):
             raise ValueError(f"reference must be callable, got "
                              f"{self.reference!r}")
         object.__setattr__(self, "resolution",
-                           tuple(map(int, cells)) if per_axis else int(res))
+                           cells[0] if isinstance(res, Integral) else cells)
 
 
 # ---------------------------------------------------------------------------

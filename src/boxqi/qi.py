@@ -65,7 +65,6 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
 from math import gcd
-from numbers import Integral
 
 import numpy as np
 
@@ -74,7 +73,7 @@ from .bernstein import DIMENSION, bernstein_basis, derivative_reduce
 from .boxspline import TRANSLATE_OFFSET, derivative_order, get_table
 from .domain import class_runs, label_class
 from .geometry import (AXIS_DIRECTIONS, SYMMETRY_PERM, SYMMETRY_SIGN,
-                       DomainGrid, locate, locate_unit)
+                       DomainGrid, as_counts, locate, locate_unit)
 
 __all__ = [
     "QISpline",
@@ -106,6 +105,7 @@ _SLICED_REGION = 1024
 # and of the coefficients `_evaluate` gathers at a time
 _SLAB = 1 << 15
 _EVAL_BLOCK = 4096  # points per located and contracted block
+_GRID_POINTS = "evaluation grid needs n >= 1 points per axis"
 # coefficients per chunk of `_gather`: half a slab, as a chunk holds about
 # six index and value arrays of its length at once
 _BOX_CHUNK = _SLAB // 2
@@ -127,13 +127,14 @@ class SizeError(MemoryError):
 # ---------------------------------------------------------------------------
 
 def approximate(samples: np.ndarray, grid: DomainGrid | None = None, *,
-                h: float = 1.0) -> "QISpline":
+                h: float | None = None) -> "QISpline":
     """Build the quasi-interpolant from a complete sample grid.
 
     ``samples`` has shape (m1+2, m2+2, m3+2): one value per data point,
-    boundary points included.  Each spline coefficient is that index's class
-    stencil applied to the samples; the result reproduces cubics and
-    satisfies ``|Qf| <= 9.945 max|f|``.
+    boundary points included; without ``grid`` it sizes the grid, of cube
+    side ``h`` (1.0 if not given; a grid carries its own).  Each spline
+    coefficient is that index's class stencil applied to the samples; the
+    result reproduces cubics and satisfies ``|Qf| <= 9.945 max|f|``.
 
     Each box of indices with one stencil layout takes its tap offsets and
     weights from ``_box_table`` (built by the first call in a process).  A
@@ -148,7 +149,10 @@ def approximate(samples: np.ndarray, grid: DomainGrid | None = None, *,
     if samples.ndim != 3:
         raise ValueError("samples must be a 3D array over the data points")
     if grid is None:
-        grid = DomainGrid(*(n - 2 for n in samples.shape), h=h)
+        grid = DomainGrid(*(n - 2 for n in samples.shape),
+                          h=1.0 if h is None else h)
+    elif h is not None:
+        raise ValueError("pass a grid or h, not both (a grid has its own h)")
     grid.require_quasi_interpolation()
     expected = tuple(m + 2 for m in grid.m)
     if samples.shape != expected:
@@ -558,7 +562,7 @@ class QISpline:
         within 1.6e-15 of max |Qf| of point ``eval`` at `grid_points`,
         gradients within 7.1e-15 (f2, m = 32 and 64, n = 101 and 139).
         """
-        n = _grid_size(n)
+        n = as_counts(n, 1, _GRID_POINTS)
         gammas = tuple(derivative_order(g) for g in gammas)
         if not gammas or len({sum(g) for g in gammas}) != 1:
             raise ValueError(
@@ -729,7 +733,7 @@ def grid_points(grid: DomainGrid, n, ids) -> np.ndarray:
     ``np.linspace(0, m_a h, n_a)[j_a]`` along each axis a.  Reference
     functions are read here; `QISpline.grid_blocks` reads the spline at the
     exact lattice j_a m_a h / (n_a - 1) these points round."""
-    n = _grid_size(n)
+    n = as_counts(n, 1, _GRID_POINTS)
     axes = [np.linspace(0.0, m * grid.h, k) for m, k in zip(grid.m, n)]
     return np.stack([ax[i] for ax, i in
                      zip(axes, np.unravel_index(ids, n))], axis=-1)
@@ -745,7 +749,7 @@ def grid_values(spline, n) -> np.ndarray:
     (n_a - 1), which `grid_points` can miss by an ulp, into one
     preallocated array.  No point is located.
     """
-    counts, m = _grid_size(n), spline.grid.m
+    counts, m = as_counts(n, 1, _GRID_POINTS), spline.grid.m
     if all(c > 1 and (c - 1) % k == 0 for c, k in zip(counts, m)):
         return _lattice_values(spline, np.subtract(counts, 1) // m)
     out = np.empty(counts)
@@ -778,20 +782,6 @@ def _lattice_values(spline, r) -> np.ndarray:
                    out[tuple(slice(ka, None, x) if ka else slice(0, 1)
                              for ka, x in zip(k, r))])
     return out
-
-
-def _grid_size(n) -> tuple:
-    """``n`` as (n1, n2, n3) if it is one count or three, integers (not
-    bool) of at least 1; anything else, a ragged list too (which
-    ``np.ndim`` would reject in its own words), raises one ``ValueError``."""
-    per_axis = isinstance(n, (tuple, list)) or np.ndim(n)
-    counts = tuple(n) if per_axis else (n,) * 3
-    if len(counts) != 3 or not all(
-            isinstance(c, Integral) and not isinstance(c, bool) and c >= 1
-            for c in counts):
-        raise ValueError(f"evaluation grid needs n >= 1 points per axis, "
-                         f"got {n!r}")
-    return tuple(map(int, counts))
 
 
 def _grid_axis(m: int, n: int):

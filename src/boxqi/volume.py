@@ -26,13 +26,13 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .domain import data_points
-from .geometry import DomainGrid
+from .geometry import DomainGrid, as_counts
 
 __all__ = [
     "VolumeHeader", "read_raw", "write_raw", "load_volume", "save_volume",
@@ -246,7 +246,8 @@ TEST_FUNCTIONS = {
 
 
 def sample_test_function(fn_id: str, m: int):
-    """Sample a benchmark field at every data point of an m^3 grid.
+    """Sample a benchmark field at every data point of an m^3 grid, ``m``
+    one cube count or three equal ones (`geometry.as_counts`).
 
     The field's cube domain is translated onto Omega = [0, m h]^3 with
     h = side/m.  Returns ``(samples, grid, fn)`` with ``samples`` of shape
@@ -256,12 +257,11 @@ def sample_test_function(fn_id: str, m: int):
     if fn is None:
         raise ValueError(f"unknown test function {fn_id!r} "
                          f"(choose from {sorted(TEST_FUNCTIONS)})")
-    ms = (m, m, m) if np.isscalar(m) else tuple(m)
+    ms = as_counts(m, 1, "m must be one or three positive integers")
     if len(set(ms)) != 1:
         raise ValueError(f"benchmark domains are cubes; m must be uniform, "
                          f"got {ms}")
-    grid = DomainGrid(*ms)  # checks the cube counts before h uses them
-    grid = replace(grid, h=fn.side / grid.m1)
+    grid = DomainGrid(*ms, h=fn.side / ms[0])
     grid.require_quasi_interpolation()
     samples = fn.on_omega(data_points(grid))
     samples.setflags(write=False)

@@ -54,7 +54,8 @@ def test_evaluation_grid_rejects_a_non_integer_size(n):
         convergence.convergence_table("f3", [16], eval_points=n)
 
 
-@pytest.mark.parametrize("m", [16.9, True, "32", 32.0, None])
+@pytest.mark.parametrize("m", [16.9, True, "32", 32.0, None, np.True_,
+                               {32}, np.array(32), (32, 32), [32, [32]]])
 def test_convergence_table_rejects_a_non_integer_m(m, monkeypatch):
     """A bool or non-integral m fails with one ValueError before any
     sampling: 16.9 is not truncated to 16, True is not m = 1, and "32" does

@@ -30,6 +30,16 @@ def test_grid_validation_and_properties():
     geo.DomainGrid(np.int64(11), 11, 11, np.float64(0.5))
 
 
+def test_grid_stores_python_int_counts():
+    """A numpy count is stored as the Python int it equals, so the grid
+    reads, prints and compares like one built from ints."""
+    g = geo.DomainGrid(np.int64(5), np.uint8(5), 5)
+    assert g == geo.DomainGrid(5, 5, 5)
+    assert all(type(m) is int for m in g.m)
+    with pytest.raises(ValueError, match=r"got \(5, 5, 5\)$"):
+        g.require_quasi_interpolation()
+
+
 @pytest.mark.parametrize("args, message", [
     ((11, 11, 11, float("inf")), "h must be a positive finite number"),
     ((11, 11, 11, float("nan")), "h must be a positive finite number"),
@@ -39,6 +49,12 @@ def test_grid_validation_and_properties():
     ((11, 11.5, 11, 1.0), "must be positive integers"),
     ((11, 11, True, 1.0), "must be positive integers"),
     ((11, "11", 11, 1.0), "must be positive integers"),
+    ((np.True_, 11, 11, 1.0), "must be positive integers"),
+    ((11, None, 11, 1.0), "must be positive integers"),
+    ((11, 11, {11}, 1.0), "must be positive integers"),
+    ((np.array(11), 11, 11, 1.0), "must be positive integers"),
+    (((11, 11), 11, 11, 1.0), "must be positive integers"),
+    ((11, [11, [11]], 11, 1.0), "must be positive integers"),
 ])
 def test_grid_rejects_bad_sizes_with_one_error(args, message):
     with pytest.raises(ValueError, match=message):

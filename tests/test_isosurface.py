@@ -452,7 +452,10 @@ def test_write_mesh_dispatch(bump_setup, tmp_path):
     ("reference", "f2"), ("resolution", (64, 1, 64)),
     ("resolution", (64, 64)), ("resolution", (64, 64.0, 64)),
     ("resolution", (64, True, 64)), ("resolution", (64, 64, 64, 64)),
-    ("resolution", [64, [64, 64]]), ("resolution", {64})])
+    ("resolution", [64, [64, 64]]), ("resolution", {64}),
+    ("resolution", np.True_), ("resolution", None),
+    ("resolution", {64, 32, 16}), ("resolution", np.array(64)),
+    ("resolution", (64, np.True_, 64))])
 def test_request_rejects_bad_types_with_one_error(field, value):
     args = {"isovalue": 0.3, "resolution": 16, field: value}
     with pytest.raises(ValueError, match=field):
@@ -463,6 +466,9 @@ def test_request_accepts_numpy_scalars():
     req = iso.IsoRequest(np.float64(0.3), resolution=np.int64(16))
     assert req.resolution == 16 and type(req.resolution) is int
     req = iso.IsoRequest(0.3, resolution=[np.int64(16), 12, 11])
+    assert req.resolution == (16, 12, 11)
+    assert all(type(r) is int for r in req.resolution)
+    req = iso.IsoRequest(0.3, resolution=np.array([16, 12, 11]))
     assert req.resolution == (16, 12, 11)
     assert all(type(r) is int for r in req.resolution)
 

@@ -1,7 +1,9 @@
 """Near-best functional derivation: constraint systems and exact l1
 minimization against the reference norm table."""
 
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,3 +160,22 @@ def _assert_matches_fraction_sums(grid, alpha, n, tie):
         assert row == [sign * v for v in want]
         assert all(isinstance(v, Fraction) for v in row)
         assert rhs == sign * nearbest.constraint_rhs(nu)
+
+
+def test_derive_functional_demo_runs(capsys):
+    """The demo derives the paper's cells of class (0, 0, -1): the radius-4
+    optimum 17156/135, printed rounded up to 127.1, and by radius, no
+    feasible stencil for n = 1..3 and 55.27 at n = 5."""
+    path = Path(__file__).parents[1] / "demos" / "derive_functional.py"
+    spec = importlib.util.spec_from_file_location("derive_functional", path)
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    demo.main([])
+    out = capsys.readouterr().out
+    assert "l1 norm = 17156/135" in out and "rounds up to 127.1)" in out
+    demo.main(["--sweep", "--n", "5"])
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.strip() for line in lines[1:4]] == [
+        f"n = {n}: infeasible" for n in (1, 2, 3)]
+    assert lines[5].strip().startswith("n = 5:")
+    assert lines[5].endswith("rounds up to 55.27)")

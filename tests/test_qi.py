@@ -491,6 +491,30 @@ def test_saved_bytes_are_header_and_coefficients(rng, tmp_path):
     assert loaded.flags.aligned and not loaded.flags.writeable
 
 
+def test_a_numpy_int_grid_saves_the_same_bytes(rng, tmp_path):
+    """A grid built from numpy counts is the int grid: same spline, same
+    .qis bytes."""
+    samples = rng.normal(size=(13, 14, 15))
+    paths = []
+    for m in [(11, 12, 13), (np.int64(11), np.int32(12), np.uint8(13))]:
+        paths.append(tmp_path / f"{len(paths)}.qis")
+        qi.approximate(samples, geometry.DomainGrid(*m, h=0.25)).save(
+            paths[-1])
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_approximate_takes_a_grid_or_h_not_both(rng):
+    """h sizes the grid read from the samples' shape (1.0 if not given); a
+    given grid carries its own h, so a second h is an error, not ignored."""
+    samples = rng.normal(size=(13, 13, 13))
+    assert qi.approximate(samples).grid == geometry.DomainGrid(11, 11, 11)
+    grid = geometry.DomainGrid(11, 11, 11, h=0.5)
+    assert qi.approximate(samples, h=0.5).grid == grid
+    for h in [0.5, 1.0]:
+        with pytest.raises(ValueError, match="not both"):
+            qi.approximate(samples, grid, h=h)
+
+
 def test_load_rejects_corrupt_files(rng, tmp_path):
     spline = qi.approximate(rng.normal(size=(13, 13, 13)), h=1.0)
     path = tmp_path / "model.qis"
@@ -1330,8 +1354,9 @@ def test_eval_lattice_correlates_only_nonzero_taps(monkeypatch):
 @pytest.mark.parametrize("r", [0, True, 1.5, (1, 2), (1, 0, 1), "2"])
 def test_eval_lattice_rejects_bad_factors(r, monkeypatch):
     """`_lattice_values` has no validator of its own: its one caller,
-    `grid_values`, takes counts through `_grid_size`, so a malformed value
-    fails there with the one ValueError and never reaches the lattice."""
+    `grid_values`, takes counts through `geometry.as_counts`, so a
+    malformed value fails there with the one ValueError and never reaches
+    the lattice."""
     monkeypatch.setattr(qi, "_lattice_values", None)
     spline = qi.QISpline(geometry.DomainGrid(4, 4, 4),
                          np.zeros((8, 8, 8)))
@@ -1481,12 +1506,14 @@ def test_grid_blocks_cover_every_point_once(f2_m32, monkeypatch):
 @pytest.mark.parametrize("n", [True, False, 2.0, 25.0, "25", None, 0, -3,
                                1.5, (1, 2), (1, 0, 1), "2", (5, True, 5),
                                (5, 5.0, 5), (5, 5, "5"), (5, 5, 5, 5),
-                               [5, [5, 5]], {5}])
+                               [5, [5, 5]], {5}, np.True_, np.array(5),
+                               (5, np.True_, 5), {5, 6, 7},
+                               np.array([5.0, 5.0, 5.0])])
 def test_grid_entry_points_reject_a_bad_size(f2_m32, n):
     """One count or three, each an integer (not bool) of at least 1: a
-    count of the wrong length, a zero, a bool, a float, a string, a ragged
-    list or a set fails with the one ValueError through every uniform-grid
-    reader."""
+    count of the wrong length, a zero, a bool (numpy's too), a float, a
+    string, None, a ragged list, a set or a 0-d array fails with the one
+    ValueError through every uniform-grid reader."""
     with pytest.raises(ValueError, match="n >= 1"):
         qi.grid_values(f2_m32, n)
     with pytest.raises(ValueError, match="n >= 1"):
@@ -1521,24 +1548,26 @@ def test_per_axis_grids_match_point_evaluation(f2_m32):
 
 def test_a_count_per_axis_of_n_is_n(f2_m32):
     """(n, n, n) reads the bits n reads, on both routes: the values, the
-    gradient blocks, the points and the summary."""
+    gradient blocks, the points and the summary; so do a numpy count and a
+    1-d int array of three, read as the Python ints they hold."""
     spline = _anisotropic_spline()
     gradient = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for s, n in [(f2_m32, 33), (f2_m32, 37), (spline, 25), (spline, 1)]:
-        triple = (n, n, n)
-        np.testing.assert_array_equal(_bits(qi.grid_values(s, triple)),
-                                      _bits(qi.grid_values(s, n)))
-        for (j, k, a), (jj, kk, b) in zip(s.grid_blocks(triple, gradient),
-                                          s.grid_blocks(n, gradient),
-                                          strict=True):
-            assert (j, k) == (jj, kk)
-            np.testing.assert_array_equal(_bits(a), _bits(b))
-        ids = np.arange(0, n ** 3, 7)
-        np.testing.assert_array_equal(
-            _bits(qi.grid_points(s.grid, triple, ids)),
-            _bits(qi.grid_points(s.grid, n, ids)))
-        assert (convergence.grid_summary(s, triple)
-                == convergence.grid_summary(s, n))
+        for triple in [(n, n, n), np.array([n, n, n]), np.int64(n)]:
+            np.testing.assert_array_equal(_bits(qi.grid_values(s, triple)),
+                                          _bits(qi.grid_values(s, n)))
+            for (j, k, a), (jj, kk, b) in zip(
+                    s.grid_blocks(triple, gradient),
+                    s.grid_blocks(n, gradient), strict=True):
+                assert (j, k) == (jj, kk)
+                np.testing.assert_array_equal(_bits(a), _bits(b))
+            ids = np.arange(0, n ** 3, 7)
+            np.testing.assert_array_equal(
+                _bits(qi.grid_points(s.grid, triple, ids)),
+                _bits(qi.grid_points(s.grid, n, ids)))
+            summary = convergence.grid_summary(s, triple)
+            assert summary == convergence.grid_summary(s, n)
+            assert type(summary[0]) is int
 
 
 def test_grid_blocks_rejects_mixed_orders(f2_m32):

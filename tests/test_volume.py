@@ -161,12 +161,28 @@ def test_sample_test_function_layout():
         volume.sample_test_function("f9", 16)
 
 
-@pytest.mark.parametrize("m", [16.9, (16.9, 16.9, 16.9), True, "16"])
+@pytest.mark.parametrize("m", [16.9, (16.9, 16.9, 16.9), True, "16",
+                               np.True_, None, {16}, np.array(16), (16, 16),
+                               [16, 16, 16, 16], [16, [16, 16]]])
 def test_sample_test_function_rejects_a_non_integer_m(m):
     """m, or each of its three entries, is the grid's cube count as given:
-    16.9 is not truncated to 16."""
+    16.9 is not truncated to 16, and anything but one count or three fails
+    with the same ValueError, never a TypeError or a silent m = 16."""
     with pytest.raises(ValueError, match="positive integers"):
         volume.sample_test_function("f2", m)
+
+
+def test_sample_test_function_takes_one_count_or_three_equal():
+    """Three equal counts, numpy's included, sample the m^3 grid of one
+    count, with the grid's counts stored as Python ints; unequal ones are
+    not a cube."""
+    samples, grid, _ = volume.sample_test_function("f2", 16)
+    for m in [(16, 16, 16), np.array([16, 16, 16]), np.int64(16)]:
+        got, got_grid, _ = volume.sample_test_function("f2", m)
+        assert got_grid == grid and all(type(c) is int for c in got_grid.m)
+        assert np.array_equal(got, samples)
+    with pytest.raises(ValueError, match="must be uniform"):
+        volume.sample_test_function("f2", (16, 16, 17))
 
 
 def test_volume_pipeline_demo_runs(capsys, tmp_path):
