@@ -118,16 +118,20 @@ class VolumeHeader:
 def _triple(values, kind):
     """Three numbers converted by `kind` (int or float), or None.
 
-    For int only integers count; for float any real number does.  A bool is
+    Only a tuple, list or 1-d array holds them, as in `geometry.as_counts`:
+    a set, a dict's values or a generator has no axis order to keep.  For
+    int only integers count; for float any real number does.  A bool is
     never a number here, and nothing is parsed from a string.
     """
+    if not (isinstance(values, (tuple, list)) or np.ndim(values) == 1):
+        return None
     abstract = numbers.Integral if kind is int else numbers.Real
+    out = tuple(values)
     try:
-        out = tuple(values)
         if len(out) == 3 and all(isinstance(v, abstract)
                                  and not isinstance(v, bool) for v in out):
             return tuple(kind(v) for v in out)
-    except (TypeError, OverflowError):
+    except OverflowError:
         pass
     return None
 

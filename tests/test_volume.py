@@ -26,6 +26,24 @@ def test_header_validation():
         volume.VolumeHeader((14, 14, 14), spacing=(1.0, 0.0, 1.0))
 
 
+@pytest.mark.parametrize("triple", [
+    lambda v: set(v), lambda v: dict(zip("abc", v)).values(),
+    lambda v: (x for x in v), lambda v: np.array([v])],
+    ids=["set", "dict values", "generator", "2-d array"])
+def test_header_takes_axes_only_in_order(triple):
+    """dims and spacing come from a tuple, list or 1-d array; a set, a
+    dict's values, a generator or a 2-d array raise instead of being read
+    in iteration order."""
+    with pytest.raises(ValueError, match="dims must be three integers"):
+        volume.VolumeHeader(triple((13, 20, 15)))
+    with pytest.raises(ValueError, match="spacing must be three finite"):
+        volume.VolumeHeader((13, 20, 15), spacing=triple((1.0, 2.0, 0.5)))
+    header = volume.VolumeHeader(np.array((13, 20, 15)),
+                                 spacing=np.array((1.0, 2.0, 0.5)))
+    assert header.dims == (13, 20, 15) and header.spacing == (1.0, 2.0, 0.5)
+    assert all(type(n) is int for n in header.dims)
+
+
 def test_header_json_round_trip():
     h = volume.VolumeHeader((256, 256, 99), dtype="u16", endianness="big",
                             spacing=(0.7, 0.7, 1.5))
