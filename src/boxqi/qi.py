@@ -15,11 +15,11 @@ and is built from the labels alone, once per process on the first call
 correlated over shifted slices; all smaller boxes (corners, edges, small
 faces) are assembled together by one chunked gather per tap.  Both sum the
 taps in table order, so a coefficient is the same bit for bit whichever
-path its box takes.  What the sample shape alone decides (each box's
-indices, which boxes are sliced, the flat tap offsets and the gathered
-coefficients' sample and coefficient indices) is one layout per shape,
-`_layout`, built on a shape's first call and kept for the last four
-shapes used.
+path its box takes.  A box's extent follows from its kind, the axes along
+which it spans the middle run, so the gather finds the in-box offsets of
+each of the at most 8 kinds once per call and reads every coefficient's
+flat indices from them, dividing no coefficient's number by its box's
+extent.
 ``QISpline`` evaluates values and derivatives straight from the
 coefficients: on one tetrahedron of the type-6 partition only 53 of the 125
 translates of a cube's window are nonzero, so each BB patch is a fixed
@@ -68,7 +68,7 @@ import struct
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import product
-from math import gcd, prod
+from math import gcd
 
 import numpy as np
 
@@ -113,6 +113,8 @@ _GRID_POINTS = "evaluation grid needs n >= 1 points per axis"
 # coefficients per chunk of `_gather`: half a slab, as a chunk holds about
 # six index and value arrays of its length at once
 _BOX_CHUNK = _SLAB // 2
+# the axes a box of each kind (see `_box_table`) spans: kind 4 a1 + 2 a2 + a3
+_KIND_AXES = np.array(list(product((False, True), repeat=3)))
 
 
 class SizeError(MemoryError):
@@ -144,13 +146,11 @@ def approximate(samples: np.ndarray, grid: DomainGrid | None = None, *,
     weights from ``_box_table`` (built by the first call in a process).  A
     box of at least ``_SLICED_REGION`` coefficients is correlated over
     shifted slices (``_correlate``); the smaller ones are gathered
-    together, chunk by chunk (``_gather``).  Both sum each coefficient's
-    taps in table order, so the two paths agree bit for bit.  The boxes'
-    indices and the gather's flat indices come from ``_layout``, built on
-    the first call for a sample shape (running `_box_offsets` once per
-    chunk) and cached for four shapes: 8 bytes per gathered coefficient,
-    int32 below 2**31 coefficients.  Memory beyond the result and the
-    layout is two slab buffers or one chunk's tap indices and values.
+    together, chunk by chunk (``_gather``), their flat indices read from
+    per-kind tables of in-box offsets built on each call.  Both sum each
+    coefficient's taps in table order, so the two paths agree bit for bit.
+    Memory beyond the result is two slab buffers or one chunk's index and
+    value arrays.
     """
     samples = np.ascontiguousarray(_real(np.asarray(samples), "samples"),
                                    dtype=np.float64)
@@ -170,15 +170,20 @@ def approximate(samples: np.ndarray, grid: DomainGrid | None = None, *,
     if not _finite(samples):
         raise ValueError("samples contain non-finite values")
 
-    first, extent, sliced, index, chunks = _layout(samples.shape,
-                                                   _SLICED_REGION)
-    _, taps, weights, counts = _box_table()
-    coeffs = np.zeros(tuple(n + 2 for n in samples.shape))
-    for b in sliced:
+    runs, taps, weights, counts, _ = _box_table()
+    m = np.array(grid.m)
+    # run r of an axis of m cells starts at index r - 1 up to the middle
+    # run 5 (indices 4 .. m - 3), at m - 8 + r after it
+    first = runs - 1 + (runs > 5) * (m - 7)
+    extent = np.where(runs == 5, m - 6, 1)
+    sizes = extent.prod(axis=1)
+    sliced = sizes >= _SLICED_REGION
+    coeffs = np.zeros(tuple(m + 4))
+    for b in np.flatnonzero(sliced):
         (l1, l2, l3), (e1, e2, e3), k = first[b] + 1, extent[b], counts[b]
         _correlate(samples, taps[:k, b] + first[b], weights[:k, b],
                    coeffs[l1:l1 + e1, l2:l2 + e2, l3:l3 + e3])
-    _gather(samples, coeffs, index, chunks)
+    _gather(samples, coeffs, first, extent, np.where(sliced, 0, sizes))
     coeffs.setflags(write=False)
     return QISpline(grid=grid, coefficients=coeffs)
 
@@ -216,11 +221,14 @@ def _region_table() -> dict:
 def _box_table() -> tuple:
     """`_region_table` as tap-major arrays over the n = 1215 active boxes.
 
-    Returns (runs, taps, weights, counts): each box's (n, 3) run ids, its
-    position 0..10 in `domain.class_runs` along each axis; its offsets
-    (k, n, 3) and weights (k, n) by tap, in `_region_table`'s order and
-    zero past the box's ``counts`` taps.  Boxes are sorted by tap count,
-    descending (stably), so those with more than t taps are a prefix.
+    Returns (runs, taps, weights, counts, kinds): each box's (n, 3) run
+    ids, its position 0..10 in `domain.class_runs` along each axis; its
+    offsets (k, n, 3) and weights (k, n) by tap, in `_region_table`'s order
+    and zero past the box's ``counts`` taps; its kind, 4 a1 + 2 a2 + a3
+    where a_i is 1 if the box spans axis i's middle run (id 5), the only
+    run longer than one index, so a kind's boxes share one extent on every
+    grid.  Boxes are sorted by tap count, descending (stably), so those
+    with more than t taps are a prefix.
     """
     labels = [run[2:] for run in class_runs(11)]
     table = _region_table()
@@ -231,68 +239,64 @@ def _box_table() -> tuple:
     weights = np.zeros((counts[0], len(order)))
     for b, key in enumerate(order):
         taps[:counts[b], b], weights[:counts[b], b] = table[key]
-    for a in (runs, taps, weights, counts):
+    kinds = (runs == 5) @ np.array([4, 2, 1])
+    for a in (runs, taps, weights, counts, kinds):
         a.setflags(write=False)
-    return runs, taps, weights, counts
+    return runs, taps, weights, counts, kinds
+
+
+def _gather(samples, coeffs, first, extent, sizes):
+    """Assemble the ``sizes[b]`` (0 or all) coefficients of every box b of
+    `_box_table` into ``coeffs``, all boxes at once.
+
+    Box b holds the indices first[b] + p, 0 <= p < extent[b].  Its
+    coefficients are listed box after box, in C order within a box, and
+    walked in chunks of ``_BOX_CHUNK``; `_tap_sums` sums each chunk tap
+    after tap, so each coefficient is rounded as `_correlate` rounds it,
+    bit for bit.  The boxes of one kind share an extent, so `_box_offsets`
+    lists the in-box offsets of each gathered kind once, as one stretch of
+    a table per frame (2107 entries at m = 32, for 28 664 coefficients),
+    and a chunk takes each coefficient's offsets from its kind's stretch
+    at its number within the box.
+    """
+    _, _, weights, counts, kinds = _box_table()
+    src, dst = np.ravel(samples), coeffs.reshape(-1)
+    s, c = (np.array(a.strides) // a.itemsize for a in (samples, coeffs))
+    index = _tap_index(tuple(s.tolist()))
+    reach = np.searchsorted(-counts, -np.arange(counts[0]))
+    used = np.flatnonzero(np.bincount(kinds, weights=sizes, minlength=8))
+    shapes = np.where(_KIND_AXES[used], extent.max(axis=0), 1)
+    cells = shapes.prod(axis=1)
+    at = np.zeros(8, dtype=np.int64)  # each kind's stretch starts at at[kind]
+    at[used] = np.cumsum(cells) - cells
+    zero = np.zeros_like(cells)
+    tables = _box_offsets(0, cells, at[used], shapes, (zero, s), (zero, c))
+    frames = tuple(zip((first @ s, (first + 1) @ c), tables))
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    shift = at[kinds] - starts  # from a coefficient's number to its entry
+    for lo in range(0, ends[-1], _BOX_CHUNK):
+        hi = lo + _BOX_CHUNK
+        b0, b1 = np.searchsorted(ends, lo, "right"), np.searchsorted(starts, hi)
+        boxes = slice(b0, b1)  # those with coefficients in the chunk
+        share = np.minimum(ends[boxes], hi) - np.maximum(starts[boxes], lo)
+        entry = np.arange(lo, lo + share.sum())
+        entry += shift[boxes].repeat(share)
+        local, out = (base[boxes].repeat(share) + table.take(entry)
+                      for base, table in frames)
+        del entry  # the sums set the peak: six arrays of the chunk's length
+        dst[out] = _tap_sums(src, local, index[:, boxes], weights[:, boxes],
+                             reach - b0, share)
 
 
 @lru_cache(maxsize=4)
-def _layout(shape: tuple, threshold: int) -> tuple:
-    """How `approximate` assembles samples of ``shape``, built once per
-    shape (and box-size ``threshold``, `_SLICED_REGION`) from the shape alone.
-
-    Returns (first, extent, sliced, index, chunks), read-only: box b of
-    `_box_table` holds the indices first[b] + p, 0 <= p < extent[b];
-    ``sliced`` lists the boxes of at least ``threshold`` coefficients;
-    ``index`` (k, n) is each box's tap t at flat offset index[t, b] from its
-    indices in the samples; ``chunks`` are `_gather`'s (share, local, out)
-    triples, from `_box_offsets`.  ``index``, ``local`` and ``out`` are
-    int32 while the coefficients (which outnumber the samples) are fewer
-    than 2**31, else int64, so their sums keep one dtype: 8 bytes per
-    gathered coefficient, 0.44 MiB at m = (254, 254, 97).
-    """
-    runs, taps, _, _ = _box_table()
-    m = np.array(shape) - 2
-    # run r of an axis of m cells starts at index r - 1 up to the middle
-    # run 5 (indices 4 .. m - 3), at m - 8 + r after it
-    first = runs - 1 + (runs > 5) * (m - 7)
-    extent = np.where(runs == 5, m - 6, 1)
-    sizes = extent.prod(axis=1)
-    sliced = np.flatnonzero(sizes >= threshold)
-    sizes[sliced] = 0
-    dtype = np.int32 if prod(n + 2 for n in shape) < 1 << 31 else np.int64
-    s, c = (np.array([n[1] * n[2], n[2], 1]) for n in (m + 2, m + 4))
-    index = (taps @ s).astype(dtype)
-    frames = (first @ s, s), ((first + 1) @ c, c)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    chunks = []
-    for lo in range(0, ends[-1], _BOX_CHUNK):
-        share = np.clip(np.minimum(ends, lo + _BOX_CHUNK)
-                        - np.maximum(starts, lo), 0, None)  # per box
-        local, out = _box_offsets(lo, share, starts, extent, *frames)
-        chunks.append((share, local.astype(dtype), out.astype(dtype)))
-    for a in (first, extent, sliced, index, *(a for chunk in chunks
-                                              for a in chunk)):
-        a.setflags(write=False)
-    return first, extent, sliced, index, tuple(chunks)
-
-
-def _gather(samples, coeffs, index, chunks):
-    """Assemble the coefficients of every box that `_layout` does not
-    slice into ``coeffs``, all boxes at once.
-
-    The boxes' coefficients are listed box after box, in C order within a
-    box, and walked in `_layout`'s chunks of ``_BOX_CHUNK``, whose flat
-    sample and coefficient indices the layout holds, so a call derives no
-    index; `_tap_sums` sums each chunk tap after tap, so each coefficient
-    is rounded as `_correlate` rounds it, bit for bit.
-    """
-    _, _, weights, counts = _box_table()
-    src, dst = np.ravel(samples), coeffs.reshape(-1)
-    reach = np.searchsorted(-counts, -np.arange(counts[0]))
-    for share, local, out in chunks:
-        dst[out] = _tap_sums(src, local, index, weights, reach, share)
+def _tap_index(strides: tuple) -> np.ndarray:
+    """The flat offsets of `_box_table`'s (k, n, 3) taps in samples whose
+    strides, in elements, are ``strides``, as read-only (k, n) int64: one
+    product per sample shape, not one per `_gather` call."""
+    index = _box_table()[1] @ np.array(strides)
+    index.setflags(write=False)
+    return index
 
 
 def _tap_sums(src, local, index, weights, reach, share):
@@ -303,8 +307,11 @@ def _tap_sums(src, local, index, weights, reach, share):
     flat indices ``local`` plus the box's tap offset ``index[t, b]``,
     multiplies them by the tap's weights and adds the products to their
     sums; the first tap's products start the sums, as in `_correlate`.
+    The taps stop at the first that reaches no box of the chunk.
     """
-    for t, b in enumerate(reach):
+    for t, b in enumerate(reach.tolist()):
+        if b <= 0:
+            break
         at = index[t, :b].repeat(share[:b])
         at += local[:len(at)]
         part = src.take(at)
@@ -317,17 +324,17 @@ def _tap_sums(src, local, index, weights, reach, share):
 
 
 def _box_offsets(lo, share, starts, extent, *frames):
-    """Flat indices of the coefficients number lo, lo + 1, ... of
-    `_gather`'s list, ``share[b]`` of them in box b, whose first is number
-    ``starts[b]``, in each (base, strides) frame: box b's index first[b] + p
-    is at ``base[b] + p @ strides``.  `_layout` calls it once per chunk of
-    a new sample shape."""
-    p = np.arange(lo, lo + share.sum()) - np.repeat(starts, share)
-    p, p3 = np.divmod(p, np.repeat(extent[:, 2], share))
-    p, p2 = np.divmod(p, np.repeat(extent[:, 1], share))
+    """Flat indices of the entries number lo, lo + 1, ... of a list of
+    boxes, listed box after box and in C order within a box, ``share[b]``
+    of them in box b, whose first is number ``starts[b]``, in each
+    (base, strides) frame: box b's entry p is at ``base[b] + p @ strides``.
+    `_gather` lists its kinds' in-box offsets with it."""
+    p = np.arange(lo, lo + share.sum()) - starts.repeat(share)
+    p, p3 = np.divmod(p, extent[:, 2].repeat(share))
+    p, p2 = np.divmod(p, extent[:, 1].repeat(share))
     offsets = []
     for base, (s1, s2, _) in frames:
-        flat = np.repeat(base, share)
+        flat = base.repeat(share)
         flat += p * s1
         flat += p2 * s2
         flat += p3

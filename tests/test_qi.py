@@ -94,14 +94,14 @@ def test_assembly_memory_is_the_coefficients():
     """Assembly allocates the coefficient array plus slab-sized
     temporaries: no gathered (n, k) array of a large region, and the small
     boxes' coefficients (57 248 of them at (254, 254, 97)) gathered chunk by
-    chunk.  The shape's assembly layout is cleared first, so its build on a
-    first call is inside the bound too."""
+    chunk.  The per-shape tap offsets are cleared first, so their product
+    on a shape's first call is inside the bound too."""
     qi.approximate(np.zeros((13, 13, 13)))  # stencil library, outside
     for m in [(96, 96, 40), (254, 254, 97)]:
         grid = geometry.DomainGrid(*m, 1.0)
         samples = np.random.default_rng(5).normal(
             size=tuple(n + 2 for n in m))
-        qi._layout.cache_clear()
+        qi._tap_index.cache_clear()
         tracemalloc.start()
         try:
             spline = qi.approximate(samples, grid)
@@ -159,41 +159,19 @@ def test_correlate_is_bitwise_the_whole_array_per_tap_sums(case,
 
 
 def test_gather_computes_the_tap_offsets_once_per_shape():
-    """Assemblies on interleaved sample shapes build each shape's layout
-    (box arithmetic, tap offsets, gathered indices) once, read-only, and
+    """Assemblies on interleaved sample shapes, one of them anisotropic,
+    take each shape's flat tap offsets from one product, read-only, and
     give the per-region oracle's bits on every call."""
-    qi._layout.cache_clear()
+    qi._tap_index.cache_clear()
     rng = np.random.default_rng(33)
     for m in [(11, 11, 11), (13, 11, 17), (32, 32, 32), (11, 11, 11)]:
         grid = geometry.DomainGrid(*m, 1.0)
         samples = rng.normal(size=tuple(n + 2 for n in m))
         np.testing.assert_array_equal(qi.approximate(samples).coefficients,
                                       _approximate_per_region(samples, grid))
-    info = qi._layout.cache_info()
+    info = qi._tap_index.cache_info()
     assert (info.misses, info.hits) == (3, 1)
-    first, extent, sliced, index, chunks = qi._layout((13, 13, 13),
-                                                      qi._SLICED_REGION)
-    assert chunks and not sliced.size
-    for a in (first, extent, sliced, index, *(a for c in chunks for a in c)):
-        assert not a.flags.writeable
-
-
-@pytest.mark.parametrize("shape, dtype", [
-    ((34, 34, 34), np.int32),
-    ((2045, 1022, 1022), np.int32),   # 2**31 - 2**20 coefficients
-    ((2046, 1022, 1022), np.int64),   # 2**31 coefficients
-    ((1291, 1291, 1291), np.int64)])  # over 2**31 samples
-def test_layout_indices_are_int32_below_two_to_the_31(shape, dtype):
-    """The flat tap offsets and gathered indices are int32 while every
-    sample and coefficient has an int32 flat index, else int64; only the
-    layout is built, no samples."""
-    _, _, _, index, chunks = qi._layout(shape, qi._SLICED_REGION)
-    assert index.dtype == dtype
-    for share, local, out in chunks:
-        assert local.dtype == out.dtype == dtype
-        first_tap = index[0].astype(np.int64).repeat(share) + local
-        assert 0 <= first_tap.min() and first_tap.max() < math.prod(shape)
-        assert 0 <= out.min() and out.max() < math.prod(n + 2 for n in shape)
+    assert not qi._tap_index((13 * 19, 19, 1)).flags.writeable
 
 
 @pytest.mark.parametrize("m, digest", [
@@ -316,13 +294,18 @@ def test_table_assembly_of_f2_is_bitwise_the_per_region_oracle(f2_m32):
 @pytest.mark.parametrize("m", [(11, 11, 11), (40, 40, 12), (13, 11, 17)])
 def test_gathered_and_correlated_boxes_are_bitwise_equal(m, monkeypatch):
     """Every box correlated (threshold 1) and every box gathered (threshold
-    above the largest box) give the same coefficients, bit for bit."""
+    above the largest box) give the same coefficients, bit for bit, and so
+    do gathered chunks of 97 coefficients, which split boxes and whose last
+    taps reach one or two of a chunk's boxes."""
     samples = np.random.default_rng(25).normal(size=tuple(n + 2 for n in m))
     default = qi.approximate(samples).coefficients
     for threshold in (1, max(_region_sizes(geometry.DomainGrid(*m))) + 1):
         monkeypatch.setattr(qi, "_SLICED_REGION", threshold)
         np.testing.assert_array_equal(qi.approximate(samples).coefficients,
                                       default)
+    monkeypatch.setattr(qi, "_BOX_CHUNK", 97)
+    np.testing.assert_array_equal(qi.approximate(samples).coefficients,
+                                  default)
 
 
 @pytest.mark.parametrize("m", [11, 32])
