@@ -269,16 +269,15 @@ def _gather(samples, coeffs, first, extent, sizes):
     cells = shapes.prod(axis=1)
     at = np.zeros(8, dtype=np.int64)  # each kind's stretch starts at at[kind]
     at[used] = np.cumsum(cells) - cells
-    zero = np.zeros_like(cells)
-    tables = _box_offsets(0, cells, at[used], shapes, (zero, s), (zero, c))
+    tables = _box_offsets(shapes, s, c)  # one per frame, kind after kind
     frames = tuple(zip((first @ s, (first + 1) @ c), tables))
     ends = np.cumsum(sizes)
     starts = ends - sizes
     shift = at[kinds] - starts  # from a coefficient's number to its entry
     for lo in range(0, ends[-1], _BOX_CHUNK):
         hi = lo + _BOX_CHUNK
-        b0, b1 = np.searchsorted(ends, lo, "right"), np.searchsorted(starts, hi)
-        boxes = slice(b0, b1)  # those with coefficients in the chunk
+        b0 = np.searchsorted(ends, lo, "right")
+        boxes = slice(b0, np.searchsorted(starts, hi))  # those in the chunk
         share = np.minimum(ends[boxes], hi) - np.maximum(starts[boxes], lo)
         entry = np.arange(lo, lo + share.sum())
         entry += shift[boxes].repeat(share)
@@ -323,23 +322,16 @@ def _tap_sums(src, local, index, weights, reach, share):
     return acc
 
 
-def _box_offsets(lo, share, starts, extent, *frames):
-    """Flat indices of the entries number lo, lo + 1, ... of a list of
-    boxes, listed box after box and in C order within a box, ``share[b]``
-    of them in box b, whose first is number ``starts[b]``, in each
-    (base, strides) frame: box b's entry p is at ``base[b] + p @ strides``.
-    `_gather` lists its kinds' in-box offsets with it."""
-    p = np.arange(lo, lo + share.sum()) - starts.repeat(share)
-    p, p3 = np.divmod(p, extent[:, 2].repeat(share))
-    p, p2 = np.divmod(p, extent[:, 1].repeat(share))
-    offsets = []
-    for base, (s1, s2, _) in frames:
-        flat = base.repeat(share)
-        flat += p * s1
-        flat += p2 * s2
-        flat += p3
-        offsets.append(flat)
-    return offsets
+def _box_offsets(extent, *strides):
+    """The flat offsets p @ s, in elements, for each strides s, of every
+    index p of a box of each (n, 3) ``extent``, listed box after box and in
+    C order within a box.  `_gather` lists its box kinds' in-box offsets
+    with it."""
+    sizes = extent.prod(axis=1)
+    p = np.arange(sizes.sum()) - (np.cumsum(sizes) - sizes).repeat(sizes)
+    p, p3 = np.divmod(p, extent[:, 2].repeat(sizes))
+    p, p2 = np.divmod(p, extent[:, 1].repeat(sizes))
+    return [p * s1 + p2 * s2 + p3 for s1, s2, _ in strides]
 
 
 def _finite(a: np.ndarray) -> bool:
