@@ -718,18 +718,33 @@ _MESH_DIGESTS = {
     ("body", 25, False): (
         "92bd7b5e688d024a540d7d9b6250a4d4f9a2df7b5da2c08ff63df18eb9243bc9",
         "6ebbfd275fa1d58bd0e9241a5377f4f823bcae866aa5502e7e19839fdd2e3130"),
+    ("plane", 24, True): (
+        "a171539cd37b46ce5e958913f0dd7bec5e19e1b417224af36fd598b4874f893d",
+        "b5b170b913b0d80f3f1bbb835b3dbd919fa71a6e56a4eef980caccbe803a4da6"),
+    ("tilted", 36, True): (
+        "7db92633a884d100cadc2b5beda7b823e66bab99383de393a68da81e589bc896",
+        "5cd09a20eeb3bfbf371c0ec90fad855922299b2f6a61742633c116d52ab90a62"),
 }
 
 
 def test_mesh_bytes_are_pinned():
     """f2 at m = 32, rho = 0.3: R = 32 refined (the lattice of factor 1),
-    R = 64 (factor 2) and R = 100 (the tile route); and a cubic body at
-    m = (14, 12, 11), rho = 26000, R = 25 (the tile route)."""
+    R = 64 (factor 2) and R = 100 (the tile route); a cubic body at
+    m = (14, 12, 11), rho = 26000, R = 25 (the tile route); and two
+    surfaces through lattice points, refined, whose tied samples are set
+    to rho: s = z at rho = 0.5, R = 24 (625 tied samples) and
+    s = x + y - z at rho = 1/3, R = 36 (991)."""
     samples, grid, _ = volume.sample_test_function("f2", 32)
-    f2 = qi.approximate(samples, grid)
-    body = _cubic_body((14, 12, 11), 27)
+    grid12 = geometry.DomainGrid(12, 12, 12, 1 / 12)
+    x, y, z = np.moveaxis(domain.data_points(grid12), -1, 0)
+    splines = {
+        "f2": (qi.approximate(samples, grid), 0.3),
+        "body": (_cubic_body((14, 12, 11), 27), 26000.0),
+        "plane": (qi.approximate(z, grid12), 0.5),
+        "tilted": (qi.approximate(x + y - z, grid12), 1 / 3),
+    }
     for (name, res, refine), digests in _MESH_DIGESTS.items():
-        spline, rho = (f2, 0.3) if name == "f2" else (body, 26000.0)
+        spline, rho = splines[name]
         mesh = iso.extract(spline, iso.IsoRequest(rho, res, refine=refine))
         got = (hashlib.sha256(iso.write_obj(mesh).encode()).hexdigest(),
                hashlib.sha256(iso.write_ply(mesh)).hexdigest())
