@@ -7,26 +7,28 @@ triangles whose vertices sit on cell edges, placed by linear interpolation
 of the sampled values.  Because all tetrahedra share the same diagonal
 direction, faces of neighbouring cells are triangulated compatibly and
 shared surface edges are used by at most two triangles.  The march is one
-table-driven pass: the case codes of all 6 R1 R2 R3 tetrahedra are read
-from shifted views of the above-isovalue mask, and each crossed tetrahedron
-looks its triangles up in a (tetrahedron, case) table, so triangles come in
-(tetrahedron, cell, slot) order, each wound by the table to face the
-above-isovalue side; no pass normalizes the winding afterwards.
+table-driven pass: the 8 shifted views of the above-isovalue mask are ORed
+into one corner byte per cell, kept at the cell's corner-0 sample id; only
+the mixed cells' bytes are read, through a (tetrahedron, byte) case table,
+and each crossed tetrahedron looks its triangles' edge offsets up in a
+(tetrahedron, case) table, so triangles come in (tetrahedron, cell, slot)
+order, each wound by the table to face the above-isovalue side; no pass
+normalizes the winding afterwards.
 
 The sample lattice comes from `qi.grid_values`: read by correlation
 (`qi._lattice_values`) when every R_a is a multiple of m_a, otherwise from
 `QISpline.grid_blocks` at the exact lattice, one kernel per distinct local
 offset triple, with no point array and no point located.
 
-Vertices are merged by their undirected sample-edge key, so the mesh is
-deterministic.  A sample within ``_TIE_FACTOR`` max|sample| of the isovalue
-is set to it, and a vertex at an edge end is keyed by that sample instead,
-so every edge ending there shares it and a surface through lattice points
-stays one connected sheet; the triangles it collapses are dropped.  An optional
-refinement moves each vertex along its edge by Illinois regula falsi,
-starting from the linear estimate and reusing the sampled end values, until
-|s(v) - rho| <= 1e-8.  Each vertex is evaluated once at its final point,
-for the residual and the scalars.
+Vertices are merged by their undirected sample-edge key in one sort, so
+the mesh is deterministic.  A sample within ``_TIE_FACTOR`` max|sample| of
+the isovalue is set to it, and a vertex at an edge end is keyed by that
+sample instead, so every edge ending there shares it and a surface through
+lattice points stays one connected sheet; the triangles it collapses are
+dropped.  An optional refinement moves each vertex along its edge by
+Illinois regula falsi, starting from the linear estimate and reusing the
+sampled end values, until |s(v) - rho| <= 1e-8.  Each vertex is evaluated
+once at its final point, for the residual and the scalars.
 
 Export formats: ASCII OBJ (v/f records, 1-based indices, coordinates in
 shortest round-trip ``repr`` form) and binary little-endian PLY (float64
@@ -164,28 +166,32 @@ def _case_table():
 
 
 _CASE_TRIS, _CASE_USED = _case_table()
+# per tetrahedron the case of each cell corner byte (bit k: corner k above)
+_TET_CASES = ((np.arange(256) >> _TETS[..., None] & 1)
+              << np.arange(4)[:, None]).sum(axis=1)
 
 
 def _march(values, rho):
     """The (nt, 3) sample-edge keys ``lo * npts + hi`` of the triangles of
     the lattice ``values`` at ``rho``, wound toward the above side, in
-    (tetrahedron, cell, slot) order.  Sample ids are built only for the
-    corners of crossed tetrahedra."""
-    cube = np.lib.stride_tricks.sliding_window_view(values > rho, (2, 2, 2))
-    codes = np.zeros((6, *cube.shape[:3]), dtype=np.uint8)
-    for code, tet in zip(codes, _TETS):
-        for c, k in enumerate(tet):  # corner k of every cell, as a view
-            code |= cube[..., k >> 2, k >> 1 & 1, k & 1].view(np.uint8) << c
-    tet, *cell = np.nonzero((codes != 0) & (codes != 15))
-    case = codes[(tet, *cell)]
+    (tetrahedron, cell, slot) order.  A cell's corner byte sits at its
+    corner-0 sample id, so only the mixed cells are read."""
+    above = (values > rho).view(np.uint8)
+    code = np.zeros(values.shape, np.uint8)
+    n0, n1, n2 = (n - 1 for n in values.shape)
+    for k in range(8):  # corner k = 4x + 2y + z of every cell, as a view
+        x, y, z = k >> 2, k >> 1 & 1, k & 1
+        code[:n0, :n1, :n2] |= above[x:x + n0, y:y + n1, z:z + n2] << k
+    cell = np.flatnonzero((code != 0) & (code != 255))
+    cases = _TET_CASES[:, code.reshape(-1)[cell]]             # (6, n)
+    del above, code  # lattice-sized: freed before the keys, which set the peak
+    tet, j = np.nonzero((cases != 0) & (cases != 15))
+    case = cases[tet, j]
     offsets = np.ravel_multi_index(np.unravel_index(_TETS, (2, 2, 2)),
                                    values.shape)              # (6, 4)
-    ids = (np.ravel_multi_index(cell, values.shape)[:, None]
-           + offsets[tet])                                    # (n, 4)
-    lo, hi = np.array(_TET_EDGES).T
-    edges = ids[:, lo] * values.size + ids[:, hi]             # (n, 6)
-    keys = np.take_along_axis(edges[:, None, :], _CASE_TRIS[tet, case],
-                              axis=2)
+    edge = offsets[:, _TET_EDGES] @ [values.size, 1]          # (6, 6)
+    keys = edge[np.arange(6)[:, None, None, None], _CASE_TRIS][tet, case]
+    keys += cell[j, None, None] * (values.size + 1)           # (n, 2, 3)
     return keys[_CASE_USED[case]]
 
 
@@ -202,39 +208,33 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
     for plane in values:
         plane[np.abs(plane - rho) <= tie] = rho
 
-    edge_keys = _march(values, rho)                # (nt, 3)
-    if not len(edge_keys):
+    keys = _march(values, rho).reshape(-1)         # (3 nt,)
+    if not len(keys):
         return TriangleMesh(np.empty((0, 3)), np.empty((0, 3), np.int32),
                             residual=0.0)
-    flat = values.reshape(-1)
-
-    unique_keys, inverse = np.unique(edge_keys.reshape(-1),
-                                     return_inverse=True)
-    triangles = inverse.reshape(-1, 3)
+    flat, npts = values.reshape(-1), values.size
 
     # every edge joins a sample above rho to one at or below it, so its
     # vertex is at an end exactly where that end's sample was set to rho:
-    # the edge is turned to start there and keyed as the edge (s, s), so
-    # every edge ending there shares the vertex, and the triangles it
-    # collapses fall to the area cut
-    ia, ib = np.divmod(unique_keys, values.size)
-    flip = flat[ib] == rho
-    ia, ib = np.where(flip, ib, ia), np.where(flip, ia, ib)
-    _, first, inverse = np.unique(
-        np.where(flat[ia] == rho, ia * (values.size + 1), unique_keys),
-        return_index=True, return_inverse=True)
-    triangles = inverse[triangles].astype(np.int32)
-    ia, ib = ia[first], ib[first]
+    # it is then keyed as the edge (s, s), at t = 0, so every edge ending
+    # there shares it, and the triangles it collapses fall to the area cut
+    for end in np.divmod(keys, npts):
+        tied = flat[end] == rho
+        keys[tied] = end[tied] * (npts + 1)
+    keys, triangles = np.unique(keys, return_inverse=True)
+    triangles = triangles.reshape(-1, 3).astype(np.int32)
+    ia, ib = np.divmod(keys, npts)
     va, vb = flat[ia], flat[ib]
-    t = (rho - va) / (vb - va)  # in [0, 1), 0 exactly at a sample vertex
+    t = np.divide(rho - va, vb - va, out=np.zeros(len(va)), where=ia != ib)
     pa, pb = (qi.grid_points(grid, values.shape, i) for i in (ia, ib))
     svals = _refine_vertices(spline, t, pa, pb, va - rho, vb - rho, rho,
                              60 if request.refine else 1)
     verts = pa + t[:, None] * (pb - pa)
 
     # drop degenerate triangles
-    v0, v1, v2 = (verts[triangles[:, i]] for i in range(3))
-    area2 = np.linalg.norm(np.cross(v1 - v0, v2 - v0), axis=1)
+    v0 = verts[triangles[:, 0]]
+    area2 = np.linalg.norm(np.cross(verts[triangles[:, 1]] - v0,
+                                    verts[triangles[:, 2]] - v0), axis=1)
     triangles = triangles[area2 > 2.0 * area_cut]
 
     # compact to referenced vertices (keyed order kept, so deterministic)

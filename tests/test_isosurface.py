@@ -287,12 +287,11 @@ def _oracle_march(values, rho):
                  for o in range(4) if o != a]
             cases[case] = ([tuple(e)], above[0])
 
-    res = values.shape[0] - 1
+    _, n1, n2 = values.shape
     npts = values.size
-    strides = np.array([(res + 1) ** 2, res + 1, 1], dtype=np.int64)
-    base = np.arange(res, dtype=np.int64)
-    origin = (base[:, None, None] * strides[0] + base[None, :, None]
-              * strides[1] + base[None, None, :] * strides[2]).reshape(-1)
+    strides = np.array([n1 * n2, n2, 1], dtype=np.int64)
+    cells = np.indices(np.subtract(values.shape, 1)).reshape(3, -1)
+    origin = strides @ cells
     flat = values.reshape(-1)
 
     def coords(ids):
@@ -326,12 +325,14 @@ def _rows(keys):
 
 
 def _lattice(spline, res):
-    return qi.grid_values(spline, res + 1)
+    return qi.grid_values(spline, np.add(res, 1))
 
 
-@pytest.mark.parametrize("res", [7, 16, 32])
+@pytest.mark.parametrize("res", [7, 16, 32, (7, 16, 11)])
 def test_march_matches_per_case_oracle(bump_setup, res):
-    spline, _ = bump_setup  # m = 16: R = 7 point by point, 16, 32 aligned
+    """m = 16: R = 7 point by point, 16 and 32 aligned, and an anisotropic
+    lattice, whose cell ids differ from a cube's along every axis."""
+    spline, _ = bump_setup
     values = _lattice(spline, res)
     on_sample = values.flat[np.abs(values - 0.3).argmin()]
     for rho in (0.3, on_sample):
@@ -351,6 +352,29 @@ def test_march_matches_oracle_on_plane_and_above_maximum(plane_spline):
     assert _oracle_march(values, values.max() + 1.0).shape == (0, 3)
     empty = iso.extract(plane_spline, iso.IsoRequest(2.0, resolution=16))
     assert empty.triangles.shape == (0, 3) and empty.residual == 0.0
+
+
+def _traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_march_and_extract_memory_is_a_few_lattices():
+    """f2 at m = 32, rho = 0.3, R = 128, whose lattice is 16.4 MiB.  The
+    march holds one corner byte per sample and arrays over the mixed cells
+    only: 27.6 MiB (57.4 MiB with a case code per tetrahedron and cell).
+    All of `extract` peaks at 83.6 MiB in the degenerate-triangle test
+    (98.7 MiB with three corner copies held through `np.cross`)."""
+    samples, grid, _ = volume.sample_test_function("f2", 32)
+    f2 = qi.approximate(samples, grid)
+    values = _lattice(f2, 128)
+    assert _traced_peak(iso._march, values, 0.3) <= 2.5 * values.nbytes
+    assert (_traced_peak(iso.extract, f2, iso.IsoRequest(0.3, 128))
+            <= 5.5 * values.nbytes)
 
 
 def test_obj_round_trip(bump_setup):
