@@ -225,11 +225,15 @@ def extract(spline, request: IsoRequest) -> TriangleMesh:
     triangles = triangles.reshape(-1, 3).astype(np.int32)
     ia, ib = np.divmod(keys, npts)
     va, vb = flat[ia], flat[ib]
+    # from here on only the lattice's shape is needed: release the lattice
+    shape = values.shape
+    del values, flat, keys, end, tied
     t = np.divide(rho - va, vb - va, out=np.zeros(len(va)), where=ia != ib)
-    pa, pb = (qi.grid_points(grid, values.shape, i) for i in (ia, ib))
+    pa, pb = (qi.grid_points(grid, shape, i) for i in (ia, ib))
     svals = _refine_vertices(spline, t, pa, pb, va - rho, vb - rho, rho,
                              60 if request.refine else 1)
     verts = pa + t[:, None] * (pb - pa)
+    del ia, ib, va, vb, t, pa, pb  # the triangle test needs only verts
 
     # drop degenerate triangles
     v0 = verts[triangles[:, 0]]

@@ -3,9 +3,9 @@
 Solves  min c.x  subject to  A x = b, x >= 0  exactly.  Inputs and results
 are `fractions.Fraction`s; the tableau itself holds Python `int`s.  Bland's
 smallest-index rule guarantees termination without perturbation;
-infeasibility detection is exact (nonzero phase-one optimum).  Dense
-tableau - intended for the small systems of the near-best derivation (tens
-of rows, up to a few thousand columns).
+infeasibility detection is exact (nonzero phase-one optimum).  Intended for
+the small systems of the near-best derivation (tens of rows, up to a few
+thousand columns).
 
 Integer-preserving pivots (Edmonds 1967, Bareiss 1968)
 ------------------------------------------------------
@@ -24,36 +24,40 @@ ratios ``rhs / a`` within one column, and positive factors change neither,
 as long as det > 0.  A pivot is negative only when a leftover artificial is
 driven out of the basis after phase one; then every row and det are negated.
 Hence the pivot sequence is that of the rational tableau, and the optimum is
-the same vertex, read as ``x_j = M[r][-1] / M[r][j]`` for basic j.
+the same vertex.  A basic column's entry in its row is det, so
+``x_j = M[r][-1] / det`` for basic j.
 
-Mirrored columns are stored once
---------------------------------
-The l1 split s = u - v gives ``A = [V | -V]``, so half of every constraint
-row and of the phase-one row is the negation of the other half.  After the
-row flips and the scaling, each structural column j is mapped to a stored
-column s and a sign: a column that is exactly the negation of an earlier
-stored column is virtual, with sign -1; every other column is stored, with
-sign +1.  Without mirrored columns the map is the identity.  One identity
-gives the entry of a virtual column j with source s in every row r::
+Only the artificial block is pivoted
+------------------------------------
+Every row of M is an integer combination of the m starting constraint
+rows, plus det times its own starting row in a cost row.  The weights are
+the row's entries in the artificial columns, since the starting artificial
+block is the identity and is zero in both cost rows.  With
+``Y[r][i] = M[r][n + i]``, for every column j::
 
-    M[r][j] = det * (C_r[j] + C_r[s]) - M[r][s],
+    M[r][j] = det * C_r[j] + sum_i Y[r][i] * start_i[j],
 
-where C_r is ``L c`` in the phase-two cost row and 0 in every other row,
-the phase-one row included.  It holds because every constraint and
-phase-one row is a combination of starting rows, linear in the column,
-while the cost row is ``det * L c`` plus such a combination (M = det * S
-with det > 0, the negation on a negative pivot keeps that, and
-B^-1 (-A_s) = -B^-1 A_s).  Pivots update only the stored columns, taking the
-entering column's entries from the identity; Bland's scans, the ratio test,
-the drive-out of leftover artificials and the read-out of x go through the
-map.  Both phases still scan columns in their original numbering, so every
-choice, and every `Fraction` of the result, is that of the full tableau.
+where start_i is starting constraint row i and C_r is 0 in a constraint
+row, ``L c`` in the phase-two cost row and minus the column sums of the
+constraint rows in the phase-one row.  A pivot updates every column by the
+same rule and moves det to p, and the negation on a negative pivot negates
+det too, so the identity holds throughout.  The tableau therefore stores
+only Y and the rhs column, (m + 2) x (m + 1) integers whatever the number
+of columns, and a pivot updates only those.  Any other entry is one
+length-m dot product with its starting column, plus ``det * C_r[j]`` in a
+cost row: Bland's scan of a cost row, the entering column (built once per
+pivot, for the ratio test and the update) and the drive-out of leftover
+artificials after phase one.  Phase two then drops the rows of redundant
+constraints and carries the phase-one row along unread.  This is the
+revised simplex of Dantzig and Orchard-Hays (1954) on the integer tableau:
+every choice, and every `Fraction` of the result, is that of the full one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 __all__ = ["LPResult", "solve_lp", "minimize_l1_exact"]
 
@@ -83,92 +87,71 @@ class LPResult:
         return f"LPResult(status={self.status!r}, objective={self.objective!r})"
 
 
-def _pivot(M, cols, basis, det, row, col):
+def _column(Y, costs, det, start, j):
+    """Column j of the tableau in every row of Y: the constraint rows, then
+    the two cost rows, whose starting rows are costs.  start is its starting
+    column; each dot product stops at its length m, before the row's rhs."""
+    a = [sum(map(mul, y, start)) for y in Y]
+    a[-2] += det * costs[0][j]
+    a[-1] += det * costs[1][j]
+    return a
+
+
+def _pivot(Y, a, basis, det, row, col):
     """Integer-preserving pivot on column col of row; returns the new det > 0.
 
-    col is an original column number; only stored columns are updated, and
-    the entries of col itself are read through the column map.
+    a is column col in every row of Y; only Y and its rhs column change.
     """
-    s, sign, off = cols[col]
-    zrow = len(basis)  # the phase-two cost row follows the constraint rows
-    prow = M[row]
-    p = sign * prow[s]
-    for i, mi in enumerate(M):
+    p = a[row]
+    prow = Y[row]
+    for i, yi in enumerate(Y):
         if i == row:
             continue
-        f = sign * mi[s] + (det * off if i == zrow else 0)
+        f = a[i]
         if f:
-            M[i] = [(p * a - f * b) // det for a, b in zip(mi, prow)]
+            Y[i] = [(p * u - f * v) // det for u, v in zip(yi, prow)]
         elif p != det:
-            M[i] = [p * a // det for a in mi]
+            Y[i] = [p * u // det for u in yi]
     basis[row] = col
     if p < 0:
-        for i, mi in enumerate(M):
-            M[i] = [-a for a in mi]
+        for i, yi in enumerate(Y):
+            Y[i] = [-u for u in yi]
         p = -p
     return p
 
 
-def _bland(M, cols, basis, det, cost_row, ncols):
-    """Run simplex with Bland's rule; cost_row is the index of the z-row.
-
-    Columns are scanned in their original numbering, so the choice of every
-    entering column, and of every leaving row, is that of the full tableau.
-    Returns (status, det).
-    """
+def _bland(Y, starts, costs, basis, det, cost_row, ncols):
+    """Run simplex with Bland's rule on the cost row of index cost_row,
+    over the columns below ncols.  Returns (status, det)."""
     m = len(basis)
+    cost = costs[cost_row - m]
     while True:
-        z = M[cost_row]
-        # C is L c in the phase-two cost row (index m), 0 in the phase-one row
-        d = det if cost_row == m else 0
-        col = next((j for j, (s, sign, off) in enumerate(cols[:ncols])
-                    if sign * z[s] + d * off < 0), None)
+        z = Y[cost_row]
+        col = next((j for j in range(ncols)
+                    if sum(map(mul, z, starts[j]), det * cost[j]) < 0), None)
         if col is None:
             return "optimal", det
-        s, sign, _ = cols[col]
+        a = _column(Y, costs, det, starts[col], col)
         best = None
         for r in range(m):
-            a = sign * M[r][s]
-            if a <= 0:
+            if a[r] <= 0:
                 continue
-            rhs = M[r][-1]
+            rhs = Y[r][-1]
             if best is not None:
                 # rhs / a against rhs_best / a_best; ties go to the smaller
                 # basis index
-                diff = rhs * a_best - rhs_best * a
+                diff = rhs * a[best] - rhs_best * a[r]
                 if diff > 0 or (diff == 0 and basis[r] > basis[best]):
                     continue
-            best, a_best, rhs_best = r, a, rhs
+            best, rhs_best = r, rhs
         if best is None:
             return "unbounded", det
-        det = _pivot(M, cols, basis, det, best, col)
+        det = _pivot(Y, a, basis, det, best, col)
 
 
-def _column_map(rows, cost, m):
-    """Store each structural column once up to sign.
-
-    Returns (cols, stored): cols[j] = (s, sign, off) for every original
-    column j, structural then the m artificials, where s indexes the stored
-    columns; stored lists the original number of each stored structural
-    column.  A column that is exactly the negation of an earlier stored one
-    is virtual, (s, -1, cost[j] + cost[stored[s]]); every other column is
-    stored as (s, 1, 0).
-    """
-    seen = {}
-    stored = []
-    cols = []
-    for j in range(len(cost)):
-        column = tuple(row[j] for row in rows)
-        s = seen.get(tuple(-a for a in column))
-        if s is None:
-            seen.setdefault(column, len(stored))
-            cols.append((len(stored), 1, 0))
-            stored.append(j)
-        else:
-            cols.append((s, -1, cost[j] + cost[stored[s]]))
-    k = len(stored)
-    cols += [(k + i, 1, 0) for i in range(m)]
-    return cols, stored
+def _fraction(v):
+    """v as a Fraction; a Fraction is returned as it is."""
+    return v if isinstance(v, Fraction) else Fraction(v)
 
 
 def _check_shape(A, b, n, a_name, n_name):
@@ -202,63 +185,59 @@ def solve_lp(A, b, c):
     m = len(A)
     n = len(c)
     _check_shape(A, b, n, "A", "c")
-    A = [[Fraction(v) for v in row] for row in A]
-    b = [Fraction(v) for v in b]
-    c = [Fraction(v) for v in c]
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-v for v in A[i]]
-            b[i] = -b[i]
+    A = [list(map(_fraction, row)) for row in A]
+    b = list(map(_fraction, b))
+    c = list(map(_fraction, c))
     L = lcm(*(v.denominator for row in (*A, b, c) for v in row))
 
     def scaled(values):
         return [v.numerator * (L // v.denominator) for v in values]
 
     rows = [scaled(row) for row in A]
-    cost = scaled(c)
-    cols, stored = _column_map(rows, cost, m)
-    k = len(stored)
-    # tableau columns: k stored structural + m artificial + rhs;
-    # rows: m constraints + phase-two z-row + phase-one z-row
     rhs = scaled(b)
-    M = []
     for i in range(m):
-        row = [rows[i][j] for j in stored] + [0] * m + [rhs[i]]
-        row[k + i] = 1
-        M.append(row)
-    zrow = [cost[j] for j in stored] + [0] * (m + 1)
-    art = [-sum(row[j] for row in M) for j in range(k + m + 1)]
-    art[k:k + m] = [0] * m
-    M.append(zrow)
-    M.append(art)
+        if rhs[i] < 0:
+            rows[i] = [-v for v in rows[i]]
+            rhs[i] = -rhs[i]
+    # starting columns: n structural, then the m artificial unit columns
+    units = [[int(i == r) for i in range(m)] for r in range(m)]
+    starts = [tuple(row[j] for row in rows) for j in range(n)]
+    starts += map(tuple, units)
+    # starting cost rows: phase two's L c, phase one's minus column sums
+    costs = (scaled(c) + [0] * m, [-sum(col) for col in starts[:n]] + [0] * m)
+    # rows of Y: m constraints, the phase-two and the phase-one cost row
+    Y = [unit + [v] for unit, v in zip(units, rhs)]
+    Y += [[0] * (m + 1), [0] * m + [-sum(rhs)]]
     basis = list(range(n, n + m))
 
-    status, det = _bland(M, cols, basis, 1, cost_row=m + 1, ncols=n + m)
+    status, det = _bland(Y, starts, costs, basis, 1, cost_row=m + 1,
+                         ncols=n + m)
     if status != "optimal":  # pragma: no cover - phase one cannot be unbounded
         return LPResult(status)
-    if M[m + 1][-1] != 0:  # phase-one optimum is -z entry
+    if Y[m + 1][-1] != 0:  # phase-one optimum is -z entry
         return LPResult("infeasible")
 
     # drive leftover artificial variables out of the basis
     for r in range(m):
         if basis[r] >= n:
-            col = next((j for j in range(n) if M[r][cols[j][0]] != 0), None)
+            col = next((j for j in range(n)
+                        if sum(map(mul, Y[r], starts[j]))), None)
             if col is not None:
-                det = _pivot(M, cols, basis, det, r, col)
-    # drop redundant all-zero rows still pinned to artificials
+                a = _column(Y, costs, det, starts[col], col)
+                det = _pivot(Y, a, basis, det, r, col)
+    # drop redundant all-zero rows still pinned to artificials; phase two
+    # scans the structural columns only
     keep = [r for r in range(m) if basis[r] < n]
-    M = [M[r] for r in keep] + [M[m]]
+    Y = [Y[r] for r in keep] + Y[m:]
     basis = [basis[r] for r in keep]
-    # forbid artificial columns in phase two by truncating them
-    M = [row[:k] + [row[-1]] for row in M]
 
-    status, det = _bland(M, cols, basis, det, cost_row=len(basis), ncols=n)
+    status, det = _bland(Y, starts, costs, basis, det, cost_row=len(basis),
+                         ncols=n)
     if status != "optimal":
         return LPResult(status)
     x = [_ZERO] * n
-    for r, j in enumerate(basis):
-        s, sign, _ = cols[j]
-        x[j] = Fraction(M[r][-1], sign * M[r][s])
+    for y, j in zip(Y, basis):
+        x[j] = Fraction(y[-1], det)
     objective = sum((ci * xi for ci, xi in zip(c, x)), _ZERO)
     return LPResult("optimal", x=x, objective=objective)
 
@@ -267,9 +246,7 @@ def minimize_l1_exact(V, b, weights=None):
     """min sum_i w_i |s_i|  subject to  V s = b, exactly.
 
     Split s = u - v with u, v >= 0 and solve the equivalent LP over
-    ``[V | -V]`` by `solve_lp`, which stores only the u columns and reads
-    each v column as the negation of its u column (see the module
-    docstring).
+    ``[V | -V]`` by `solve_lp`.
 
     Parameters
     ----------
@@ -293,7 +270,7 @@ def minimize_l1_exact(V, b, weights=None):
         weights = [_ONE] * k
     _check_shape(V, b, len(weights), "V", "weights")
     A = [list(row) + [-v for v in row] for row in V]
-    c = [Fraction(w) for w in weights] * 2
+    c = list(weights) * 2
     res = solve_lp(A, b, c)
     if res.status != "optimal":
         return res.status, None, None

@@ -174,18 +174,16 @@ def _record_pivots(monkeypatch, module, name, log, at=None):
     """Wrap module.<name> so every call appends its pivot entry and
     right-hand side to log, and its (row, column) to ``at`` if given.
 
-    The integer tableau stores a mirrored column once, so its pivot entry
-    is read through the column map that ``simplex._pivot`` receives.
+    The integer tableau stores only its basis block and rhs column, so its
+    pivot entry is read from the entering column that ``simplex._pivot``
+    receives.
     """
     pivot = getattr(module, name)
 
     def counted(T, *rest):
         row, col = rest[-2:]
-        if module is simplex:
-            s, sign, _ = rest[0][col]
-            log.append((sign * T[row][s], T[row][-1]))
-        else:
-            log.append((T[row][col], T[row][-1]))
+        entry = rest[0][row] if module is simplex else T[row][col]
+        log.append((entry, T[row][-1]))
         if at is not None:
             at.append((row, col))
         return pivot(T, *rest)
@@ -241,9 +239,11 @@ def test_solve_lp_matches_fraction_oracle(monkeypatch):
     assert negative > 0 and degenerate > 0
 
 
-@pytest.mark.parametrize("n", [4, 5])
-def test_minimize_l1_matches_fraction_oracle(monkeypatch, grid11, n):
-    system = nearbest.constraint_system((0, 0, -1), n, grid11)
+@pytest.mark.parametrize("key, n", [
+    ((0, 0, -1), 4), ((0, 0, -1), 5), ((0, 0, -1), 8), ((3, 0, 0), 3)],
+    ids=["4", "5", "8", "token-300-n3"])
+def test_minimize_l1_matches_fraction_oracle(monkeypatch, grid11, key, n):
+    system = nearbest.constraint_system(key, n, grid11)
     got = nearbest.minimize_l1(system)
     monkeypatch.setattr(simplex, "solve_lp", _ref_solve_lp)
     want = nearbest.minimize_l1(system)
@@ -307,20 +307,28 @@ def test_mirrored_columns_pivot_like_the_full_tableau(monkeypatch):
     assert negative > 0 and degenerate > 0 and mirrored > 0
 
 
-def test_split_lp_stores_each_mirrored_column_once(monkeypatch, grid11):
-    system = nearbest.constraint_system((0, 0, -1), 8, grid11)
-    m, k = len(system.V), len(system.V[0])
-    widths = []
+def test_each_pivot_updates_only_the_basis_block(monkeypatch, grid11):
+    """Every pivot of the split LP rewrites (m + 2) x (m + 1) integers: the
+    artificial block and the rhs of m constraint rows and two cost rows,
+    however many structural columns the LP has."""
+    shapes = []
     pivot = simplex._pivot
 
-    def record(M, *rest):
-        widths.append(len(M[0]))
-        return pivot(M, *rest)
+    def record(Y, a, *rest):
+        shapes.append(([len(y) for y in Y], len(a)))
+        return pivot(Y, a, *rest)
 
     monkeypatch.setattr(simplex, "_pivot", record)
-    assert nearbest.minimize_l1(system).status == "optimal"
-    # phase one stores k structural + m artificial + rhs columns, not 2k
-    assert widths[0] == k + m + 1
+    widths = set()
+    for n in (5, 8):
+        system = nearbest.constraint_system((0, 0, -1), n, grid11)
+        m = len(system.V)
+        widths.add(2 * len(system.V[0]))
+        del shapes[:]
+        assert nearbest.minimize_l1(system).status == "optimal"
+        assert len(shapes) > m
+        assert all(shape == ([m + 1] * (m + 2), m + 2) for shape in shapes)
+    assert len(widths) == 2 and min(widths) > 2 * m
 
 
 @pytest.mark.parametrize("call", [
