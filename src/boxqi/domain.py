@@ -38,6 +38,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .geometry import as_count
+
 __all__ = [
     "active_mask", "centers", "center_exact",
     "data_points", "data_coordinate", "data_coordinate_exact",
@@ -144,10 +146,10 @@ def octahedron(alpha, n, grid):
     a (k, 3) int64 array, deduplicated and sorted lexicographically.
 
     Lattice points C_alpha + h*d for |d|_1 <= n are projected onto the
-    boundary (componentwise index clamp) and deduplicated.
+    boundary (componentwise index clamp) and deduplicated.  Raises
+    ValueError unless n is an integer >= 1 (numpy's too, not a bool).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = as_count(n, 1, "octahedron radius n must be an integer >= 1")
     beta = project_index(np.asarray(alpha, dtype=np.int64)
                          + octahedron_offsets(n), grid)
     return np.unique(beta, axis=0)

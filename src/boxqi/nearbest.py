@@ -18,6 +18,15 @@ Among all solutions the near-best functional minimizes ||sigma||_1, solved
 exactly by the rational simplex.  Stabilizer symmetries of the point set tie
 weights into orbits, shrinking the LP without changing its optimum (any
 optimum averages over the group into a symmetric one of equal norm).
+
+The system is built in one symmetry pass over the doubled centered points,
+in int64 arrays: the k points go through all 48 signed permutations at once
+as a (48, k, 3) array, each image is looked up by one integer key in the
+sorted keys of the points, the stabilizer is the permutations whose k
+images are all points, and the orbits (ordered by their smallest member)
+give the columns as integer orbit sums.  Rows are sign-normalised and
+de-duplicated on integers too; `Fraction`s are built last, once per distinct
+entry of the rows kept.  The simplex takes those rows back as integers.
 """
 
 from __future__ import annotations
@@ -63,11 +72,14 @@ def constraint_rhs(nu):
 _SIGNED_PERMS = tuple((perm, signs)
                       for perm in permutations(range(3))
                       for signs in product((1, -1), repeat=3))
+_PERM_AXES = np.array([perm for perm, _ in _SIGNED_PERMS])
+_PERM_SIGNS = np.array([signs for _, signs in _SIGNED_PERMS])
 
-
-def _apply_signed_perm(g, point):
-    perm, signs = g
-    return tuple(signs[a] * point[perm[a]] for a in range(3))
+#: Per monomial, 8 / 2^|nu| (so 8 times a row's entries are integers) and
+#: 24 times its right-hand side (1, -5/12 or 0): the integer keys on which
+#: rows are compared.
+_ROW_SCALE = np.array([8 >> sum(nu) for nu in MONOMIALS])[:, None]
+_RHS_24 = np.array([int(24 * constraint_rhs(nu)) for nu in MONOMIALS])
 
 
 @dataclass
@@ -113,31 +125,35 @@ def _monomial_values(doubled):
     return np.prod(doubled[:, None, :] ** np.array(MONOMIALS), axis=2)
 
 
-def _stabilizer(centered):
-    """Signed permutations mapping the centered point set onto itself."""
-    pset = set(centered)
-    kept = []
-    for g in _SIGNED_PERMS:
-        if all(_apply_signed_perm(g, p) in pset for p in pset):
-            kept.append(g)
-    return tuple(kept)
+def _orbit_members(doubled, tie_symmetry):
+    """(group, members, starts): the stabilizer of the doubled centered
+    points, and their indices grouped by orbit, orbits ordered by their
+    smallest member, each ascending; orbit o is members[starts[o]:
+    starts[o + 1]].
 
-
-def _point_orbits(centered, group):
-    index_of = {p: i for i, p in enumerate(centered)}
-    seen = [False] * len(centered)
-    orbits = []
-    for i, p in enumerate(centered):
-        if seen[i]:
-            continue
-        orbit = set()
-        for g in group:
-            orbit.add(index_of[_apply_signed_perm(g, p)])
-        orbit = sorted(orbit)
-        for j in orbit:
-            seen[j] = True
-        orbits.append(orbit)
-    return orbits
+    The points are mapped through all 48 signed permutations at once and
+    each image is looked up by its key in the balanced base 2c + 1, c the
+    largest |coordinate|.  That key orders points lexicographically, so
+    the keys of the sorted points are sorted.  A permutation is in the
+    stabilizer when all k images are points; a point's orbit is the set of
+    its images under the stabilizer.  Without ``tie_symmetry`` the group is
+    the identity alone and every point is its own orbit.
+    """
+    base = 2 * int(np.abs(doubled).max()) + 1
+    weights = np.array([base * base, base, 1])
+    keys = doubled @ weights
+    images = (_PERM_SIGNS[:, None, :] * doubled[:, _PERM_AXES]
+              .transpose(1, 0, 2)) @ weights
+    at = np.minimum(np.searchsorted(keys, images), len(keys) - 1)
+    kept = np.zeros(len(_SIGNED_PERMS), dtype=bool)
+    if tie_symmetry:
+        kept = (keys[at] == images).all(axis=1)
+    kept[0] = True  # the identity
+    smallest = at[kept].min(axis=0)
+    members = np.argsort(smallest, kind="stable")
+    starts = np.flatnonzero(np.diff(smallest[members], prepend=-1))
+    group = tuple(_SIGNED_PERMS[g] for g in np.flatnonzero(kept))
+    return group, members, starts
 
 
 def constraint_system(alpha, n, grid, tie_symmetry=True):
@@ -146,44 +162,47 @@ def constraint_system(alpha, n, grid, tie_symmetry=True):
     With ``tie_symmetry`` the stabilizer of the projected point set ties
     symmetric points to a common weight (columns become orbit sums) and
     redundant monomial rows collapse; for alpha = (0,0,-1) exactly 13 of
-    the 20 conditions survive.  Raises ValueError for an alpha outside the
-    index set A.
+    the 20 conditions survive.  Rows are compared as integers, 8 times
+    their entries with 24 times their rhs, and `Fraction`s are built only
+    for the rows kept.  Raises ValueError for an alpha outside the index
+    set A or a radius n that is not an integer >= 1.
     """
     domain.axis_labels(alpha, grid)
     points = domain.octahedron(alpha, n, grid)
     doubled = _doubled_centered(points, alpha, grid)
-    centered = [tuple(p) for p in doubled.tolist()]
-    group = _stabilizer(centered) if tie_symmetry else (_SIGNED_PERMS[0],)
-    orbits = _point_orbits(centered, group)
-    values = _monomial_values(doubled)
-    sums = np.array([values[orbit].sum(axis=0) for orbit in orbits])
+    group, members, starts = _orbit_members(doubled, tie_symmetry)
+    sums = np.add.reduceat(_monomial_values(doubled)[members], starts).T
+    # sign-normalise: every row with a nonzero entry leads with a positive
+    # one; then 8 times each entry is an integer
+    nonzero = sums != 0
+    lead = sums[np.arange(len(MONOMIALS)), nonzero.argmax(axis=1)]
+    sign = np.where(lead < 0, -1, 1)[:, None]
+    eighths = sums * sign * _ROW_SCALE
+    targets = (_RHS_24 * sign[:, 0]).tolist()
 
-    rows = []
-    V = []
-    b = []
+    kept = []
     seen = set()
-    for nu, column in zip(MONOMIALS, sums.T.tolist()):
-        row = [Fraction(total, 2 ** sum(nu)) for total in column]
-        rhs = constraint_rhs(nu)
-        lead = next((v for v in row if v != 0), None)
-        if lead is None:
-            if rhs != 0:
-                # degenerate geometry cannot match a nonzero target; keep the
-                # row so the LP reports infeasibility honestly
-                rows.append(nu)
-                V.append(row)
-                b.append(rhs)
+    for r, row in enumerate(eighths.tolist()):
+        if nonzero[r].any():
+            key = (*row, targets[r])
+            if key in seen:
+                continue
+            seen.add(key)
+        elif not targets[r]:
             continue
-        if lead < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-        key = (tuple(row), rhs)
-        if key in seen:
-            continue
-        seen.add(key)
-        rows.append(nu)
-        V.append(row)
-        b.append(rhs)
+        # a zero row with a nonzero target (degenerate geometry) is kept so
+        # the LP reports infeasibility honestly
+        kept.append(r)
+    # one Fraction per distinct entry of the kept rows
+    distinct, at = np.unique(eighths[kept], return_inverse=True)
+    fractions = [Fraction(v, 8) for v in distinct.tolist()]
+    V = [[fractions[i] for i in row] for row in at.reshape(len(kept), -1)
+         .tolist()]
+    rows = [MONOMIALS[r] for r in kept]
+    b = [constraint_rhs(nu) * int(sign[r, 0]) for r, nu in zip(kept, rows)]
+    edges = [*starts.tolist(), len(members)]
+    members = members.tolist()
+    orbits = [members[lo:hi] for lo, hi in zip(edges, edges[1:])]
     return ConstraintSystem(alpha=tuple(int(a) for a in alpha), n=n,
                             grid=grid, points=points, rows=rows, V=V,
                             b=b, orbits=orbits, group=group)
@@ -208,7 +227,7 @@ def minimize_l1(system):
     The LP objective counts every tied point: orbit variable w_O contributes
     |O| * |w_O|.
     """
-    sizes = [Fraction(len(o)) for o in system.orbits]
+    sizes = [len(o) for o in system.orbits]
     status, s, norm = minimize_l1_exact(system.V, system.b, weights=sizes)
     if status != "optimal":
         return L1Solution(status=status, system=system, weights=None,

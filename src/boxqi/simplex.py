@@ -1,7 +1,9 @@
 """Exact two-phase simplex over the rationals, pivoted in integers.
 
-Solves  min c.x  subject to  A x = b, x >= 0  exactly.  Inputs and results
-are `fractions.Fraction`s; the tableau itself holds Python `int`s.  Bland's
+Solves  min c.x  subject to  A x = b, x >= 0  exactly.  Inputs are Python
+`int`s or `fractions.Fraction`s (anything else is converted to a Fraction)
+and results are Fractions; the tableau itself holds Python `int`s, and
+`int` inputs pass into it as they are.  Bland's
 smallest-index rule guarantees termination without perturbation;
 infeasibility detection is exact (nonzero phase-one optimum).  Intended for
 the small systems of the near-best derivation (tens of rows, up to a few
@@ -62,7 +64,6 @@ from operator import mul
 __all__ = ["LPResult", "solve_lp", "minimize_l1_exact"]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class LPResult:
@@ -149,9 +150,16 @@ def _bland(Y, starts, costs, basis, det, cost_row, ncols):
         det = _pivot(Y, a, basis, det, best, col)
 
 
-def _fraction(v):
-    """v as a Fraction; a Fraction is returned as it is."""
-    return v if isinstance(v, Fraction) else Fraction(v)
+def _integers(rows):
+    """(L, the rows of integers L v) for rows of rationals v, where L is the
+    lcm of every denominator.  An int or a Fraction is read as it is,
+    anything else through Fraction; so rows of ints give L = 1 and
+    themselves."""
+    rows = [[v if isinstance(v, (int, Fraction)) else Fraction(v)
+             for v in row] for row in rows]
+    L = lcm(*(v.denominator for row in rows for v in row))
+    return L, [[v.numerator * (L // v.denominator) for v in row]
+               for row in rows]
 
 
 def _check_shape(A, b, n, a_name, n_name):
@@ -168,9 +176,9 @@ def solve_lp(A, b, c):
 
     Parameters
     ----------
-    A : list of list of Fraction, shape (m, n)
-    b : list of Fraction, length m
-    c : list of Fraction, length n
+    A : list of list of int or Fraction, shape (m, n)
+    b : list of int or Fraction, length m
+    c : list of int or Fraction, length n
 
     Returns
     -------
@@ -185,16 +193,7 @@ def solve_lp(A, b, c):
     m = len(A)
     n = len(c)
     _check_shape(A, b, n, "A", "c")
-    A = [list(map(_fraction, row)) for row in A]
-    b = list(map(_fraction, b))
-    c = list(map(_fraction, c))
-    L = lcm(*(v.denominator for row in (*A, b, c) for v in row))
-
-    def scaled(values):
-        return [v.numerator * (L // v.denominator) for v in values]
-
-    rows = [scaled(row) for row in A]
-    rhs = scaled(b)
+    L, (*rows, rhs, cost) = _integers([*A, b, c])
     for i in range(m):
         if rhs[i] < 0:
             rows[i] = [-v for v in rows[i]]
@@ -204,7 +203,7 @@ def solve_lp(A, b, c):
     starts = [tuple(row[j] for row in rows) for j in range(n)]
     starts += map(tuple, units)
     # starting cost rows: phase two's L c, phase one's minus column sums
-    costs = (scaled(c) + [0] * m, [-sum(col) for col in starts[:n]] + [0] * m)
+    costs = (cost + [0] * m, [-sum(col) for col in starts[:n]] + [0] * m)
     # rows of Y: m constraints, the phase-two and the phase-one cost row
     Y = [unit + [v] for unit, v in zip(units, rhs)]
     Y += [[0] * (m + 1), [0] * m + [-sum(rhs)]]
@@ -238,7 +237,7 @@ def solve_lp(A, b, c):
     x = [_ZERO] * n
     for y, j in zip(Y, basis):
         x[j] = Fraction(y[-1], det)
-    objective = sum((ci * xi for ci, xi in zip(c, x)), _ZERO)
+    objective = sum(map(mul, cost, x), _ZERO) / L
     return LPResult("optimal", x=x, objective=objective)
 
 
@@ -246,13 +245,18 @@ def minimize_l1_exact(V, b, weights=None):
     """min sum_i w_i |s_i|  subject to  V s = b, exactly.
 
     Split s = u - v with u, v >= 0 and solve the equivalent LP over
-    ``[V | -V]`` by `solve_lp`.
+    ``[V | -V]`` by `solve_lp`.  V, b and the weights are scaled to
+    integers first, by the lcm L of their denominators that `solve_lp`
+    would compute for that LP, and the mirrored half negates those
+    integers; `solve_lp` takes them as they are (its own lcm is then 1), so
+    it pivots the same integer tableau as on the rational LP and returns
+    the same x.
 
     Parameters
     ----------
-    V : list of list of Fraction, shape (m, k)
-    b : list of Fraction
-    weights : list of Fraction, optional
+    V : list of list of int or Fraction, shape (m, k)
+    b : list of int or Fraction
+    weights : list of int or Fraction, optional
         Positive objective weights (default all 1).
 
     Returns
@@ -267,11 +271,11 @@ def minimize_l1_exact(V, b, weights=None):
     """
     k = len(V[0]) if V else 0
     if weights is None:
-        weights = [_ONE] * k
+        weights = [1] * k
     _check_shape(V, b, len(weights), "V", "weights")
-    A = [list(row) + [-v for v in row] for row in V]
-    c = list(weights) * 2
-    res = solve_lp(A, b, c)
+    _, (*rows, rhs, cost) = _integers([*V, b, weights])
+    A = [row + [-v for v in row] for row in rows]
+    res = solve_lp(A, rhs, cost * 2)
     if res.status != "optimal":
         return res.status, None, None
     s = [res.x[i] - res.x[k + i] for i in range(k)]

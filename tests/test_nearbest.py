@@ -150,8 +150,8 @@ def _assert_matches_fraction_sums(grid, alpha, n, tie):
     centered = [tuple(domain.data_coordinate_exact(int(beta[a]), grid.m[a])
                       - c[a] for a in range(3)) for beta in sys_.points]
     if tie:
-        assert sys_.group == nearbest._stabilizer(centered)
-    assert sys_.orbits == nearbest._point_orbits(centered, sys_.group)
+        assert sys_.group == _stabilizer(centered)
+    assert sys_.orbits == _point_orbits(centered, sys_.group)
     for nu, row, rhs in zip(sys_.rows, sys_.V, sys_.b):
         want = [sum((centered[i][0] ** nu[0] * centered[i][1] ** nu[1]
                      * centered[i][2] ** nu[2] for i in orbit), F(0))
@@ -160,6 +160,107 @@ def _assert_matches_fraction_sums(grid, alpha, n, tie):
         assert row == [sign * v for v in want]
         assert all(isinstance(v, Fraction) for v in row)
         assert rhs == sign * nearbest.constraint_rhs(nu)
+
+
+# --------------------------------------------------------------------------
+# oracle: the system built point by point, one signed permutation at a time
+# --------------------------------------------------------------------------
+
+def _apply_signed_perm(g, point):
+    perm, signs = g
+    return tuple(signs[a] * point[perm[a]] for a in range(3))
+
+
+def _stabilizer(centered):
+    """Signed permutations mapping the centered point set onto itself."""
+    pset = set(centered)
+    return tuple(g for g in nearbest._SIGNED_PERMS
+                 if all(_apply_signed_perm(g, p) in pset for p in pset))
+
+
+def _point_orbits(centered, group):
+    """Orbits of point indices, each sorted, in order of first point."""
+    index_of = {p: i for i, p in enumerate(centered)}
+    seen = [False] * len(centered)
+    orbits = []
+    for i, p in enumerate(centered):
+        if seen[i]:
+            continue
+        orbit = sorted({index_of[_apply_signed_perm(g, p)] for g in group})
+        for j in orbit:
+            seen[j] = True
+        orbits.append(orbit)
+    return orbits
+
+
+def _reference_system(alpha, n, grid, tie):
+    """(points, group, orbits, rows, V, b): orbit sums as Fractions, rows
+    sign-normalised and de-duplicated on their Fractions, in order."""
+    points = domain.octahedron(alpha, n, grid)
+    doubled = nearbest._doubled_centered(points, alpha, grid)
+    centered = [tuple(p) for p in doubled.tolist()]
+    group = _stabilizer(centered) if tie else (nearbest._SIGNED_PERMS[0],)
+    orbits = _point_orbits(centered, group)
+    values = nearbest._monomial_values(doubled)
+    rows, V, b, seen = [], [], [], set()
+    for nu in nearbest.MONOMIALS:
+        row = [F(sum(int(values[i, nearbest.MONOMIALS.index(nu)])
+                     for i in orbit), 2 ** sum(nu)) for orbit in orbits]
+        rhs = nearbest.constraint_rhs(nu)
+        lead = next((v for v in row if v != 0), None)
+        if lead is None:
+            if rhs != 0:
+                rows.append(nu), V.append(row), b.append(rhs)
+            continue
+        if lead < 0:
+            row, rhs = [-v for v in row], -rhs
+        if (tuple(row), rhs) not in seen:
+            seen.add((tuple(row), rhs))
+            rows.append(nu), V.append(row), b.append(rhs)
+    return points, group, orbits, rows, V, b
+
+
+_ORACLE_CASES = [(key, n, tie, None) for key in domain.CLASS_KEYS
+                 for n in range(1, 7) for tie in (True, False)] + [
+    ((12, 0, 14), 3, True, (11, 13, 12)),
+    ((12, 0, 14), 4, False, (11, 13, 12)),
+    ((0, 14, 13), 4, True, (11, 13, 12))]
+
+
+def test_constraint_system_matches_point_by_point_oracle(grid11):
+    """Every class key at every radius 1..6, tied and untied, and three
+    cases on a non-cubic grid: points, group, orbits, rows, V (all
+    Fractions) and b equal the oracle's, over stabilizers of orders 1, 2,
+    4, 6, 8 and 48."""
+    orders = set()
+    for alpha, n, tie, m in _ORACLE_CASES:
+        grid = grid11 if m is None else geometry.DomainGrid(*m, 1.0)
+        sys_ = nearbest.constraint_system(alpha, n, grid, tie_symmetry=tie)
+        points, group, orbits, rows, V, b = _reference_system(
+            alpha, n, grid, tie)
+        case = (alpha, n, tie, m)
+        assert np.array_equal(sys_.points, points), case
+        assert sys_.group == group and sys_.orbits == orbits, case
+        assert sys_.rows == rows and sys_.V == V and sys_.b == b, case
+        assert all(type(v) is F for row in sys_.V for v in row), case
+        assert all(type(v) is F for v in sys_.b), case
+        assert all(type(i) is int for orbit in sys_.orbits for i in orbit)
+        orders.add(len(group))
+    assert orders == {1, 2, 4, 6, 8, 48}
+
+
+@pytest.mark.parametrize("n", [2.5, True, "2", 0, np.float64(2)])
+def test_constraint_system_rejects_a_radius_not_a_count(grid11, n):
+    with pytest.raises(ValueError, match="radius n must be an integer >= 1"):
+        nearbest.constraint_system((0, 0, -1), n, grid11)
+
+
+def test_constraint_system_takes_a_numpy_radius(grid11):
+    got = nearbest.constraint_system((0, 0, -1), np.int64(4), grid11)
+    want = nearbest.constraint_system((0, 0, -1), 4, grid11)
+    assert np.array_equal(got.points, want.points)
+    assert (got.rows, got.V, got.b, got.orbits) == \
+        (want.rows, want.V, want.b, want.orbits)
 
 
 def test_derive_functional_demo_runs(capsys):

@@ -4,6 +4,7 @@ minimization wrapper, checked against a Fraction-tableau oracle."""
 import random
 import sys
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -269,13 +270,23 @@ def _mirrored_lp(rng):
     return A, b, c
 
 
-def _l1_lp(rng):
-    """The split LP [V | -V] that minimize_l1_exact builds."""
+def _l1_instance(rng, denominators=None):
+    """(V, b, w) of a random weighted l1 problem; b and w are integers, or
+    take their denominators from ``denominators`` if given."""
     m, k = rng.randint(1, 5), rng.randint(1, 8)
     V = [[F(rng.randint(-4, 4), rng.choice((1, 2, 3))) for _ in range(k)]
          for _ in range(m)]
-    b = [F(rng.randint(-4, 4)) for _ in range(m)]
-    w = [F(rng.randint(1, 4)) for _ in range(k)]
+
+    def entry(lo):
+        d = rng.choice(denominators) if denominators else 1
+        return F(rng.randint(lo, 4), d)
+
+    return V, [entry(-4) for _ in range(m)], [entry(1) for _ in range(k)]
+
+
+def _l1_lp(rng):
+    """The split LP [V | -V] that minimize_l1_exact builds."""
+    V, b, w = _l1_instance(rng)
     return [row + [-v for v in row] for row in V], b, w * 2
 
 
@@ -305,6 +316,43 @@ def test_mirrored_columns_pivot_like_the_full_tableau(monkeypatch):
             for _, col in ours_at)
     assert statuses == {"optimal", "infeasible", "unbounded"}
     assert negative > 0 and degenerate > 0 and mirrored > 0
+
+
+def test_minimize_l1_matches_the_unscaled_split_lp():
+    """minimize_l1_exact scales V, b and w to integers before `solve_lp`;
+    the Fraction oracle solves the unscaled split LP [V | -V] instead, so
+    the scaling is checked on its own.  Infeasible instances included."""
+    rng = random.Random(3301)
+    statuses = set()
+    for i in range(2000):
+        V, b, w = _l1_instance(rng, (1, 2, 5) if i % 2 else None)
+        k = len(w)
+        ref = _ref_solve_lp([row + [-v for v in row] for row in V], b, w * 2)
+        want = (ref.status, None, None)
+        if ref.status == "optimal":
+            s = [ref.x[j] - ref.x[k + j] for j in range(k)]
+            want = ("optimal", s,
+                    sum((wj * abs(sj) for wj, sj in zip(w, s)), F(0)))
+        got = simplex.minimize_l1_exact(V, b, weights=w)
+        assert got == want, (V, b, w)
+        assert got[2] is None or type(got[2]) is F
+        statuses.add(got[0])
+    assert statuses == {"optimal", "infeasible"}
+
+
+def test_solve_lp_takes_integers_as_they_are():
+    """Integer inputs give the results of the same LP in Fractions."""
+    rng = random.Random(77)
+    for _ in range(200):
+        A, b, c = _random_lp(rng)
+        L = lcm(*(v.denominator for row in (*A, b, c) for v in row))
+        ints = [[int(v * L) for v in row] for row in (*A, b, c)]
+        got = simplex.solve_lp(ints[:len(A)], ints[-2], ints[-1])
+        want = simplex.solve_lp(A, b, c)
+        assert (got.status, got.x) == (want.status, want.x)
+        if got.status == "optimal":
+            assert got.objective == L * want.objective
+            assert all(type(v) is F for v in got.x)
 
 
 def test_each_pivot_updates_only_the_artificial_block(monkeypatch, grid11):
