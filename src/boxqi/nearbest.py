@@ -78,7 +78,7 @@ _PERM_SIGNS = np.array([signs for _, signs in _SIGNED_PERMS])
 #: Per monomial, 8 / 2^|nu| (so 8 times a row's entries are integers) and
 #: 24 times its right-hand side (1, -5/12 or 0): the integer keys on which
 #: rows are compared.
-_ROW_SCALE = np.array([8 >> sum(nu) for nu in MONOMIALS])[:, None]
+_ROW_SCALE = np.array([8 >> sum(nu) for nu in MONOMIALS])
 _RHS_24 = np.array([int(24 * constraint_rhs(nu)) for nu in MONOMIALS])
 
 
@@ -176,30 +176,30 @@ def constraint_system(alpha, n, grid, tie_symmetry=True):
     # one; then 8 times each entry is an integer
     nonzero = sums != 0
     lead = sums[np.arange(len(MONOMIALS)), nonzero.argmax(axis=1)]
-    sign = np.where(lead < 0, -1, 1)[:, None]
-    eighths = sums * sign * _ROW_SCALE
-    targets = (_RHS_24 * sign[:, 0]).tolist()
+    sign = np.where(lead < 0, -1, 1)
+    eighths = sums * (sign * _ROW_SCALE)[:, None]
+    targets = (_RHS_24 * sign).tolist()
 
     kept = []
     seen = set()
     for r, row in enumerate(eighths.tolist()):
-        if nonzero[r].any():
-            key = (*row, targets[r])
-            if key in seen:
-                continue
-            seen.add(key)
-        elif not targets[r]:
+        if not nonzero[r].any():
+            # degenerate geometry cannot match a nonzero target; keep the
+            # row so the LP reports infeasibility honestly
+            if targets[r]:
+                kept.append(r)
             continue
-        # a zero row with a nonzero target (degenerate geometry) is kept so
-        # the LP reports infeasibility honestly
-        kept.append(r)
+        key = (*row, targets[r])
+        if key not in seen:
+            seen.add(key)
+            kept.append(r)
     # one Fraction per distinct entry of the kept rows
     distinct, at = np.unique(eighths[kept], return_inverse=True)
     fractions = [Fraction(v, 8) for v in distinct.tolist()]
     V = [[fractions[i] for i in row] for row in at.reshape(len(kept), -1)
          .tolist()]
     rows = [MONOMIALS[r] for r in kept]
-    b = [constraint_rhs(nu) * int(sign[r, 0]) for r, nu in zip(kept, rows)]
+    b = [constraint_rhs(nu) * int(sign[r]) for r, nu in zip(kept, rows)]
     edges = [*starts.tolist(), len(members)]
     members = members.tolist()
     orbits = [members[lo:hi] for lo, hi in zip(edges, edges[1:])]
