@@ -435,7 +435,6 @@ class BoxSplineTable:
 
     def _eval_inside(self, pts, gamma):
         cube = np.floor(pts).astype(np.int64)
-        np.clip(cube, SUPPORT_LO, SUPPORT_HI - 1, out=cube)
         tet, bary = geometry.locate_unit(pts - cube)
         rel = cube - SUPPORT_LO
         flat_cube = (rel[:, 0] * 5 + rel[:, 1]) * 5 + rel[:, 2]

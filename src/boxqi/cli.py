@@ -58,14 +58,15 @@ def _ints(parts, flag: str, text: str):
         raise ValueError(f"{flag} takes integers, got {text!r}") from None
 
 
-def _parse_triple(text: str, name: str):
+def _parse_counts(text: str, name: str):
+    """One integer or three comma-separated ones, as every grid reader of
+    the library takes them: an int or a 3-tuple."""
     parts = text.split(",")
-    if len(parts) == 1:
-        parts = parts * 3
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise ValueError(f"{name} must be one value or three "
                          f"comma-separated values, got {text!r}")
-    return tuple(_ints(parts, name, text))
+    counts = tuple(_ints(parts, name, text))
+    return counts if len(counts) == 3 else counts[0]
 
 
 def _parse_class(text: str):
@@ -94,7 +95,8 @@ def _parse_m_list(text: str):
 
 
 def _grid_from_flags(args, h=1.0) -> DomainGrid:
-    return DomainGrid(*_parse_triple(args.m, "--m"), h=h)
+    m = _parse_counts(args.m, "--m")
+    return DomainGrid(*(m if isinstance(m, tuple) else (m,) * 3), h=h)
 
 
 def _csv(rows, header) -> str:
@@ -233,7 +235,7 @@ def cmd_approximate(args) -> int:
         if args.m is None:
             raise ValueError("--fn requires --m")
         samples, grid, _ = volume.sample_test_function(
-            args.fn, _parse_triple(args.m, "--m"))
+            args.fn, _parse_counts(args.m, "--m"))
     else:
         path = Path(getattr(args, "in"))
         if path.suffix == ".npy":
@@ -258,7 +260,8 @@ def cmd_eval(args) -> int:
         fn = volume.TEST_FUNCTIONS.get(args.fn)
         if fn is None:
             raise ValueError(f"unknown test function {args.fn!r}")
-    count, low, high, error = convergence.grid_summary(spline, args.grid, fn)
+    n = _parse_counts(args.grid, "--grid")
+    count, low, high, error = convergence.grid_summary(spline, n, fn)
     header = ["points", "minimum", "maximum"]
     row = [str(count), _fmt(low), _fmt(high)]
     if fn is not None:
@@ -269,8 +272,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_convergence(args) -> int:
-    rows = convergence.convergence_table(args.fn, _parse_m_list(args.m),
-                                         eval_points=args.grid)
+    rows = convergence.convergence_table(
+        args.fn, _parse_m_list(args.m),
+        eval_points=_parse_counts(args.grid, "--grid"))
     table = [(row.fn, str(row.m), _fmt(row.h), _fmt(row.error),
               "" if row.rf is None else _fmt(row.rf)) for row in rows]
     _write(_csv(table, ("fn", "m", "h", "max_error", "rf")), args.out)
@@ -280,7 +284,7 @@ def cmd_convergence(args) -> int:
 def cmd_isosurface(args) -> int:
     # resolved before the spline is read: a bad --out or --res fails at once
     fmt = isosurface.mesh_format(args.out, args.format)
-    res = _parse_triple(args.res, "--res")
+    res = _parse_counts(args.res, "--res")
     if fmt == "obj" and args.fn is not None:
         raise ValueError("--fn needs PLY output: OBJ has no channel for "
                          "the reference error")
@@ -361,8 +365,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("eval", cmd_eval, "evaluate a saved spline over a uniform grid")
     p.add_argument("--in", required=True, help="spline file")
-    p.add_argument("--grid", type=int, default=139,
-                   help="points per axis, endpoints included")
+    p.add_argument("--grid", default="139",
+                   help="points per axis, endpoints included: i or i,j,k")
     p.add_argument("--fn", help="benchmark id for max-error reporting")
     p.add_argument("--out")
 
@@ -370,7 +374,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "max-error/order table for a benchmark (CSV)")
     p.add_argument("--fn", required=True)
     p.add_argument("--m", default="16,32,64", help="comma list of m values")
-    p.add_argument("--grid", type=int, default=139)
+    p.add_argument("--grid", default="139",
+                   help="evaluation points per axis: i or i,j,k")
     p.add_argument("--out")
 
     p = add("isosurface", cmd_isosurface,

@@ -40,8 +40,9 @@ with s in {+-1, +-1/2} and P_k one of the six diagonal-plane functions
 d_a -+ d_b, d = 2u - 1.  Scaling by a power of two is exact, so the band of
 each P_k, cut at +-tol and +-2 tol, decides every row's test bit for bit,
 and a table of the 5**6 band patterns, built at import, holds the
-tetrahedron.  Points outside the cube beyond tolerance may lie in no
-tetrahedron; they alone test all 24 candidates for the best fit.
+tetrahedron.  `locate` clamps each cube offset into [0, 1]^3, which moves
+only the points it accepts within tolerance outside Omega, so one lookup
+and one 4x4 matrix locate every point.
 """
 
 from __future__ import annotations
@@ -215,8 +216,7 @@ def _plane_values(hom):
     barycentric row, so each barycentric plane row gives exactly s * P_k."""
     x, y, z = hom[:, 0], hom[:, 1], hom[:, 2]
     y2 = y - 2.0
-    with np.errstate(invalid="ignore"):  # inf - inf for non-finite points
-        return np.stack([x - y, x + y2, x - z, (x + z) - 2.0, y - z, z + y2])
+    return np.stack([x - y, x + y2, x - z, (x + z) - 2.0, y - z, z + y2])
 
 
 def _band_containment():
@@ -261,42 +261,23 @@ def tetrahedra_of_cube(cube, grid):
     return (TET_VERTICES_UNIT + cube) * grid.h
 
 
-def _first_containing_tet(hom):
-    """The tie rule applied literally: test all 24 candidates per point.
-
-    `hom` holds homogeneous doubled coordinates (2u, 1).  Returns the first
-    tetrahedron in canonical order whose barycentrics are all >= -tol, or
-    the best fit if roundoff pushed every candidate slightly negative.
-    """
-    bary_all = np.einsum('tij,nj->nti', BARYCENTRIC_MATRICES, hom)
-    # pairwise minima: exactly min(axis=2), without a slow short-axis reduce
-    minc = np.minimum(np.minimum(bary_all[..., 0], bary_all[..., 1]),
-                      np.minimum(bary_all[..., 2], bary_all[..., 3]))
-    inside = minc >= -_LOCATE_TOL
-    tet = np.where(inside.any(axis=1), inside.argmax(axis=1),
-                   minc.argmax(axis=1))
-    return tet, bary_all[np.arange(len(hom)), tet]
-
-
 def locate_unit(local):
     """Locate points of the closed unit cube in the 24-tetrahedron split.
 
-    One rule serves the whole cube, within tolerance: the bands of the six
-    plane values index the table of first containing tetrahedra, and one
-    4x4 matrix gives the barycentric coordinates (see the module notes).
-    Points outside the cube beyond tolerance, and non-finite points, may lie
-    in no tetrahedron; only they test all 24 candidates, for the best fit.
+    One pass: the bands of the six plane values index the table of first
+    containing tetrahedra, and one 4x4 matrix gives the barycentric
+    coordinates (see the module notes).
 
     Parameters
     ----------
     local : (n, 3) array
-        Coordinates in [0, 1]^3 (slight excursions tolerated).
+        Coordinates in [0, 1]^3.
 
     Returns
     -------
     tet : (n,) intp
         First tetrahedron in canonical order containing each point, with
-        every barycentric coordinate >= -1e-12 (best fit if none).
+        every barycentric coordinate >= -1e-12.
     bary : (n, 4) float64
         Barycentric coordinates with respect to that tetrahedron.
     """
@@ -311,14 +292,7 @@ def locate_unit(local):
             + (planes > _LOCATE_TOL).view(np.int8)
             + (planes > 2 * _LOCATE_TOL).view(np.int8))
     tet = _TET_OF_BANDS[_BAND_WEIGHTS @ band]
-    bary = np.einsum('nij,nj->ni', BARYCENTRIC_MATRICES[tet], hom)
-    # the cube-face rows are 2u_a and 2 - 2u_a; NaN fails both tests
-    x, y, z = hom[:, 0], hom[:, 1], hom[:, 2]
-    outside = ~((np.minimum(np.minimum(x, y), z) >= -_LOCATE_TOL)
-                & (2.0 - np.maximum(np.maximum(x, y), z) >= -_LOCATE_TOL))
-    if outside.any():
-        tet[outside], bary[outside] = _first_containing_tet(hom[outside])
-    return tet, bary
+    return tet, np.einsum('nij,nj->ni', BARYCENTRIC_MATRICES[tet], hom)
 
 
 def locate(points, grid):
@@ -326,7 +300,8 @@ def locate(points, grid):
 
     Ties on shared faces/knot planes resolve to the lexicographically
     smallest (cube, tet) pair: cube index by clamp(ceil(u)-1) per axis, then
-    the first containing tetrahedron in canonical order.
+    the first containing tetrahedron in canonical order.  Points accepted
+    within tolerance outside Omega are located at their clamped offsets.
 
     Parameters
     ----------
@@ -349,17 +324,22 @@ def locate(points, grid):
     pts = np.atleast_2d(np.asarray(points, dtype=np.float64))
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("points must have shape (n, 3)")
-    if not np.isfinite(pts).all():
-        bad = pts[~np.isfinite(pts).all(axis=1)][0]
-        raise ValueError(f"point {tuple(bad.tolist())} is not finite")
     u = pts / grid.h
     m = np.array(grid.m, dtype=np.float64)
     tol = _LOCATE_TOL * max(1.0, float(m.max()))
-    if np.any(u < -tol) or np.any(u > m + tol):
-        bad = pts[np.any((u < -tol) | (u > m + tol), axis=1)][0]
-        raise ValueError(f"point {tuple(bad.tolist())} outside the domain")
+    # one mask: NaN, +-inf and points outside Omega all fail it
+    inside = ((u >= -tol) & (u <= m + tol)).all(axis=1)
+    if not inside.all():
+        bad = pts[~inside][0]
+        problem = ("outside the domain" if np.isfinite(bad).all()
+                   else "is not finite")
+        raise ValueError(f"point {tuple(bad.tolist())} {problem}")
     cube = np.ceil(u).astype(np.int64) - 1
     np.maximum(cube, 0, out=cube)
     np.minimum(cube, np.array(grid.m) - 1, out=cube)
-    tet, bary = locate_unit(u - cube)
+    # inside Omega u - cube is exact (Sterbenz) and already in [0, 1]^3, so
+    # the clamp moves only the points accepted within tolerance outside it
+    local = u - cube
+    np.clip(local, 0.0, 1.0, out=local)
+    tet, bary = locate_unit(local)
     return cube, tet, bary

@@ -34,8 +34,10 @@ Export formats: ASCII OBJ (v/f records, 1-based indices, coordinates in
 shortest round-trip ``repr`` form) and binary little-endian PLY (float64
 coordinates, optional per-vertex scalar channel, e.g. a reference-error
 colour).  ``write_mesh`` streams either format to the file in chunks of
-``_MESH_CHUNK`` records.  The readers take back exactly what the writers
-write and raise one ``ValueError`` on anything else.
+``_MESH_CHUNK`` records.  The readers take back what the writers write:
+`read_ply` only the writer's header and layout, `read_obj` only ``v`` and
+``f`` records (the first index of ``f a/b/c``; other lines skipped).  A
+malformed record or a non-finite coordinate or scalar is one ``ValueError``.
 """
 
 from __future__ import annotations
@@ -333,7 +335,9 @@ def write_obj(mesh: TriangleMesh) -> str:
 
 
 def read_obj(text: str) -> TriangleMesh:
-    """Parse the v/f subset of OBJ written by :func:`write_obj`."""
+    """Parse the v/f subset of OBJ written by :func:`write_obj` (see the
+    module notes); a malformed record or a non-finite coordinate raises
+    one ``ValueError``."""
     verts, tris = [], []
     for line in text.splitlines():
         kind, *fields = line.split() or [""]
@@ -343,8 +347,10 @@ def read_obj(text: str) -> TriangleMesh:
             verts.append([float(p) for p in fields])
         elif kind == "f":
             tris.append([int(p.split("/")[0]) - 1 for p in fields])
-    return TriangleMesh(np.array(verts, np.float64).reshape(-1, 3),
-                        np.array(tris, np.int32).reshape(-1, 3))
+    vertices = np.array(verts, np.float64).reshape(-1, 3)
+    if not np.isfinite(vertices).all():
+        raise ValueError("OBJ vertex coordinate is not finite")
+    return TriangleMesh(vertices, np.array(tris, np.int32).reshape(-1, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +389,8 @@ def write_ply(mesh: TriangleMesh) -> bytes:
 
 def read_ply(data: bytes) -> TriangleMesh:
     """Parse the PLY layout written by :func:`write_ply`.  Any other
-    header, a short or overlong body and non-triangle faces raise one
-    ``ValueError`` naming the problem."""
+    header, a short or overlong body, non-triangle faces and non-finite
+    coordinates or scalars raise one ``ValueError`` naming the problem."""
     head, sep, body = data.partition(b"end_header\n")
     if not sep:
         raise ValueError("not a PLY stream (missing end_header)")
@@ -404,6 +410,8 @@ def read_ply(data: bytes) -> TriangleMesh:
         raise ValueError(f"PLY body {problem}: {len(body)} bytes, the "
                          f"header declares {size}")
     vdata = np.frombuffer(body[:vbytes], "<f8").reshape(nv, ncol)
+    if not np.isfinite(vdata).all():
+        raise ValueError("PLY vertex coordinate or scalar is not finite")
     fdata = np.frombuffer(body[vbytes:], np.uint8).reshape(nf, 13)
     if (fdata[:, 0] != 3).any():
         raise ValueError("PLY face is not a triangle (vertex count != 3)")

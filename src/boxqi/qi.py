@@ -754,9 +754,10 @@ class QISpline:
             coeffs = np.empty(shape, dtype="<f8") if size == expected else None
             if coeffs is None or fh.readinto(
                     coeffs.reshape(-1).view(np.uint8)) != coeffs.nbytes:
-                raise ValueError(
-                    f"spline file truncated: {size} bytes, "
-                    f"expected {expected}")
+                problem = (f"has {size - expected} trailing bytes"
+                           if size > expected else "truncated")
+                raise ValueError(f"spline file {problem}: {size} bytes, "
+                                 f"expected {expected}")
         coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
         coeffs.setflags(write=False)
         return cls(grid=grid, coefficients=coeffs)

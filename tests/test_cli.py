@@ -372,6 +372,31 @@ def test_eval_rejects_empty_grid(capsys, tmp_path):
                   "got 0\n"
 
 
+def test_grid_takes_one_count_or_three(capsys, tmp_path):
+    """``--grid`` reads as ``--m`` and ``--res`` do: i or i,j,k."""
+    spline_path = tmp_path / "f2.qis"
+    run(capsys, "approximate", "--fn", "f2", "--m", "11",
+        "--out", str(spline_path))
+    code, out, _ = run(capsys, "eval", "--in", str(spline_path),
+                       "--grid", "5,6,7", "--fn", "f2")
+    assert code == 0
+    row = list(csv.DictReader(io.StringIO(out)))[0]
+    assert row["points"] == "210"
+    code, out, _ = run(capsys, "convergence", "--fn", "f2", "--m", "11",
+                       "--grid", "5,6,7")
+    assert code == 0
+    assert list(csv.DictReader(io.StringIO(out)))[0]["max_error"] == \
+        row["max_error"]
+    for value, problem in (("5,x", "must be one value or three "
+                                    "comma-separated values"),
+                           ("5,6,x", "takes integers")):
+        for argv in (("eval", "--in", str(spline_path)),
+                     ("convergence", "--fn", "f2", "--m", "11")):
+            code, out, err = run(capsys, *argv, "--grid", value)
+            assert code == 1 and out == ""
+            assert err == f"error: --grid {problem}, got {value!r}\n"
+
+
 def test_eval_grid_streams_its_points(capsys, tmp_path):
     """Memory of ``eval --grid n`` does not grow with the n^3 points."""
     spline_path = tmp_path / "f2.qis"

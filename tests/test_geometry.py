@@ -1,13 +1,12 @@
 """Type-6 tetrahedral partition: cube splitting, point location,
 barycentric bookkeeping."""
 
-import warnings
-
 import numpy as np
 import pytest
 
 from boxqi import bernstein as bb
 from boxqi import geometry as geo
+from boxqi import qi
 
 
 def _tet_volume(verts):
@@ -147,9 +146,10 @@ def test_barycentric_direction_is_step_derivative():
 # -- the tie rule of locate_unit ------------------------------------------
 #
 # The documented rule: the first tetrahedron in canonical order whose
-# barycentric coordinates are all >= -1e-12, or the best fit when roundoff
-# leaves none.  The reference below applies that rule literally, testing all
-# 24 candidates per point.
+# barycentric coordinates are all >= -1e-12.  The reference below applies
+# that rule literally, testing all 24 candidates per point.  It holds for
+# the closed cube within tolerance, which `locate_unit` is given; points
+# further out are left out of the comparison.
 
 _TIE_TOL = 1e-12
 _BARY_ATOL = 4.5e-16
@@ -161,10 +161,9 @@ def _first_containing(local, chunk=100_000):
         u = local[start:start + chunk]
         hom = np.concatenate([2.0 * u, np.ones((len(u), 1))], axis=1)
         cand = np.einsum('tij,nj->nti', geo.BARYCENTRIC_MATRICES, hom)
-        minc = cand.min(axis=2)
-        inside = minc >= -_TIE_TOL
-        tet = np.where(inside.any(axis=1), inside.argmax(axis=1),
-                       minc.argmax(axis=1))
+        inside = cand.min(axis=2) >= -_TIE_TOL
+        assert inside.any(axis=1).all()
+        tet = inside.argmax(axis=1)
         tets.append(tet)
         barys.append(cand[np.arange(len(u)), tet])
     return np.concatenate(tets), np.concatenate(barys)
@@ -177,7 +176,15 @@ def _locate_chunked(local, chunk=100_000):
             np.concatenate([o[1] for o in out]))
 
 
+def _in_cube(local):
+    """Points whose doubled coordinates lie within tolerance of [0, 2]^3."""
+    doubled = 2.0 * local
+    return ((doubled.min(axis=1) >= -_TIE_TOL)
+            & (2.0 - doubled.max(axis=1) >= -_TIE_TOL))
+
+
 def _assert_tie_rule(local):
+    local = local[_in_cube(local)]
     tet, bary = _locate_chunked(local)
     ref_tet, ref_bary = _first_containing(local)
     bad = np.flatnonzero(tet != ref_tet)
@@ -317,29 +324,34 @@ def test_every_band_pattern_has_a_containing_tet():
     assert contains.any(axis=1).all()
 
 
-def test_only_points_outside_the_cube_test_every_candidate(rng, monkeypatch):
-    literal = geo._first_containing_tet
-
-    def outside_only(hom):
-        h = hom[:, :3]
-        inside = (h.min(axis=1) >= -_TIE_TOL) & (2.0 - h.max(axis=1)
-                                                 >= -_TIE_TOL)
-        assert not inside.any(), hom[inside][0]
-        return literal(hom)
-
-    monkeypatch.setattr(geo, "_first_containing_tet", outside_only)
-    for local in (_lattice(), _lattice_offsets(), _plane_points(rng, 2000),
-                  _boundary_points(rng, 2000)):
-        geo.locate_unit(local)
-    # beyond tolerance and non-finite points still take the best fit
-    odd = np.array([[1.0 + 3e-12, 0.5, 0.5], [-3e-12, 0.2, 0.2],
-                    [np.nan, 0.5, 0.5], [np.inf, np.inf, 0.5]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        tet, bary = geo.locate_unit(odd)
-    ref_tet, ref_bary = _first_containing(odd)
-    np.testing.assert_array_equal(tet, ref_tet)
-    np.testing.assert_array_equal(bary, ref_bary)
+def test_locate_clamps_points_within_tolerance_outside_the_domain(rng):
+    """A point accepted within tolerance outside Omega is located, and
+    evaluated, at its clamped point; one further out, or not finite, still
+    raises."""
+    spline = qi.approximate(rng.normal(size=(14, 13, 15)), h=0.1)
+    g = spline.grid
+    m = np.array(g.m, dtype=np.float64)
+    tol = 1e-12 * m.max()
+    u = rng.uniform(0.0, 1.0, size=(3000, 3)) * m
+    side = rng.integers(0, 3, size=u.shape)  # inside, below 0, above m
+    side[np.arange(len(u)), rng.integers(0, 3, len(u))] = rng.integers(
+        1, 3, len(u))  # every point outside on some axis
+    u = np.where(side == 1, -tol / 2, np.where(side == 2, m + tol / 2, u))
+    pts = u * g.h
+    clamped = np.clip(pts, 0.0, np.array(g.extent))
+    assert not (pts == clamped).all(axis=1).any()
+    for got, want in zip(geo.locate(pts, g), geo.locate(clamped, g)):
+        np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(spline.eval(pts), spline.eval(clamped))
+    np.testing.assert_array_equal(spline.gradient(pts),
+                                  spline.gradient(clamped))
+    for bad, message in [((np.nan, 0.5, 0.5), "is not finite"),
+                         ((0.5, np.inf, 0.5), "is not finite"),
+                         ((-2 * tol * g.h, 0.5, 0.5), "outside the domain"),
+                         ((0.5, 0.5, (m[2] + 2 * tol) * g.h),
+                          "outside the domain")]:
+        with pytest.raises(ValueError, match=message):
+            geo.locate(np.array([[0.5, 0.5, 0.5], bad]), g)
 
 
 def test_locate_unit_matches_rule_on_random_points(rng):

@@ -428,6 +428,32 @@ def test_read_obj_rejects_malformed_records(text, match):
         iso.read_obj(text)
 
 
+def test_read_obj_reads_the_documented_subset():
+    text = ("# comment\nmtllib m.mtl\nv 0 0 0\nvn 0 0 1\nv 1 0 0\n"
+            "v 0 1 0\nv 1 1 0\nusemtl red\nf 1/1/1 2/2/1 3/3/1\n"
+            "f 2//1 4//1 3//1\n")
+    mesh = iso.read_obj(text)
+    np.testing.assert_array_equal(mesh.vertices, _QUAD.vertices)
+    np.testing.assert_array_equal(mesh.triangles, _QUAD.triangles)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_readers_reject_non_finite_coordinates_and_scalars(bad):
+    obj = iso.write_obj(_QUAD).replace("v 1.0 ", f"v {bad} ", 1)
+    assert obj != iso.write_obj(_QUAD)
+    with pytest.raises(ValueError, match="OBJ vertex coordinate is not"):
+        iso.read_obj(obj)
+    vertices = _QUAD.vertices.copy()
+    vertices[2, 1] = float(bad)
+    with pytest.raises(ValueError, match="PLY vertex coordinate or scalar"):
+        iso.read_ply(iso.write_ply(iso.TriangleMesh(vertices,
+                                                    _QUAD.triangles)))
+    scalars = np.array([0.0, 1.0, 2.0, float(bad)])
+    with pytest.raises(ValueError, match="PLY vertex coordinate or scalar"):
+        iso.read_ply(iso.write_ply(iso.TriangleMesh(
+            _QUAD.vertices, _QUAD.triangles, scalars=scalars)))
+
+
 def _four_sided(blob):
     """The PLY bytes with the first face's vertex count byte set to 4."""
     body = blob.index(b"end_header\n") + len(b"end_header\n")

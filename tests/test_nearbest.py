@@ -118,6 +118,35 @@ def test_norm_table_rows_hold_exact_norms(grid11):
         assert type(row["norm"]) is F and row["norm"] == sol.norm
 
 
+@pytest.mark.parametrize("x_squared, twin", [(0, None), (4, (0, 0, 0))],
+                         ids=["zero-row", "constant-row-twin"])
+def test_constraint_system_keeps_rows_that_decide_feasibility(
+        grid11, monkeypatch, x_squared, twin):
+    """An all-zero row with a nonzero target, and a row equal to another
+    but for its target, are both kept, so the LP reports infeasibility.
+    No real point set has either row; the doubled x^2 column is replaced
+    to make them."""
+    values = nearbest._monomial_values
+    column = nearbest.MONOMIALS.index((2, 0, 0))
+
+    def patched(doubled):
+        out = values(doubled)
+        out[:, column] = x_squared  # x^2 = X^2 / 4 at every point
+        return out
+
+    assert nearbest.minimize_l1(
+        nearbest.constraint_system((3, 3, 3), 2, grid11)).status == "optimal"
+    monkeypatch.setattr(nearbest, "_monomial_values", patched)
+    system = nearbest.constraint_system((3, 3, 3), 2, grid11)
+    row = system.V[system.rows.index((2, 0, 0))]
+    assert system.b[system.rows.index((2, 0, 0))] == F(-5, 12)
+    if twin is None:
+        assert not any(row)
+    else:
+        assert row == system.V[system.rows.index(twin)]
+    assert nearbest.minimize_l1(system).status == "infeasible"
+
+
 def test_canonical_grid():
     g = nearbest.canonical_grid()
     assert g.m == (11, 11, 11)

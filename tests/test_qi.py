@@ -528,8 +528,13 @@ def test_load_rejects_corrupt_files(rng, tmp_path):
     spline.save(path)
     blob = path.read_bytes()
     (tmp_path / "truncated.qis").write_bytes(blob[:-100])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="truncated: 26928 bytes, expected "
+                       "27028"):
         qi.QISpline.load(tmp_path / "truncated.qis")
+    (tmp_path / "overlong.qis").write_bytes(blob + b"\0\0")
+    with pytest.raises(ValueError, match="has 2 trailing bytes: 27030 bytes, "
+                       "expected 27028"):
+        qi.QISpline.load(tmp_path / "overlong.qis")
     (tmp_path / "magic.qis").write_bytes(b"XXXX" + blob[4:])
     with pytest.raises(ValueError):
         qi.QISpline.load(tmp_path / "magic.qis")
